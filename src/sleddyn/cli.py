@@ -148,6 +148,12 @@ def _load_runs(paths, config: Config, jobs: int):
     return [_prepare_run(p, config) for p in paths]
 
 
+def _run_keys(paths) -> list[str]:
+    """File stems as report keys, or the paths as given when two stems coincide."""
+    stems = [Path(p).stem for p in paths]
+    return stems if len(set(stems)) == len(stems) else [str(p) for p in paths]
+
+
 # ---------------------------------------------------------------------------
 # icehouse
 
@@ -157,15 +163,7 @@ def cmd_icehouse(args) -> int:
     out_dir = Path(args.out_dir)
     results = []
     if args.points:
-        pts = []
-        with open(args.points, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.replace(",", " ").split()
-                pts.append((float(cells[-2]), float(cells[-1])))
-        params = icehouse.fit_quadratic_mu_p(pts)
+        params = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points))
         results.append(("quadratic", params))
     glide_results = []
     specimens: dict[str, dict[str, list]] = defaultdict(lambda: {"up": [], "down": []})
@@ -247,7 +245,8 @@ def cmd_fit(args) -> int:
         results[runner] = (fitting.fit_lateral(data, fit_config), data)
 
     validation = {}
-    for path, run in holdout_runs:
+    keys = _run_keys([path for path, _ in holdout_runs])
+    for key, (path, run) in zip(keys, holdout_runs):
         trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
                                  v_min=config.options["v_min"])
         measured = evaluation.measured_lateral_cog(trace)
@@ -256,7 +255,7 @@ def cmd_fit(args) -> int:
             mu_x=config.options["mu_x"])
         reference = evaluation.model_lateral_cog(trace, "braghin", "braghin", run,
                                                  mu_x=config.options["mu_x"])
-        validation[Path(path).stem] = {
+        validation[key] = {
             "fitted": evaluation.validate_rmse(fitted, measured, trace.valid),
             "reference": evaluation.validate_rmse(reference, measured, trace.valid),
         }

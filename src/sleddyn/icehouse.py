@@ -25,6 +25,7 @@ import numpy as np
 from .aero import AirState, drag_force
 from .errors import DataError, NumericalError
 from .friction import LongitudinalFrictionParams
+from .tables import read_table
 
 G = 9.81
 
@@ -171,6 +172,22 @@ def evaluate_glide(run: GlideRun, window=None, window_fraction: float = DEFAULT_
     )
 
 
+def load_points(path) -> list[tuple[float, float]]:
+    """(pressure [MPa], mu) pairs: the last two comma- or space-separated cells of each line."""
+    pts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = line.replace(",", " ").split()
+            try:
+                pts.append((float(cells[-2]), float(cells[-1])))
+            except (IndexError, ValueError):
+                raise DataError(f"{path}:{lineno}: expected a (pressure, mu) pair, got {line!r}") from None
+    return pts
+
+
 def fit_quadratic_mu_p(points) -> LongitudinalFrictionParams:
     """Quadratic least squares through (pressure [MPa], mu) pairs.
 
@@ -194,39 +211,26 @@ def fit_quadratic_mu_p(points) -> LongitudinalFrictionParams:
 
 
 def load_glide_csv(path) -> GlideRun:
+    table = read_table(path)
+    header = [name.strip().lower() for name in table.header]
+    if header[:1] != ["t"] or len(header) < 2:
+        raise DataError(f"{path}:{table.header_line}: expected a 't,v[,h]' header, "
+                        f"got {','.join(table.header)!r}")
     meta: dict[str, str] = {}
-    rows = []
-    has_h = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    meta[k.strip()] = v.strip()
-                continue
-            if line.lower().startswith("t,"):
-                has_h = line.lower().split(",")[2:3] == ["h"]
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from None
-    if not rows:
-        raise DataError(f"{path}: no samples")
+    for comment in table.comments:
+        if "=" in comment:
+            k, _, v = comment.partition("=")
+            meta[k.strip()] = v.strip()
     required = ("m", "p_air", "temperature", "cx_ax", "direction")
     missing = [k for k in required if k not in meta]
     if missing:
         raise DataError(f"{path}: metadata block missing {', '.join(missing)}")
-    arr = np.array(rows)
+    arr = table.data
     air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
                    r_specific=float(meta.get("r_specific", 287.05)))
     return glide_run_from_time_series(
         t=arr[:, 0], v=arr[:, 1],
-        h=arr[:, 2] if has_h and arr.shape[1] > 2 else None,
+        h=arr[:, 2] if header[2:3] == ["h"] else None,
         m=float(meta["m"]), air=air, cx_ax=float(meta["cx_ax"]),
         direction=meta["direction"], kappa=float(meta.get("kappa", 0.0)),
         specimen=meta.get("specimen", Path(path).stem),

@@ -17,7 +17,8 @@ TOOL_VERSION = "0.1.0"
 
 def format_value(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() drops numpy's repr wrapper: np.float64 is a float subclass
+        return repr(float(value))
     return str(value)
 
 

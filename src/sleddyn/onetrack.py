@@ -28,6 +28,7 @@ from .aero import AeroModel, drag_force
 from .errors import DataError
 from .friction import LongitudinalFrictionParams, PressureLookup
 from .kinematics import MountingOffset
+from .tables import read_table
 from .telemetry import TelemetryRun
 
 #: Guard on the (1,1) element of the f0->f rotation when recovering F_x_f0.
@@ -256,23 +257,8 @@ def export_trace_csv(trace: AxleForceTrace, path, header_comments: list[str] | N
 
 
 def load_trace_csv(path) -> AxleForceTrace:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != _TRACE_COLUMNS:
-                    raise DataError(f"{path}: unexpected trace columns")
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise DataError(f"{path}: empty trace")
-    arr = np.array(rows)
-    kwargs = {name: arr[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
+    data = read_table(path, _TRACE_COLUMNS).data
+    kwargs = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
     kwargs["valid"] = kwargs["valid"] > 0.5
     return AxleForceTrace(**kwargs)
 

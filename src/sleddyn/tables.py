@@ -1,0 +1,108 @@
+"""One reader for the package's float tables.
+
+Telemetry, force-trace and glide-run CSVs share one layout: leading
+``#`` comment lines (free text or ``key = value`` metadata), a header
+line naming the columns, then comma-separated float rows. The comments
+and the header are read line by line; the body goes from the open file
+straight to ``np.loadtxt``, so the file is never held in memory as text.
+
+When ``loadtxt`` rejects the body, the file is scanned once more only to
+name the first bad line in the ``DataError``; that scan returns no data.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DataError
+
+
+@dataclass(frozen=True)
+class Table:
+    """Leading comments (``#`` stripped), header names, and the float body.
+
+    ``data`` has one row per data line and one column per requested
+    column, in the requested order. ``header_line`` is the 1-based file
+    line of the header.
+    """
+
+    comments: list[str]
+    header: list[str]
+    data: np.ndarray
+    header_line: int
+
+
+def read_table(path, columns=None) -> Table:
+    """Read a ``# comments + header + float columns`` file.
+
+    ``columns`` names the header columns to return (all when None).
+    When every header column is read, each row must have exactly as many
+    fields as the header; otherwise unrequested columns are skipped
+    unparsed. Raises DataError naming the file line for a missing
+    header or column, an unparsable cell or a ragged row, and when the
+    body has no data rows.
+    """
+    with open(path, encoding="utf-8") as fh:
+        comments: list[str] = []
+        header = None
+        lineno = 0
+        while header is None:
+            line = fh.readline()
+            if not line:
+                raise DataError(f"{path}: no header line")
+            lineno += 1
+            text = line.strip()
+            if text.startswith("#"):
+                comments.append(text.lstrip("#").strip())
+            elif text:
+                header = next(csv.reader([text]))
+        width = len(header)
+        names = header if columns is None else list(columns)
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing mapped columns: {', '.join(sorted(missing))}")
+        idx = [header.index(c) for c in names]
+        every = sorted(idx) == list(range(width))
+        # loadtxt warns rather than fails on an empty body: look for a data line first
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise DataError(f"{path}: no data rows")
+            if line.split("#", 1)[0].strip():
+                break
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments="#", quotechar='"',
+                              usecols=None if every else idx, ndmin=2)
+        except ValueError as exc:
+            raise _locate_error(path, lineno, header, idx, every, exc) from None
+    if every:
+        if data.shape[1] != width:
+            raise _locate_error(path, lineno, header, idx, every, None)
+        if idx != list(range(width)):
+            data = data[:, idx]
+    return Table(comments=comments, header=header, data=data, header_line=lineno)
+
+
+def _locate_error(path, header_line: int, header: list[str], idx: list[int],
+                  every: bool, exc) -> DataError:
+    """DataError naming the first body line that ``read_table`` cannot accept."""
+    width = len(header)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0]
+            if lineno <= header_line or not text.strip():
+                continue
+            cells = next(csv.reader([text]))
+            if (every and len(cells) != width) or max(idx) >= len(cells):
+                return DataError(f"{path}:{lineno}: row has {len(cells)} fields, header has {width}")
+            for j in idx:
+                try:
+                    float(cells[j])
+                except ValueError:
+                    return DataError(f"{path}:{lineno}: cannot parse {header[j]!r} value {cells[j]!r}")
+    return DataError(f"{path}: {exc}")

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import ConfigError, DataError
+from .tables import read_table
 
 #: Channels every run must provide, in canonical order.
 CORE_CHANNELS = (
@@ -204,47 +204,22 @@ def ingest_csv(path, schema: CsvSchema, meta: TelemetryMeta | None = None) -> Te
     wanted = dict(schema.columns)
     have_h = "h" in wanted
     names = ["t", *CORE_CHANNELS] + (["h"] if have_h else [])
-    data: dict[str, list[float]] = {n: [] for n in names}
+    table = read_table(path, [wanted[n] for n in names])
+    data = dict(zip(names, table.data.T))
     meta_fields: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        offset = 0
-        body = []
-        for raw in fh:
-            if raw.startswith("#"):
-                if not body:
-                    offset += 1
-                    comment = raw.lstrip("#").strip()
-                    if comment.startswith("meta ") and "=" in comment:
-                        key, _, value = comment[5:].partition("=")
-                        meta_fields[key.strip()] = value.strip()
-                continue
-            body.append(raw)
-        reader = csv.DictReader(body)
-        header = reader.fieldnames or []
-        missing = [col for k, col in wanted.items() if col not in header]
-        if missing:
-            raise DataError(f"{path}: missing mapped columns: {', '.join(sorted(missing))}")
-        for lineno, row in enumerate(reader, start=offset + 2):
-            for name in names:
-                cell = row.get(wanted[name], "")
-                try:
-                    data[name].append(float(cell))
-                except (TypeError, ValueError):
-                    raise DataError(
-                        f"{path}:{lineno}: cannot parse {wanted[name]!r} value {cell!r}"
-                    ) from None
-    if not data["t"]:
-        raise DataError(f"{path}: no data rows")
-    t = np.array(data["t"])
+    for comment in table.comments:
+        if comment.startswith("meta ") and "=" in comment:
+            key, _, value = comment[5:].partition("=")
+            meta_fields[key.strip()] = value.strip()
+    t = data["t"]
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if bad.size:
-        # header follows the comment block; bad[0] flags the second sample
-        # of the offending pair
-        raise DataError(f"{path}: time not strictly increasing at line {bad[0] + offset + 3}")
+        # bad[0] flags the second sample of the offending pair
+        raise DataError(f"{path}: time not strictly increasing at line {bad[0] + table.header_line + 2}")
     scale = np.pi / 180.0 if schema.angle_unit == "deg" else 1.0
     channels = {}
     for name in CORE_CHANNELS:
-        arr = np.array(data[name])
+        arr = data[name]
         if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
             arr = arr * scale
         channels[name] = arr
@@ -255,7 +230,7 @@ def ingest_csv(path, schema: CsvSchema, meta: TelemetryMeta | None = None) -> Te
             track=meta_fields.get("track", ""),
             rate_hz=float(meta_fields.get("rate_hz", rate)),
         )
-    return TelemetryRun(t=t, channels=channels, meta=meta, h=np.array(data["h"]) if have_h else None)
+    return TelemetryRun(t=t, channels=channels, meta=meta, h=data["h"] if have_h else None)
 
 
 def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
@@ -308,6 +283,9 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
         raise ConfigError(f"cutoff {cutoff} Hz >= Nyquist ({rate / 2.0:.6g} Hz)")
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
+    # imported here: scipy.signal costs about a second, and only this function needs it
+    from scipy.signal import butter, filtfilt
+
     b, a = butter(2, cutoff, fs=rate)
     channels = {name: filtfilt(b, a, arr) for name, arr in run.channels.items()}
     h = filtfilt(b, a, run.h) if run.h is not None else None

@@ -80,6 +80,26 @@ class TestFitCommand:
         assert list(validation) == ["holdout"]
         assert validation["holdout"]["fitted"] < validation["holdout"]["reference"]
 
+    def test_holdout_files_with_one_name_keep_own_entries(self, workspace, bob, friction_setup,
+                                                          aero_model):
+        tmp_path, paths = workspace
+        log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
+                           friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
+        run, _ = sim.export_synthetic_telemetry(
+            log, bob, rate=100.0,
+            meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+        holdouts = []
+        for name in ("a", "b", "c", "d"):
+            (tmp_path / name).mkdir()
+            holdouts.append(str(tmp_path / name / "telemetry.csv"))
+            telemetry.export_csv(run, holdouts[-1])
+        out = tmp_path / "out_same_names"
+        code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
+                     "fit", *paths, *holdouts, "--holdout", "OTHER"])
+        assert code == 0
+        validation = json.loads((out / "validation_rmse.json").read_text())["runs"]
+        assert list(validation) == holdouts
+
     def test_no_files_is_usage_error(self, tmp_path):
         assert main(["--out-dir", str(tmp_path / "o"), "fit"]) == 1
 
@@ -186,6 +206,16 @@ class TestIcehouseCommand:
         report = kvfile.load_kv(out / "friction_report.kv")
         assert float(report["quadratic.b_x"]) == pytest.approx(0.088, rel=0.10)
         assert 10.0 <= float(report["quadratic.vertex_pressure"]) <= 12.5
+
+    @pytest.mark.parametrize("line", ["12.5", "12.5,high"])
+    def test_bad_points_line_is_data_error(self, tmp_path, capsys, line):
+        points = tmp_path / "points.csv"
+        points.write_text(f"# p, mu\n7.7,4.5e-3\n{line}\n8.6,3.8e-3\n")
+        out = tmp_path / "ice"
+        assert main(["--out-dir", str(out), "icehouse", "--points", str(points)]) == 2
+        err = capsys.readouterr().err
+        assert "points.csv:3:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bidirectional_glides(self, tmp_path):
         # synthetic pair with a hidden slope; analysis assumes level ice
