@@ -27,7 +27,6 @@ import csv
 import json
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,21 +34,10 @@ import numpy as np
 from . import evaluation, fitting, icehouse, kvfile, sim, telemetry
 from .aero import AeroModel, AirState
 from .errors import ConfigError, DataError, NumericalError, SleddynError
-from .friction import MU_X_DEFAULT, force_y, force_y_braghin, load_pressure_table, mu_x
+from .friction import MU_X_DEFAULT, force_y, force_y_braghin, mu_x
 from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
+from .tables import write_table
 from .telemetry import identity_schema, load_schema
-
-
-def _write_csv(path, header_comments, columns: dict) -> None:
-    names = list(columns)
-    rows = zip(*columns.values())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +61,10 @@ DEFAULTS = {
 class Config:
     """Resolved configuration: bob parameters, aero model, processing options."""
 
-    def __init__(self, options: dict, bob=None, schema=None, pressure_front=None):
+    def __init__(self, options: dict, bob=None, schema=None):
         self.options = options
         self.bob = bob
         self.schema = schema or identity_schema()
-        self.pressure_front = pressure_front
         self.air = AirState(p_air=options["p_air"], temperature=options["temperature"],
                             r_specific=options["r_specific"])
 
@@ -92,7 +79,7 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
     import os
 
     options = dict(DEFAULTS)
-    bob = schema = pressure_front = None
+    bob = schema = None
     paths: dict[str, Path] = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -107,11 +94,14 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
                         options[key] = parser.getfloat(section, key)
                     except ValueError as exc:
                         raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-        for key in ("bob_params", "schema", "pressure_front"):
+        if parser.has_option("paths", "pressure_front"):
+            raise ConfigError(f"{path}: [paths] pressure_front is not supported: "
+                              "no command uses a pressure table")
+        for key in ("bob_params", "schema"):
             if parser.has_option("paths", key):
                 paths[key] = base / parser.get("paths", key)
     # environment variables override file paths (and nothing else)
-    for key in ("bob_params", "schema", "pressure_front"):
+    for key in ("bob_params", "schema"):
         env = os.environ.get(f"SLEDDYN_{key.upper()}")
         if env:
             paths[key] = Path(env)
@@ -119,14 +109,12 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
         bob = load_bob_params(paths["bob_params"])
     if "schema" in paths:
         schema = load_schema(paths["schema"])
-    if "pressure_front" in paths:
-        pressure_front = load_pressure_table(paths["pressure_front"])
     for key, value in (overrides or {}).items():
         if value is not None:
             options[key] = value
     if schema_path is not None:
         schema = load_schema(schema_path)
-    return Config(options, bob=bob, schema=schema, pressure_front=pressure_front)
+    return Config(options, bob=bob, schema=schema)
 
 
 def _require_bob(config: Config):
@@ -139,13 +127,6 @@ def _prepare_run(path, config: Config):
     run = telemetry.ingest_csv(path, config.schema)
     cutoff = config.options["cutoff_hz"] or None
     return telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
-
-
-def _load_runs(paths, config: Config, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda p: _prepare_run(p, config), paths))
-    return [_prepare_run(p, config) for p in paths]
 
 
 def _run_keys(paths) -> list[str]:
@@ -170,7 +151,7 @@ def cmd_icehouse(args) -> int:
     for path in args.glides:
         run = icehouse.load_glide_csv(path)
         outcome = icehouse.evaluate_glide(run, window_fraction=config.options["window_fraction"])
-        glide_results.append((path, outcome))
+        glide_results.append(outcome)
         specimens[run.specimen][run.direction].append(outcome)
     averaged = {}
     for name, sides in specimens.items():
@@ -185,10 +166,10 @@ def cmd_icehouse(args) -> int:
     header = kvfile.provenance_lines(list(args.glides) + ([args.points] if args.points else []),
                                      {"window_fraction": config.options["window_fraction"]})
     report: dict = {}
-    for path, outcome in glide_results:
-        report[f"run.{Path(path).stem}.mu"] = outcome.mu
-        report[f"run.{Path(path).stem}.mu_stderr"] = outcome.mu_stderr
-        report[f"run.{Path(path).stem}.f_ice"] = outcome.f_ice
+    for key, outcome in zip(_run_keys(args.glides), glide_results):
+        report[f"run.{key}.mu"] = outcome.mu
+        report[f"run.{key}.mu_stderr"] = outcome.mu_stderr
+        report[f"run.{key}.f_ice"] = outcome.f_ice
     for name, (mu_avg, err) in averaged.items():
         report[f"specimen.{name}.mu"] = mu_avg
         report[f"specimen.{name}.mu_stderr"] = err
@@ -217,7 +198,7 @@ def cmd_fit(args) -> int:
     }, schema_path=args.schema)
     bob = _require_bob(config)
     out_dir = Path(args.out_dir)
-    runs = _load_runs(args.telemetry, config, args.jobs)
+    runs = [_prepare_run(p, config) for p in args.telemetry]
 
     fit_runs, holdout_runs = [], []
     for path, run in zip(args.telemetry, runs):
@@ -267,9 +248,9 @@ def cmd_fit(args) -> int:
         fitting.save_fit_result(result, out_dir / f"lateral_{runner}.kv", header=header)
         report = fitting.fit_report(result, data)
         for i, entry in enumerate(report):
-            _write_csv(out_dir / f"diagnostics_{runner}_bin{i}.csv", header, {
+            write_table(out_dir / f"diagnostics_{runner}_bin{i}.csv", {
                 "alpha": entry["curve_alpha"], "f_y_model": entry["curve_f_y"],
-            })
+            }, header)
         notes = "".join(
             f" [{name} at bound]"
             for name, value, (lo, hi) in zip(
@@ -304,7 +285,7 @@ def cmd_eval(args) -> int:
     front = fitting.load_lateral_params(args.front_params)
     rear = fitting.load_lateral_params(args.rear_params)
     out_dir = Path(args.out_dir)
-    runs = _load_runs(args.telemetry, config, args.jobs)
+    runs = [_prepare_run(p, config) for p in args.telemetry]
     aero = config.aero_model()
 
     rows = []
@@ -348,12 +329,9 @@ def cmd_eval(args) -> int:
             "track_summaries": medians("track"),
             "angle_statistics": angle_report,
         }, fh, indent=2)
-    _write_csv(out_dir / "losses.csv", header, {
-        "de_ice_f": [r["de_ice_f"] for r in rows],
-        "de_ice_r": [r["de_ice_r"] for r in rows],
-        "de_aero": [r["de_aero"] for r in rows],
-        "de_tot": [r["de_tot"] for r in rows],
-    })
+    write_table(out_dir / "losses.csv", {
+        key: [r[key] for r in rows] for key in ("de_ice_f", "de_ice_r", "de_aero", "de_tot")
+    }, header)
     # boxplot companion: one row per (driver, angle channel)
     with open(out_dir / "angles.csv", "w", newline="", encoding="utf-8") as fh:
         for line in header:
@@ -390,8 +368,7 @@ def cmd_simulate(args) -> int:
     rear = fitting.load_lateral_params(args.rear_params) if args.rear_params else \
         LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0)
     setup = sim.FrictionSetup(lateral_front=front, lateral_rear=rear,
-                              mu_x=config.options["mu_x"],
-                              pressure_front=config.pressure_front)
+                              mu_x=config.options["mu_x"])
     aero = config.aero_model()
     log = sim.simulate(bob, scenario["track"], scenario["controls"], setup, aero,
                        v0=scenario["v0"], beta0=scenario["beta0"],
@@ -424,8 +401,7 @@ def cmd_friction_table(args) -> int:
         lo, hi, step_w = (float(x) for x in args.p_range.split(":"))
         grid = np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
         header = kvfile.provenance_lines([args.long_params], {"p_range": args.p_range})
-        _write_csv(out_dir / "mu_x_curve.csv", header,
-                   {"p_mpa": grid, "mu_x": mu_x(grid, params)})
+        write_table(out_dir / "mu_x_curve.csv", {"p_mpa": grid, "mu_x": mu_x(grid, params)}, header)
         wrote.append("mu_x_curve.csv")
     if args.lateral_params:
         lat = fitting.load_lateral_params(args.lateral_params)
@@ -435,7 +411,7 @@ def cmd_friction_table(args) -> int:
         for f_z in args.f_z:
             columns[f"f_y_at_{int(f_z)}N"] = force_y(f_z, alpha, lat)
             columns[f"f_y_reference_at_{int(f_z)}N"] = force_y_braghin(f_z, alpha)
-        _write_csv(out_dir / "lateral_curves.csv", header, columns)
+        write_table(out_dir / "lateral_curves.csv", columns, header)
         wrote.append("lateral_curves.csv")
     if not wrote:
         raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
@@ -453,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--schema", help="telemetry schema JSON (overrides the config)")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel input processing")
     parser.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
     sub = parser.add_subparsers(dest="command", required=True)
 

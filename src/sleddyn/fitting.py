@@ -286,3 +286,5 @@ def load_lateral_params(path) -> LateralFrictionParams:
         )
     except KeyError as exc:
         raise DataError(f"{path}: missing lateral parameter {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric lateral parameter: {exc}") from None

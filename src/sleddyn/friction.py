@@ -218,9 +218,9 @@ def save_longitudinal_params(params: LongitudinalFrictionParams, path,
 
 
 def load_longitudinal_params(path) -> LongitudinalFrictionParams:
-    from .kvfile import load_kv
+    from .kvfile import load_floats
 
-    raw = {k: float(v) for k, v in load_kv(path).items()}
+    raw = load_floats(path)
     try:
         return LongitudinalFrictionParams(
             b_x=raw["b_x"], c_x=raw["c_x"], d_x=raw["d_x"],
@@ -233,11 +233,14 @@ def load_pressure_table(path) -> PressureLookup:
     """Read the text grid format: first row F_z axis, first column radius axis."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
+            try:
+                rows.append([float(tok) for tok in line.replace(",", " ").split()])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected numbers, got {line!r}") from None
     if len(rows) < 3:
         raise DataError(f"{path}: pressure table needs at least 2 radius rows")
     f_z_axis = np.array(rows[0])

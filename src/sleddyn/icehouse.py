@@ -25,7 +25,7 @@ import numpy as np
 from .aero import AirState, drag_force
 from .errors import DataError, NumericalError
 from .friction import LongitudinalFrictionParams
-from .tables import read_table
+from .tables import read_table, write_table
 
 G = 9.81
 
@@ -238,12 +238,5 @@ def load_glide_csv(path) -> GlideRun:
 
 
 def save_glide_csv(run_t, run_v, path, meta: dict, h=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k} = {v}\n")
-        fh.write("t,v,h\n" if h is not None else "t,v\n")
-        for i in range(len(run_t)):
-            cells = [repr(float(run_t[i])), repr(float(run_v[i]))]
-            if h is not None:
-                cells.append(repr(float(h[i])))
-            fh.write(",".join(cells) + "\n")
+    columns = {"t": run_t, "v": run_v} if h is None else {"t": run_t, "v": run_v, "h": h}
+    write_table(path, columns, [f"{k} = {v}" for k, v in meta.items()])

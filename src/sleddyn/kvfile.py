@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from .errors import DataError
+
 TOOL_VERSION = "0.1.0"
 
 
@@ -30,16 +32,33 @@ def dump_kv(pairs: dict, path, header: list[str] | None = None) -> None:
 
 
 def load_kv(path) -> dict[str, str]:
-    """Read a ``key = value`` file into a dict of raw strings."""
+    """Read a ``key = value`` file into a dict of raw strings.
+
+    Raises DataError naming the file line for a line without ``=``.
+    """
     out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"malformed key/value line: {raw!r}")
+            raise DataError(f"{path}:{lineno}: malformed key/value line: {raw!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
+    return out
+
+
+def load_floats(path) -> dict[str, float]:
+    """Read a ``key = value`` file whose values are all numbers.
+
+    Raises DataError naming the file and the key of a value that is not a number.
+    """
+    out: dict[str, float] = {}
+    for key, value in load_kv(path).items():
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise DataError(f"{path}: {key} = {value!r} is not a number") from None
     return out
 
 

@@ -28,7 +28,7 @@ from .aero import AeroModel, drag_force
 from .errors import DataError
 from .friction import LongitudinalFrictionParams, PressureLookup
 from .kinematics import MountingOffset
-from .tables import read_table
+from .tables import read_table, write_table
 from .telemetry import TelemetryRun
 
 #: Guard on the (1,1) element of the f0->f rotation when recovering F_x_f0.
@@ -243,17 +243,8 @@ _TRACE_COLUMNS = (
 
 
 def export_trace_csv(trace: AxleForceTrace, path, header_comments: list[str] | None = None) -> None:
-    """One row per sample with a 0/1 validity column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(_TRACE_COLUMNS) + "\n")
-        for i in range(len(trace)):
-            cells = []
-            for name in _TRACE_COLUMNS:
-                value = getattr(trace, name)[i]
-                cells.append(str(int(value)) if name == "valid" else repr(float(value)))
-            fh.write(",".join(cells) + "\n")
+    """One row per sample; ``valid`` is written as 1.0 or 0.0."""
+    write_table(path, {name: getattr(trace, name) for name in _TRACE_COLUMNS}, header_comments or ())
 
 
 def load_trace_csv(path) -> AxleForceTrace:
@@ -276,9 +267,9 @@ def save_bob_params(params: BobParameters, path) -> None:
 
 
 def load_bob_params(path) -> BobParameters:
-    from .kvfile import load_kv
+    from .kvfile import load_floats
 
-    raw = {k: float(v) for k, v in load_kv(path).items()}
+    raw = load_floats(path)
     offset = MountingOffset(
         l_x=raw.get("l_x", 0.0), l_y=raw.get("l_y", 0.0), l_z=raw.get("l_z", 0.0),
         l_s_f=raw.get("l_s_f", 0.0), l_s_r=raw.get("l_s_r", 0.0),

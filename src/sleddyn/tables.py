@@ -1,10 +1,11 @@
-"""One reader for the package's float tables.
+"""One reader and one writer for the package's float tables.
 
-Telemetry, force-trace and glide-run CSVs share one layout: leading
-``#`` comment lines (free text or ``key = value`` metadata), a header
-line naming the columns, then comma-separated float rows. The comments
-and the header are read line by line; the body goes from the open file
-straight to ``np.loadtxt``, so the file is never held in memory as text.
+Telemetry, force-trace, glide-run and result CSVs share one layout:
+leading ``#`` comment lines (free text or ``key = value`` metadata), a
+header line naming the columns, then comma-separated float rows. The
+comments and the header are read line by line; the body goes from the
+open file straight to ``np.loadtxt``, so the file is never held in
+memory as text.
 
 When ``loadtxt`` rejects the body, the file is scanned once more only to
 name the first bad line in the ``DataError``; that scan returns no data.
@@ -43,8 +44,33 @@ def read_table(path, columns=None) -> Table:
     fields as the header; otherwise unrequested columns are skipped
     unparsed. Raises DataError naming the file line for a missing
     header or column, an unparsable cell or a ragged row, and when the
-    body has no data rows.
+    body has no data rows; a file that is not UTF-8 is a DataError too.
     """
+    try:
+        return _read_table(path, columns)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_table(path, columns: dict, comments=()) -> None:
+    """Write ``columns`` (name -> 1-D array) in the layout ``read_table`` reads.
+
+    Each of ``comments`` becomes a ``# {line}`` line; the header row goes
+    through ``csv.writer``, so a name with a comma or a quote reads back.
+    Rows end in a bare newline and every cell is ``repr(float)``, so
+    ``read_table`` returns the columns bit for bit.
+    """
+    data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        # converting 1024 rows at a time to Python floats bounds the extra memory
+        for start in range(0, len(data), 1024):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in data[start:start + 1024].tolist())
+
+
+def _read_table(path, columns) -> Table:
     with open(path, encoding="utf-8") as fh:
         comments: list[str] = []
         header = None

@@ -16,7 +16,6 @@ central differences, one-sided at the ends.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tables import read_table
+from .tables import read_table, write_table
 
 #: Channels every run must provide, in canonical order.
 CORE_CHANNELS = (
@@ -242,29 +241,20 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
     """
     schema = schema or identity_schema(with_h=run.h is not None)
     scale = 180.0 / np.pi if schema.angle_unit == "deg" else 1.0
-    names = ["t", *CORE_CHANNELS] + (["h"] if "h" in schema.columns and run.h is not None else [])
-    cols = {}
-    for name in names:
-        if name == "t":
-            cols[name] = run.t
-        elif name == "h":
-            cols[name] = run.h
-        else:
-            arr = run.channels[name]
-            if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
-                arr = arr * scale
-            cols[name] = arr
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in header_comments or []:
-            fh.write(f"# {line}\n")
-        if run.meta.driver:
-            fh.write(f"# meta driver = {run.meta.driver}\n")
-        if run.meta.track:
-            fh.write(f"# meta track = {run.meta.track}\n")
-        writer = csv.writer(fh)
-        writer.writerow([schema.columns[n] for n in names])
-        for i in range(len(run)):
-            writer.writerow([repr(float(cols[n][i])) for n in names])
+    cols = {schema.columns["t"]: run.t}
+    for name in CORE_CHANNELS:
+        arr = run.channels[name]
+        if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
+            arr = arr * scale
+        cols[schema.columns[name]] = arr
+    if "h" in schema.columns and run.h is not None:
+        cols[schema.columns["h"]] = run.h
+    comments = list(header_comments or [])
+    if run.meta.driver:
+        comments.append(f"meta driver = {run.meta.driver}")
+    if run.meta.track:
+        comments.append(f"meta track = {run.meta.track}")
+    write_table(path, cols, comments)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI workflows on synthetic data."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +137,8 @@ class TestEvalCommand:
         angles = report["angle_statistics"]
         assert angles["D1"]["delta"]["exceedance"]["2.0"] >= angles["D0"]["delta"]["exceedance"]["2.0"]
         assert report["track_summaries"]["SYN"]["de_tot"] > 0
-        assert (out / "losses.csv").exists()
+        for written in (paths[0], out / "losses.csv"):
+            assert b"\r" not in Path(written).read_bytes()
         angle_rows = [l for l in (out / "angles.csv").read_text().splitlines()
                       if l and not l.startswith("#")]
         assert angle_rows[0].startswith("driver,channel,")
@@ -236,6 +238,25 @@ class TestIcehouseCommand:
         report = kvfile.load_kv(out / "friction_report.kv")
         assert float(report["specimen.S1.mu"]) == pytest.approx(0.004, abs=1e-4)
 
+    def test_glide_files_with_one_name_keep_own_entries(self, tmp_path):
+        from test_icehouse import simulated_glide
+
+        paths = []
+        for direction in ("down", "up"):
+            run = simulated_glide(mu=0.004, direction=direction)
+            t = np.linspace(0.0, run.s.size / 100.0, run.s.size)
+            (tmp_path / direction).mkdir()
+            paths.append(str(tmp_path / direction / "glide.csv"))
+            icehouse.save_glide_csv(t, run.v, paths[-1], meta={
+                "m": 100.0, "p_air": 94700.0, "temperature": 275.15, "cx_ax": 0.0,
+                "direction": direction, "specimen": "S1",
+            })
+        out = tmp_path / "ice"
+        assert main(["--out-dir", str(out), "icehouse", *paths]) == 0
+        report = kvfile.load_kv(out / "friction_report.kv")
+        assert sorted(k for k in report if k.endswith(".mu") and k.startswith("run.")) == \
+            [f"run.{p}.mu" for p in paths]
+
     def test_single_direction_is_error(self, tmp_path):
         from test_icehouse import simulated_glide
 
@@ -279,3 +300,33 @@ class TestFrictionTableCommand:
 
     def test_no_inputs_usage_error(self, tmp_path):
         assert main(["--out-dir", str(tmp_path / "x"), "friction-table"]) == 1
+
+
+class TestBadInputFiles:
+    BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\n"
+
+    @pytest.mark.parametrize("argv, name, text, where", [
+        ("friction-table --long-params FILE", "long.kv", "b_x 0.088\nc_x = 2\nd_x = 14\n",
+         "long.kv:1:"),
+        ("--config FILE icehouse", "config.ini", BOB.replace("390", "abc"), "bob.kv: m = 'abc'"),
+        ("friction-table --long-params FILE", "long.kv", "b_x = 0.088\nc_x = two\nd_x = 14\n",
+         "long.kv: c_x = 'two'"),
+        ("friction-table --lateral-params FILE", "lat.kv", "mu_zeta_y = 2\nc_y = 0.02\nk_y = 1e4x\n",
+         "lat.kv:"),
+        ("icehouse FILE", "glide.csv", "# m = 100\nt,v\n0,2\xff\n", "glide.csv: not UTF-8"),
+    ], ids=["kv-no-equals", "bob-not-number", "long-not-number", "lateral-not-number", "non-utf8-table"])
+    def test_bad_file_is_data_error(self, tmp_path, capsys, argv, name, text, where):
+        if name == "config.ini":
+            (tmp_path / "bob.kv").write_text(text)
+            text = "[paths]\nbob_params = bob.kv\n"
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
+        argv = [str(tmp_path / name) if arg == "FILE" else arg for arg in argv.split()]
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
+    def test_pressure_table_key_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "config.ini").write_text("[paths]\npressure_front = pressure.txt\n")
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "o"),
+                     "icehouse"]) == 1
+        assert "pressure_front is not supported" in capsys.readouterr().err

@@ -204,6 +204,12 @@ class TestPressureLookup:
             PressureLookup(f_z_axis=np.array([1.0, 2.0]), radius_axis=np.array([1.0, 2.0]),
                            pressure=np.zeros((2, 2)))
 
+    def test_non_numeric_cell_names_line(self, tmp_path):
+        path = tmp_path / "pressure.txt"
+        path.write_text("# F_z axis\n1000 2000\n10 6.0 7.0\n20 7.0 n/a\n")
+        with pytest.raises(DataError, match=r"pressure.txt:4: expected numbers"):
+            load_pressure_table(path)
+
     def test_file_round_trip(self, tmp_path):
         table = grid_table()
         path = tmp_path / "pressure.txt"

@@ -1,5 +1,6 @@
-"""The shared table reader and the three loaders built on it."""
+"""The shared table reader and writer and the loaders and exporters built on them."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sleddyn.errors import DataError
 from sleddyn.icehouse import load_glide_csv, save_glide_csv
-from sleddyn.onetrack import load_trace_csv
-from sleddyn.tables import read_table
+from sleddyn.onetrack import AxleForceTrace, export_trace_csv, load_trace_csv
+from sleddyn.tables import read_table, write_table
 from sleddyn.telemetry import (
     CORE_CHANNELS,
     TelemetryMeta,
@@ -26,6 +28,7 @@ ROW = "0.0,0,0,0,0,0,0,1,0,0,0"
 GLIDE_META = "# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0.4\n# direction = up\n"
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+TRACE_FLOATS = [f.name for f in dataclasses.fields(AxleForceTrace) if f.name not in ("t", "valid")]
 
 
 class TestReadTable:
@@ -55,18 +58,43 @@ class TestReadTable:
         with pytest.raises(DataError, match="no header"):
             read_table(path)
 
+    @pytest.mark.parametrize("good_rows", [1, 3000])  # in the header's read chunk, or in loadtxt's
+    def test_undecodable_byte_is_data_error(self, tmp_path, good_rows):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t,v\n" + b"0.25,1.5\n" * good_rows + b"1,2\xff\n")
+        with pytest.raises(DataError, match=r"t.csv: not UTF-8 text"):
+            read_table(path)
+
+
+class TestWriteTable:
+    def test_round_trip_across_blocks_with_quoted_header(self, tmp_path):
+        n = 2500  # more than two conversion blocks
+        columns = {"a,b": np.linspace(-1.0, 1.0, n) / 3.0, 'say "hi"': np.arange(n) % 2 == 0}
+        path = tmp_path / "t.csv"
+        write_table(path, columns, ["note", "k = v"])
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        table = read_table(path)
+        assert table.comments == ["note", "k = v"]
+        assert table.header == list(columns)
+        assert table.data.tobytes() == np.column_stack([columns["a,b"], columns['say "hi"']]).tobytes()
+
 
 class TestTelemetryReader:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     @example(data=None)
     def test_export_ingest_bit_identical(self, data):
+        """export_csv, export_trace_csv and save_glide_csv each read back what they wrote."""
         if data is None:
             # -0.0, 17-significant-digit values and subnormals, written by repr
             values = [-0.0, 0.1 + 0.2, 1.2345678901234567e-300, 5e-324, -1.7976931348623157e308]
             t = np.array([-0.0, 1.0, 2.0, 3.0, 4.0])
             columns = {name: np.roll(values, i) for i, name in enumerate(CORE_CHANNELS)}
             columns["v"] = np.abs(columns["v"])
+            special = [np.nan, -np.inf, np.inf, *values]
+            cells = np.array([np.roll(special, i)[:5] for i in range(len(TRACE_FLOATS))]).T
+            valid = np.array([True, False, True, False, True])
         else:
             times = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20, unique=True))
             t = np.array(sorted(times))
@@ -75,14 +103,29 @@ class TestTelemetryReader:
                 for name in CORE_CHANNELS
             }
             columns["v"] = np.abs(columns["v"])
+            # NaN and infinities included
+            cells = data.draw(arrays(np.float64, (t.size, len(TRACE_FLOATS))))
+            valid = data.draw(arrays(np.bool_, t.size))
         run = TelemetryRun(t=t, channels=columns)
+        trace = AxleForceTrace(t=t, valid=valid, **dict(zip(TRACE_FLOATS, cells.T)))
+        meta = {"m": 100.0, "direction": "up"}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.csv"
             export_csv(run, path)
             back = ingest_csv(path, identity_schema(), meta=TelemetryMeta())
+            export_trace_csv(trace, Path(tmp) / "trace.csv", header_comments=["demo"])
+            trace_back = load_trace_csv(Path(tmp) / "trace.csv")
+            save_glide_csv(t, cells[:, 0], Path(tmp) / "glide.csv", meta, h=cells[:, 1])
+            glide_back = read_table(Path(tmp) / "glide.csv")
         assert back.t.tobytes() == run.t.tobytes()
         for name in CORE_CHANNELS:
             assert back.channels[name].tobytes() == run.channels[name].tobytes(), name
+        assert np.array_equal(trace_back.valid, valid)
+        for name in ["t", *TRACE_FLOATS]:
+            assert np.array_equal(getattr(trace_back, name), getattr(trace, name), equal_nan=True), name
+        assert glide_back.comments == ["m = 100.0", "direction = up"]
+        assert glide_back.header == ["t", "v", "h"]
+        assert np.array_equal(glide_back.data, np.column_stack([t, cells[:, :2]]), equal_nan=True)
 
     def test_ragged_short_row_names_line(self, tmp_path):
         path = tmp_path / "run.csv"
