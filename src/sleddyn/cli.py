@@ -34,7 +34,7 @@ import numpy as np
 from . import evaluation, fitting, icehouse, kvfile, sim, telemetry
 from .aero import AeroModel, AirState
 from .errors import ConfigError, DataError, NumericalError, SleddynError
-from .friction import MU_X_DEFAULT, force_y, force_y_braghin, mu_x
+from .friction import MU_X_DEFAULT, force_y_braghin, mu_x
 from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
 from .tables import write_table
 from .telemetry import identity_schema, load_schema
@@ -256,7 +256,7 @@ def cmd_fit(args) -> int:
             for name, value, (lo, hi) in zip(
                 ("mu_zeta_y", "c_y", "k_y"),
                 (result.params.mu_zeta_y, result.params.c_y, result.params.k_y),
-                fitting.DEFAULT_BOUNDS)
+                fit_config.bounds)
             if value <= lo * 1.0001 or value >= hi * 0.9999
         )
         print(f"{runner}: mu_zeta_y={result.params.mu_zeta_y:.4g} c_y={result.params.c_y:.4g} "
@@ -390,32 +390,45 @@ def cmd_simulate(args) -> int:
 # friction-table
 
 
+def _pressure_grid(p_range: str) -> np.ndarray:
+    """Pressure grid [MPa] from ``lo:hi:step``; a single point when hi <= lo."""
+    try:
+        lo, hi, step_w = (float(x) for x in p_range.split(":"))
+    except ValueError:
+        lo = hi = step_w = np.nan
+    if not (np.isfinite([lo, hi, step_w]).all() and lo > 0 and step_w > 0):
+        raise ConfigError(f"--p-range must be lo:hi:step in MPa with lo > 0 and step > 0, "
+                          f"got {p_range!r}")
+    return np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
+
+
 def cmd_friction_table(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
+    if not (args.long_params or args.lateral_params):
+        raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
+    tables = {}
     if args.long_params:
         from .friction import load_longitudinal_params
 
+        grid = _pressure_grid(args.p_range)
         params = load_longitudinal_params(args.long_params)
-        lo, hi, step_w = (float(x) for x in args.p_range.split(":"))
-        grid = np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
         header = kvfile.provenance_lines([args.long_params], {"p_range": args.p_range})
-        write_table(out_dir / "mu_x_curve.csv", {"p_mpa": grid, "mu_x": mu_x(grid, params)}, header)
-        wrote.append("mu_x_curve.csv")
+        tables["mu_x_curve.csv"] = ({"p_mpa": grid, "mu_x": mu_x(grid, params)}, header)
     if args.lateral_params:
+        if not all(0 < f_z < np.inf for f_z in args.f_z):
+            raise ConfigError(f"--f-z loads must be positive and finite, got {args.f_z}")
         lat = fitting.load_lateral_params(args.lateral_params)
         alpha = np.deg2rad(np.linspace(-args.alpha_max_deg, args.alpha_max_deg, 181))
         header = kvfile.provenance_lines([args.lateral_params], {"f_z": args.f_z})
         columns = {"alpha_deg": np.degrees(alpha)}
         for f_z in args.f_z:
-            columns[f"f_y_at_{int(f_z)}N"] = force_y(f_z, alpha, lat)
+            columns[f"f_y_at_{int(f_z)}N"] = lat(f_z, alpha)
             columns[f"f_y_reference_at_{int(f_z)}N"] = force_y_braghin(f_z, alpha)
-        write_table(out_dir / "lateral_curves.csv", columns, header)
-        wrote.append("lateral_curves.csv")
-    if not wrote:
-        raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
-    print(f"wrote {', '.join(wrote)} in {out_dir}")
+        tables["lateral_curves.csv"] = (columns, header)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (columns, header) in tables.items():
+        write_table(out_dir / name, columns, header)
+    print(f"wrote {', '.join(tables)} in {out_dir}")
     return 0
 
 

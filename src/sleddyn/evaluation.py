@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import AeroModel, drag_area_at_beta, drag_force
+from .aero import AeroModel, aero_forces
 from .errors import DataError
-from .friction import MU_X_DEFAULT, force_y, force_y_braghin
+from .friction import MU_X_DEFAULT, force_x_mu, force_y_braghin
+from .kinematics import to_driving_frame
 from .onetrack import AxleForceTrace, front_runner_forces
 from .telemetry import TelemetryRun
 
@@ -151,16 +152,13 @@ def _segment_losses(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
     f_z_r = clean(trace.f_z_r)
     alpha_r = clean(trace.alpha_r)
 
-    cos_b, sin_b = np.cos(beta), np.sin(beta)
     # actual motion-opposing components (friction points backward: negate x-tilde)
-    actual_front = -(cos_b * f_x_f0 - sin_b * f_y_f0)
-    f_x_r_model = -mu_x * f_z_r * np.cos(alpha_r)
-    actual_rear = -(cos_b * f_x_r_model - sin_b * f_y_r)
-    actual_aero = drag_force(v, 1.0, aero.air) * drag_area_at_beta(aero, beta)
+    actual_front = -to_driving_frame(f_x_f0, f_y_f0, 0.0, beta)[0]
+    actual_rear = -to_driving_frame(force_x_mu(f_z_r, alpha_r, mu_x), f_y_r, 0.0, beta)[0]
+    actual_aero, ideal_aero = aero_forces(aero, v, beta)
 
     ideal_front = mu_x * f_z_f0
     ideal_rear = mu_x * f_z_r
-    ideal_aero = drag_force(v, aero.cx_ax, aero.air)
 
     def integrate(values):
         return float(np.trapezoid(values, s))
@@ -246,31 +244,19 @@ def model_lateral_cog(trace: AxleForceTrace, front, rear,
                       run: TelemetryRun, mu_x: float = MU_X_DEFAULT):
     """Lateral COG force predicted by friction laws along the trace.
 
-    ``front``/``rear`` are LateralFrictionParams, or the string
-    "braghin" to substitute the reference model at that axle. The front
+    ``front``/``rear`` are lateral laws ``(f_z, alpha) -> f_y`` such as
+    LateralFrictionParams, or the string "braghin" to substitute the
+    reference model :func:`~sleddyn.friction.force_y_braghin`. The front
     force is built in the runner frame and rotated back to the body
     frame, mirroring the simulator's force chain.
     """
-    gamma, delta = run.gamma, run.delta
+    front, rear = (force_y_braghin if law == "braghin" else law for law in (front, rear))
     alpha_f = np.where(np.isfinite(trace.alpha_f), trace.alpha_f, 0.0)
     alpha_r = np.where(np.isfinite(trace.alpha_r), trace.alpha_r, 0.0)
     f_z_f0 = np.abs(np.where(np.isfinite(trace.f_z_f0), trace.f_z_f0, 1.0))
     f_z_r = np.abs(np.where(np.isfinite(trace.f_z_r), trace.f_z_r, 1.0))
-    if isinstance(front, str) and front == "braghin":
-        from . import kinematics
-
-        f_y_f = force_y_braghin(f_z_f0, alpha_f)
-        f_x_f = -mu_x * f_z_f0 * np.cos(alpha_f)
-        a = kinematics.rotation_f0_to_f(gamma, delta)
-        f_z_f = (f_z_f0 - a[..., 2, 0] * f_x_f - a[..., 2, 1] * f_y_f) / a[..., 2, 2]
-        _, f_y_f0, _ = kinematics.rotate_forces(a, f_x_f, f_y_f, f_z_f)
-    else:
-        _, (_, f_y_f0, _) = front_runner_forces(alpha_f, f_z_f0, gamma, delta, front, mu_x)
-    if isinstance(rear, str) and rear == "braghin":
-        f_y_r = force_y_braghin(f_z_r, alpha_r)
-    else:
-        f_y_r = force_y(f_z_r, alpha_r, rear)
-    return f_y_f0 + f_y_r
+    _, (_, f_y_f0, _) = front_runner_forces(alpha_f, f_z_f0, run.gamma, run.delta, front, mu_x)
+    return f_y_f0 + rear(f_z_r, alpha_r)
 
 
 def validate_rmse(predicted, measured, valid=None) -> float:

@@ -280,11 +280,12 @@ def load_lateral_params(path) -> LateralFrictionParams:
 
     raw = load_kv(path)
     try:
-        return LateralFrictionParams(
-            mu_zeta_y=float(raw["mu_zeta_y"]), c_y=float(raw["c_y"]),
-            k_y=float(raw["k_y"]), e_y=float(raw.get("e_y", 0.99)),
-        )
+        values = [float(raw[k]) for k in ("mu_zeta_y", "c_y", "k_y")] + [float(raw.get("e_y", 0.99))]
     except KeyError as exc:
         raise DataError(f"{path}: missing lateral parameter {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric lateral parameter: {exc}") from None
+    try:
+        return LateralFrictionParams(*values)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -87,6 +87,10 @@ class LateralFrictionParams:
         if not 0.0 < self.e_y <= 1.0:
             raise ValueError(f"curvature factor e_y must be in (0, 1], got {self.e_y}")
 
+    def __call__(self, f_z, alpha):
+        """The lateral law as a callable, ``(f_z, alpha) -> f_y`` like :func:`force_y_braghin`."""
+        return force_y(f_z, alpha, self)
+
 
 def mu_x(p, params: LongitudinalFrictionParams):
     """Longitudinal friction coefficient at contact pressure p [MPa].
@@ -227,6 +231,8 @@ def load_longitudinal_params(path) -> LongitudinalFrictionParams:
             e_x=raw.get("e_x", 0.007), zeta_x=raw.get("zeta_x", 1.0))
     except KeyError as exc:
         raise DataError(f"{path}: missing longitudinal parameter {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_pressure_table(path) -> PressureLookup:

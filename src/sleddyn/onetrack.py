@@ -26,7 +26,6 @@ import numpy as np
 from . import friction, kinematics
 from .aero import AeroModel, drag_force
 from .errors import DataError
-from .friction import LongitudinalFrictionParams, PressureLookup
 from .kinematics import MountingOffset
 from .tables import read_table, write_table
 from .telemetry import TelemetryRun
@@ -116,18 +115,20 @@ def runner_to_f0_frame(f_f, gamma, delta):
     return kinematics.rotate_forces(a, *f_f)
 
 
-def front_runner_forces(alpha_f, f_z_f0, gamma, delta, lateral: friction.LateralFrictionParams,
-                        mu_x_front):
+def front_runner_forces(alpha_f, f_z_f0, gamma, delta, lateral, mu_x_front):
     """Front runner force triples implied by the friction laws.
 
-    Given the slip angle, the unrotated vertical load (used as the
-    normal-force argument of both laws), and the frame angles, returns
+    ``lateral`` is a lateral law ``(f_z, alpha) -> f_y``: fitted
+    :class:`~sleddyn.friction.LateralFrictionParams` or
+    :func:`~sleddyn.friction.force_y_braghin`. Given the slip angle, the
+    unrotated vertical load (used as the normal-force argument of both
+    laws), and the frame angles, returns
     ``(f_runner, f_f0)`` where each is an (f_x, f_y, f_z) triple. The
     runner-frame vertical component is chosen so the body-frame triple
     reproduces exactly the prescribed F_z_f0.
     """
     a = kinematics.rotation_f0_to_f(gamma, delta)
-    f_y_f = friction.force_y(f_z_f0, alpha_f, lateral)
+    f_y_f = lateral(f_z_f0, alpha_f)
     f_x_f = friction.force_x_mu(f_z_f0, alpha_f, mu_x_front)
     # z-row of F_f0 = A F_f, solved for the runner-frame vertical force
     f_z_f = (np.asarray(f_z_f0, dtype=float) - a[..., 2, 0] * f_x_f - a[..., 2, 1] * f_y_f) / a[..., 2, 2]
@@ -167,8 +168,6 @@ class AxleForceTrace:
 
 
 def build_axle_trace(run: TelemetryRun, params: BobParameters,
-                     long_params: LongitudinalFrictionParams | None = None,
-                     pressure_front: PressureLookup | None = None,
                      aero: AeroModel | None = None,
                      lateral_aero: bool = False,
                      mu_x_fixed: float = friction.MU_X_DEFAULT,
@@ -176,11 +175,10 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
     """Reconstruct per-sample axle forces for a processed run.
 
     The front longitudinal force is predefined through the friction law
-    (pressure-dependent when a lookup is supplied, otherwise the fixed
-    coefficient). External lateral force defaults to zero; with
-    ``lateral_aero=True`` and an aero model it is set to the body-frame
-    y-component of the drag force. Guard failures flag samples invalid
-    instead of aborting.
+    with the fixed coefficient ``mu_x_fixed``. External lateral force
+    defaults to zero; with ``lateral_aero=True`` and an aero model it is
+    set to the body-frame y-component of the drag force. Guard failures
+    flag samples invalid instead of aborting.
     """
     if run.derived is None:
         raise DataError("run must be processed (derive_channels) before reconstruction")
@@ -210,16 +208,9 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
     f_y_f0, f_y_r = reconstruct_lateral(a_cog[1], d.psi_ddot, f_y_ext, params)
     f_z_f0, f_z_r = reconstruct_vertical(a_cog[2], d.theta_ddot, params)
 
-    if pressure_front is not None and long_params is not None:
-        radius = friction.track_radius_y(run.v, run.theta_dot)
-        p = friction.lookup_pressure(pressure_front, np.abs(f_z_f0), radius)
-        mu_front = friction.mu_x(p, long_params)
-    else:
-        mu_front = np.full(len(run), mu_x_fixed)
-
     a = kinematics.rotation_f0_to_f(run.gamma, run.delta)
     safe_alpha_f = np.where(np.isfinite(alpha_f), alpha_f, 0.0)
-    f_x_f = friction.force_x_mu(f_z_f0, safe_alpha_f, mu_front)
+    f_x_f = friction.force_x_mu(f_z_f0, safe_alpha_f, mu_x_fixed)
     f_x_f0 = recover_f_x_f0(f_x_f, f_y_f0, f_z_f0, a)
     _, f_y_f, f_z_f = kinematics.rotate_forces(np.swapaxes(a, -1, -2), f_x_f0, f_y_f0, f_z_f0)
 
@@ -281,3 +272,5 @@ def load_bob_params(path) -> BobParameters:
         )
     except KeyError as exc:
         raise DataError(f"{path}: missing bob parameter {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -3,7 +3,7 @@
 The planar model integrates (s, v, beta, psi_dot) with fixed-step RK4.
 Track geometry is abstracted into three profiles over distance: slope
 angle kappa(s) (gravity drive), pitch curvature 1/r_y(s) (reported as a
-pitch rate and fed to the pressure lookup), and a normal-load factor
+pitch rate and pitch acceleration), and a normal-load factor
 n(s) >= 1 that folds banking into the vertical axle loads. Steering and
 roll-split are prescribed control traces, matching their role as
 measured channels.
@@ -38,7 +38,7 @@ import numpy as np
 from . import friction, kinematics
 from .aero import AeroModel
 from .errors import ConfigError, DataError
-from .friction import LateralFrictionParams, LongitudinalFrictionParams, PressureLookup
+from .friction import LateralFrictionParams
 from .onetrack import AxleForceTrace, BobParameters
 from .telemetry import TelemetryMeta, TelemetryRun
 
@@ -160,26 +160,11 @@ def step_steer(t_step: float, delta_deg: float, t_max: float, ramp: float = 0.5)
 
 @dataclass(frozen=True)
 class FrictionSetup:
-    """Friction laws the simulator drives: lateral per axle, mu_x source."""
+    """Friction laws the simulator drives: lateral per axle, one mu_x for both."""
 
     lateral_front: LateralFrictionParams
     lateral_rear: LateralFrictionParams
     mu_x: float = friction.MU_X_DEFAULT
-    long_params: LongitudinalFrictionParams | None = None
-    pressure_front: PressureLookup | None = None
-    pressure_rear: PressureLookup | None = None
-
-    def mu_front(self, f_z: float, radius: float) -> float:
-        if self.pressure_front is not None and self.long_params is not None:
-            return float(friction.mu_x(
-                friction.lookup_pressure(self.pressure_front, f_z, radius), self.long_params))
-        return self.mu_x
-
-    def mu_rear(self, f_z: float, radius: float) -> float:
-        if self.pressure_rear is not None and self.long_params is not None:
-            return float(friction.mu_x(
-                friction.lookup_pressure(self.pressure_rear, f_z, radius), self.long_params))
-        return self.mu_x
 
 
 @dataclass
@@ -263,10 +248,6 @@ def _force_bundle(state: SimState, bob: BobParameters, track: TrackProfile,
 
     theta_dot = -v * inv_r
     theta_ddot = -v_dot_hint * inv_r - v * v * track.inv_r_slope_at(s)
-    if abs(theta_dot) > friction.OMEGA_MIN:
-        radius = -v / theta_dot
-    else:
-        radius = friction.FLAT_RADIUS
 
     alpha_f = beta + delta - psi_dot * bob.l_f / v
     alpha_r = beta + psi_dot * bob.l_r / v
@@ -275,10 +256,9 @@ def _force_bundle(state: SimState, bob: BobParameters, track: TrackProfile,
     f_z_f0 = (bob.l_r * f_z_total + bob.j_yy * theta_ddot) / bob.wheelbase
     f_z_r = (bob.l_f * f_z_total - bob.j_yy * theta_ddot) / bob.wheelbase
 
-    f_f, f_f0 = _front_forces_scalar(alpha_f, f_z_f0, gamma, delta, setup.lateral_front,
-                                     setup.mu_front(f_z_f0, radius))
+    f_f, f_f0 = _front_forces_scalar(alpha_f, f_z_f0, gamma, delta, setup.lateral_front, setup.mu_x)
     f_y_r = _force_y_scalar(f_z_r, alpha_r, setup.lateral_rear)
-    f_x_r = -setup.mu_rear(f_z_r, radius) * f_z_r * math.cos(alpha_r)
+    f_x_r = -setup.mu_x * f_z_r * math.cos(alpha_r)
 
     if aero is not None:
         area = aero.cx_ax * (1.0 + aero.yaw_sensitivity * math.degrees(abs(beta)))

@@ -163,6 +163,10 @@ class CsvSchema:
         missing = [k for k in ("t", *CORE_CHANNELS) if k not in self.columns]
         if missing:
             raise ConfigError(f"schema missing column mappings: {', '.join(missing)}")
+        columns = list(self.columns.values())
+        shared = sorted({c for c in columns if columns.count(c) > 1})
+        if shared:
+            raise ConfigError(f"schema maps several channels to one column: {', '.join(shared)}")
 
 
 def identity_schema(angle_unit: str = "rad", with_h: bool = False) -> CsvSchema:

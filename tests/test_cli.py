@@ -325,6 +325,42 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
 
+    LONG = "b_x = 0.088\nc_x = 2.01\nd_x = 14.66\n"
+    LAT = "mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n"
+
+    @pytest.mark.parametrize("code, argv, files, where", [
+        (1, "friction-table --long-params long.kv --p-range 6:18", {"long.kv": LONG},
+         "--p-range"),
+        (1, "friction-table --long-params long.kv --p-range 6:18:0", {"long.kv": LONG},
+         "--p-range"),
+        (1, "friction-table --lateral-params lat.kv --f-z 2000 0", {"lat.kv": LAT}, "--f-z"),
+        (2, "--config config.ini icehouse",
+         {"config.ini": "[paths]\nbob_params = bob.kv\n", "bob.kv": BOB.replace("390", "-390")},
+         "bob.kv: m must be positive"),
+        (2, "friction-table --long-params long.kv", {"long.kv": LONG.replace("0.088", "0")},
+         "long.kv: b_x must be positive"),
+        (2, "friction-table --lateral-params lat.kv", {"lat.kv": LAT.replace("0.024", "3")},
+         "lat.kv: shape factor c_y"),
+        (2, "friction-table --long-params long.kv --lateral-params lat.kv",
+         {"long.kv": LONG, "lat.kv": LAT.replace("0.024", "3")}, "lat.kv: shape factor c_y"),
+        (1, "--schema schema.json simulate scenario.json",
+         {"schema.json": '{"columns": {"t": "t", "a_x": "a_x", "a_y": "a_y", "a_z": "a_z", '
+                         '"phi_dot": "phi_dot", "theta_dot": "theta_dot", "psi_dot": "psi_dot", '
+                         '"v": "v", "alpha_sensor": "alpha_sensor", "delta": "delta", '
+                         '"gamma": "delta"}}'},
+         "several channels to one column: delta"),
+    ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
+            "lateral-out-of-range", "lateral-after-long", "schema-shared-column"])
+    def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        before = set(tmp_path.rglob("*"))
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv.split()]
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == code
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert set(tmp_path.rglob("*")) == before
+
     def test_pressure_table_key_is_config_error(self, tmp_path, capsys):
         (tmp_path / "config.ini").write_text("[paths]\npressure_front = pressure.txt\n")
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "o"),

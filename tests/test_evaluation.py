@@ -14,7 +14,8 @@ from sleddyn.evaluation import (
     model_lateral_cog,
     validate_rmse,
 )
-from sleddyn.onetrack import build_axle_trace
+from sleddyn.friction import force_y_braghin
+from sleddyn.onetrack import build_axle_trace, front_runner_forces
 from sleddyn.sim import export_synthetic_telemetry, simulate, zero_controls
 from sleddyn.telemetry import derive_channels
 
@@ -194,3 +195,17 @@ class TestValidation:
         assert rmse_fitted < rmse_reference
         # the fitted chain reproduces its own synthetic world nearly exactly
         assert rmse_fitted < 0.01 * np.sqrt(np.mean(measured[valid] ** 2))
+
+    def test_braghin_goes_through_the_front_runner_chain(self, bob, friction_setup, aero_model):
+        run, trace, _ = run_and_trace(bob, friction_setup, aero_model,
+                                      weaving_controls(10.0, amplitude_deg=1.5, gamma_amp_deg=1.0),
+                                      t_max=10.0)
+        alpha_f = np.where(np.isfinite(trace.alpha_f), trace.alpha_f, 0.0)
+        alpha_r = np.where(np.isfinite(trace.alpha_r), trace.alpha_r, 0.0)
+        f_z_f0 = np.abs(np.where(np.isfinite(trace.f_z_f0), trace.f_z_f0, 1.0))
+        f_z_r = np.abs(np.where(np.isfinite(trace.f_z_r), trace.f_z_r, 1.0))
+        _, (_, f_y_f0, _) = front_runner_forces(alpha_f, f_z_f0, run.gamma, run.delta,
+                                                force_y_braghin, 0.005)
+        expected = f_y_f0 + force_y_braghin(f_z_r, alpha_r)
+        assert np.array_equal(model_lateral_cog(trace, "braghin", "braghin", run, mu_x=0.005),
+                              expected)

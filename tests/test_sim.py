@@ -45,6 +45,23 @@ class TestScalarFastPath:
             assert _force_y_scalar(f_z, alpha, LATERAL_FRONT) == pytest.approx(
                 float(force_y(f_z, alpha, LATERAL_FRONT)), rel=1e-13)
 
+    def test_drag_matches_aero_module(self, bob, friction_setup, aero_model):
+        # the force bundle writes the yaw-inflated drag out inline (area, then force)
+        from sleddyn.aero import drag_area_at_beta, drag_force
+        from sleddyn.sim import _force_bundle
+
+        track, controls = straight_track(1000.0), zero_controls(10.0)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            v, beta = rng.uniform(3.0, 40.0), rng.uniform(-0.2, 0.2)
+            state = SimState(t=1.0, s=10.0, v=v, beta=beta, psi_dot=0.0)
+            bundle = _force_bundle(state, bob, track, controls, friction_setup, aero_model)
+            area = float(drag_area_at_beta(aero_model, beta))
+            assert bundle["f_drag"] == pytest.approx(
+                float(drag_force(v, 1.0, aero_model.air)) * area, rel=1e-13)
+            assert bundle["f_drag"] == pytest.approx(
+                float(drag_force(v, area, aero_model.air)), rel=1e-13)
+
 
 class TestDynamics:
     def test_straight_glide_stays_straight(self, bob, friction_setup):
