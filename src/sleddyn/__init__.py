@@ -20,13 +20,10 @@ from .fitting import FitConfig, FitDataset, FitResult, fit_lateral, fit_report, 
 from .friction import (
     LateralFrictionParams,
     LongitudinalFrictionParams,
-    PressureLookup,
     force_x,
     force_y,
     force_y_braghin,
-    lookup_pressure,
     mu_x,
-    track_radius_y,
 )
 from .icehouse import (
     GlideRun,

@@ -141,6 +141,8 @@ def _run_keys(paths) -> list[str]:
 
 def cmd_icehouse(args) -> int:
     config = load_config(args.config, {"window_fraction": args.window})
+    if not (args.glides or args.points):
+        raise ConfigError("nothing to do: give glide files and/or --points")
     out_dir = Path(args.out_dir)
     results = []
     if args.points:

@@ -2,17 +2,16 @@
 
 The free parameters are (mu_zeta_y, c_y, k_y); the curvature factor e_y
 stays fixed because the measured slip-angle range is too small to pin
-it down. Minimization uses damped Gauss-Newton steps with the analytic
-Jacobian of the sin-atan law, a multiplicative damping factor that
-grows whenever a step would increase the cost, and projection onto the
-parameter box.
+it down. Minimization is scipy's trust-region reflective method
+(``least_squares(method="trf")``, Branch, Coleman & Li 1999) with the
+analytic Jacobian of the sin-atan law and the parameter box as bounds.
 
-Iterates live in log-parameter space. The data constrain the product
+The unknowns are the log-parameters. The data constrain the product
 mu_zeta_y * c_y (through the small-angle gain together with k_y) far
 more strongly than the factors individually, which makes the cost
 valley along "product constant" straight in log coordinates instead of
-curved; plain Gauss-Newton then traverses it instead of stalling.
-Positivity comes for free.
+curved, so the steps follow it instead of stalling. Positivity comes
+for free.
 
 The cornering stiffness is warm-started from a robust (median-ratio)
 line through the lowest-|alpha| decile, where the curve is linear with
@@ -32,6 +31,13 @@ from .telemetry import TelemetryRun
 
 DEFAULT_BOUNDS = ((0.1, 20.0), (0.001, 1.9), (100.0, 1e6))
 DEFAULT_ROLL_THRESHOLD_DEG_S2 = 100.0
+# Stop rules besides FitConfig.cost_tolerance (scipy's ftol). They end fits
+# whose relative cost drop never falls below it: a zero-residual optimum
+# (noise-free data) or a cost_tolerance below machine epsilon. A 1e-10
+# relative step in log-parameters, or a scaled gradient of 1e-10, is far
+# below what the data resolve: a fit that reaches them has stopped moving.
+_XTOL = 1e-10
+_GTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,9 @@ class FitConfig:
     the warm start from the data. ``roll_threshold_deg_s2`` excludes
     samples whose roll acceleration exceeds it (the rigid-body transfer
     breaks down under strong roll-split action). ``fix_k_y`` freezes the
-    stiffness at its initial value.
+    stiffness at its initial value. The solver stops once a step lowers
+    the cost by less than the fraction ``cost_tolerance``, or after
+    ``max_iterations`` model evaluations.
     """
 
     e_y: float = 0.99
@@ -149,9 +157,14 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     """Fit (mu_zeta_y, c_y, k_y) to the dataset with e_y held fixed.
 
     Raises DataError for too-small datasets and NumericalError when the
-    Jacobian is rank deficient (e.g. all slip angles zero). Running out
-    of iterations returns the best iterate with ``converged=False``.
+    Jacobian is rank deficient at the start point (e.g. all slip angles
+    zero). ``iterations`` counts model evaluations; running out of them
+    (``max_iterations``) returns the best iterate with ``converged=False``.
     """
+    # imported here, like scipy.signal in lowpass_filter, so that commands
+    # that fit nothing do not pay for loading scipy.optimize
+    from scipy.optimize import least_squares
+
     config = config or FitConfig()
     if len(dataset) < 30:
         raise DataError(f"dataset of {len(dataset)} samples is too small (need >= 10x parameters)")
@@ -167,45 +180,20 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     free = np.array([True, True, not config.fix_k_y])
 
     alpha, f_z, f_y = dataset.alpha, dataset.f_z, dataset.f_y
-    pred, jac = _model_and_jacobian(theta, alpha, f_z, config.e_y)
-    residual = pred - f_y
-    cost = 0.5 * float(residual @ residual)
-    damping = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        jf = jac[:, free]
-        jtj = jf.T @ jf
-        grad = jf.T @ residual
-        diag = np.diag(jtj).copy()
-        if not np.all(diag > 0):
-            raise NumericalError("rank-deficient Jacobian in lateral fit")
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + damping * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            candidate = theta.copy()
-            candidate[free] = theta[free] + step
-            candidate = np.clip(candidate, lo, hi)
-            cand_pred, cand_jac = _model_and_jacobian(candidate, alpha, f_z, config.e_y)
-            cand_residual = cand_pred - f_y
-            cand_cost = 0.5 * float(cand_residual @ cand_residual)
-            if cand_cost < cost:
-                relative_drop = (cost - cand_cost) / max(cost, 1e-300)
-                theta, pred, jac, residual, cost = candidate, cand_pred, cand_jac, cand_residual, cand_cost
-                damping = max(damping * 0.1, 1e-14)
-                accepted = True
-                break
-            damping *= 10.0
-        if not accepted:
-            converged = True  # no cost-decreasing step exists at any damping
-            break
-        if relative_drop < config.cost_tolerance:
-            converged = True
-            break
+
+    def model(x):
+        full = theta.copy()
+        full[free] = x
+        pred, jac = _model_and_jacobian(full, alpha, f_z, config.e_y)
+        return pred, jac[:, free]
+
+    if not np.all(np.sum(model(theta[free])[1] ** 2, axis=0) > 0):
+        raise NumericalError("rank-deficient Jacobian in lateral fit")
+    sol = least_squares(lambda x: model(x)[0] - f_y, theta[free], jac=lambda x: model(x)[1],
+                        bounds=(lo[free], hi[free]), method="trf", ftol=config.cost_tolerance,
+                        xtol=_XTOL, gtol=_GTOL, max_nfev=config.max_iterations)
+    theta[free] = sol.x
+    residual, jf, cost = sol.fun, sol.jac, float(sol.cost)
 
     params = LateralFrictionParams(
         mu_zeta_y=float(np.exp(theta[0])), c_y=float(np.exp(theta[1])),
@@ -213,7 +201,6 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     )
     dof = max(len(dataset) - int(free.sum()), 1)
     sigma2 = 2.0 * cost / dof
-    jf = jac[:, free]
     try:
         cov_free = sigma2 * np.linalg.inv(jf.T @ jf)
     except np.linalg.LinAlgError:
@@ -225,8 +212,8 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
         residual_rms=float(np.sqrt(np.mean(residual ** 2))),
         n_samples=len(dataset),
         covariance=covariance,
-        converged=converged,
-        iterations=iterations,
+        converged=bool(sol.status > 0),
+        iterations=int(sol.nfev),
         cost=cost,
     )
 

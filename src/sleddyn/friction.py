@@ -1,4 +1,4 @@
-"""Runner-ice friction laws and the contact-pressure lookup.
+"""Runner-ice friction laws.
 
 Longitudinal friction: the coefficient mu_x follows a capped quadratic
 in contact pressure,
@@ -19,8 +19,9 @@ cut of the Magic Formula family,
 which has slope exactly K_y at alpha = 0. A simple atan reference model
 (mu_y = 0.5, k3 = 50/rad at both axles) is included for comparison.
 
-When no pressure data is available, mu_x falls back to the fixed value
-0.004, in line with published ice-house and track measurements.
+The reconstruction, the evaluation and the simulator use one fixed
+mu_x, by default 0.004, in line with published ice-house and track
+measurements.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DataError
 
-#: Fallback longitudinal friction coefficient when no pressure lookup exists.
+#: Default fixed longitudinal friction coefficient.
 MU_X_DEFAULT = 0.004
 
 #: Reference-model constants: peak coefficient and slip-angle gain [1/rad].
@@ -143,76 +144,6 @@ def force_y_braghin(f_z, alpha, mu_y: float = BRAGHIN_MU_Y, k3: float = BRAGHIN_
     return mu_y * np.asarray(f_z, dtype=float) * (2.0 / np.pi) * np.arctan(k3 * np.asarray(alpha, dtype=float))
 
 
-#: Pitch-rate magnitude below which the track is treated as flat.
-OMEGA_MIN = 1e-3
-
-#: Sentinel radius for flat track; pressure lookups clamp it to their edge.
-FLAT_RADIUS = np.inf
-
-
-def track_radius_y(v, theta_dot, omega_min: float = OMEGA_MIN):
-    """Track radius around the pitch axis, r = -v / theta_dot [m].
-
-    Positive for hollows (pitch-down rate while moving forward),
-    negative for crests. |theta_dot| <= omega_min yields the flat
-    sentinel (+inf) instead of a near-singular radius.
-    """
-    v = np.asarray(v, dtype=float)
-    theta_dot = np.asarray(theta_dot, dtype=float)
-    flat = np.abs(theta_dot) <= omega_min
-    safe = np.where(flat, 1.0, theta_dot)
-    return np.where(flat, FLAT_RADIUS, -v / safe)
-
-
-@dataclass(frozen=True)
-class PressureLookup:
-    """Contact pressure [MPa] gridded over normal force and track radius.
-
-    ``pressure[i, j]`` is the pressure at ``radius_axis[i]`` and
-    ``f_z_axis[j]``. Queries are bilinear inside the grid and clamped to
-    the nearest edge outside, so the flat-track sentinel (+inf radius)
-    resolves to the largest-radius row.
-    """
-
-    f_z_axis: np.ndarray
-    radius_axis: np.ndarray
-    pressure: np.ndarray
-
-    def __post_init__(self):
-        f_z = np.asarray(self.f_z_axis, dtype=float)
-        r = np.asarray(self.radius_axis, dtype=float)
-        p = np.asarray(self.pressure, dtype=float)
-        if f_z.ndim != 1 or r.ndim != 1 or p.shape != (r.size, f_z.size):
-            raise DataError("pressure grid shape does not match its axes")
-        if np.any(np.diff(f_z) <= 0) or np.any(np.diff(r) <= 0):
-            raise DataError("lookup axes must be strictly increasing")
-        if not np.all(p > 0):
-            raise DataError("contact pressures must be positive everywhere")
-        object.__setattr__(self, "f_z_axis", f_z)
-        object.__setattr__(self, "radius_axis", r)
-        object.__setattr__(self, "pressure", p)
-
-
-def _clamped_cell(axis: np.ndarray, x):
-    """Index of the lower cell corner and the clamped fractional position."""
-    x = np.clip(x, axis[0], axis[-1])
-    idx = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
-    frac = (x - axis[idx]) / (axis[idx + 1] - axis[idx])
-    return idx, frac
-
-
-def lookup_pressure(table: PressureLookup, f_z, r_y_track):
-    """Bilinear pressure interpolation, edge-clamped outside the grid."""
-    f_z = np.asarray(f_z, dtype=float)
-    r = np.asarray(r_y_track, dtype=float)
-    j, fx = _clamped_cell(table.f_z_axis, f_z)
-    i, fy = _clamped_cell(table.radius_axis, r)
-    p = table.pressure
-    top = p[i, j] * (1 - fx) + p[i, j + 1] * fx
-    bot = p[i + 1, j] * (1 - fx) + p[i + 1, j + 1] * fx
-    return top * (1 - fy) + bot * fy
-
-
 def save_longitudinal_params(params: LongitudinalFrictionParams, path,
                              header: list[str] | None = None) -> None:
     from .kvfile import dump_kv
@@ -233,31 +164,3 @@ def load_longitudinal_params(path) -> LongitudinalFrictionParams:
         raise DataError(f"{path}: missing longitudinal parameter {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def load_pressure_table(path) -> PressureLookup:
-    """Read the text grid format: first row F_z axis, first column radius axis."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.replace(",", " ").split()])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected numbers, got {line!r}") from None
-    if len(rows) < 3:
-        raise DataError(f"{path}: pressure table needs at least 2 radius rows")
-    f_z_axis = np.array(rows[0])
-    body = np.array(rows[1:])
-    if body.shape[1] != f_z_axis.size + 1:
-        raise DataError(f"{path}: rows must carry a radius value plus one pressure per F_z")
-    return PressureLookup(f_z_axis=f_z_axis, radius_axis=body[:, 0], pressure=body[:, 1:])
-
-
-def save_pressure_table(table: PressureLookup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(repr(float(v)) for v in table.f_z_axis) + "\n")
-        for r, row in zip(table.radius_axis, table.pressure):
-            fh.write(" ".join(repr(float(v)) for v in (r, *row)) + "\n")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import friction, kinematics
 from .aero import AeroModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .friction import LateralFrictionParams
 from .onetrack import AxleForceTrace, BobParameters
 from .telemetry import TelemetryMeta, TelemetryRun
@@ -339,6 +339,7 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
 
     The run terminates cleanly when the speed would drop below
     ``v_stop``; the log always contains the states actually reached.
+    A non-finite state raises NumericalError naming its time.
     """
     if v0 <= v_stop:
         raise ConfigError("initial speed below the stop threshold")
@@ -377,9 +378,9 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
     log_state(state)
     for _ in range(n_steps):
         new = step(state, bob, track, controls, setup, aero, dt)
-        if new.v <= v_stop or not math.isfinite(new.v):
-            break
-        if new.s >= track.s[-1]:
+        if not all(map(math.isfinite, (new.s, new.v, new.beta, new.psi_dot))):
+            raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
+        if new.v <= v_stop or new.s >= track.s[-1]:
             break
         h += -0.5 * (state.v * math.sin(track.kappa_at(state.s))
                      + new.v * math.sin(track.kappa_at(new.s))) * dt

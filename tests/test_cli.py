@@ -1,5 +1,6 @@
 """End-to-end CLI workflows on synthetic data."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from conftest import LATERAL_FRONT, LATERAL_REAR, downhill_track, weaving_contro
 
 from sleddyn import icehouse, kvfile, sim, telemetry
 from sleddyn.cli import main
+from sleddyn.errors import NumericalError
 from sleddyn.onetrack import save_bob_params
 
 
@@ -44,11 +46,15 @@ def workspace(tmp_path, bob, friction_setup, aero_model):
 
 
 class TestFitCommand:
-    def test_fit_recovers_parameters(self, workspace):
+    def test_fit_recovers_parameters(self, workspace, capsys):
         tmp_path, paths = workspace
         out = tmp_path / "out"
         code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths])
         assert code == 0
+        # noise-free runs pin k_y but not the mu_zeta_y/c_y split: the front
+        # optimum lies on the mu_zeta_y bound and the summary says so
+        front_line = capsys.readouterr().out.splitlines()[0]
+        assert front_line.startswith("front:") and "[mu_zeta_y at bound]" in front_line
         front = kvfile.load_kv(out / "lateral_front.kv")
         rear = kvfile.load_kv(out / "lateral_rear.kv")
         assert float(front["k_y"]) == pytest.approx(LATERAL_FRONT.k_y, rel=0.05)
@@ -178,6 +184,29 @@ class TestSimulateCommand:
         first = (out / "telemetry.csv").read_text().splitlines()[0]
         assert first.startswith("# sleddyn")  # provenance header
         assert (out / "truth.csv").exists()
+
+    def test_non_finite_state_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob,
+                                                   friction_setup):
+        real_step, calls = sim.step, []
+
+        def step(state, *args):
+            calls.append(None)
+            new = real_step(state, *args)
+            return new if len(calls) < 5 else dataclasses.replace(new, psi_dot=float("nan"))
+
+        monkeypatch.setattr(sim, "step", step)
+        with pytest.raises(NumericalError, match=r"non-finite simulator state at t = 0\.05 s"):
+            sim.simulate(bob, sim.straight_track(1000.0), sim.zero_controls(1.0), friction_setup,
+                         dt=0.01, t_max=1.0)
+        save_bob_params(bob, tmp_path / "bob.kv")
+        (tmp_path / "config.ini").write_text("[paths]\nbob_params = bob.kv\n")
+        scenario = self.scenario(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     "simulate", str(scenario)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite simulator state" in err and "Traceback" not in err
+        assert set(tmp_path.rglob("*")) == before
 
     def test_determinism_with_seed(self, workspace):
         tmp_path, _ = workspace
@@ -349,8 +378,9 @@ class TestBadInputFiles:
                          '"v": "v", "alpha_sensor": "alpha_sensor", "delta": "delta", '
                          '"gamma": "delta"}}'},
          "several channels to one column: delta"),
+        (1, "icehouse --window 2", {}, "nothing to do"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
-            "lateral-out-of-range", "lateral-after-long", "schema-shared-column"])
+            "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

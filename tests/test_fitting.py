@@ -93,8 +93,8 @@ class TestFitRecovery:
             fit_lateral(dataset)
 
     def test_cost_nonincreasing(self):
-        # the damped steps only ever accept cost decreases, so the final
-        # cost is bounded by the initial-guess cost
+        # the trust-region solver only ever accepts steps that lower the
+        # cost, so the final cost is bounded by the initial-guess cost
         dataset = synthetic_dataset(FRONT, seed=6, noise=0.02)
         config = FitConfig()
         initial = LateralFrictionParams(mu_zeta_y=3.0, c_y=0.05,
@@ -102,6 +102,25 @@ class TestFitRecovery:
         initial_cost = 0.5 * np.sum((force_y(dataset.f_z, dataset.alpha, initial) - dataset.f_y) ** 2)
         result = fit_lateral(dataset, config)
         assert result.cost <= initial_cost
+
+    def test_iteration_cap_returns_best_iterate(self):
+        dataset = synthetic_dataset(FRONT, seed=6, noise=0.02)
+        initial = LateralFrictionParams(mu_zeta_y=3.0, c_y=0.05,
+                                        k_y=robust_stiffness_guess(dataset))
+        initial_cost = 0.5 * np.sum((force_y(dataset.f_z, dataset.alpha, initial) - dataset.f_y) ** 2)
+        result = fit_lateral(dataset, FitConfig(max_iterations=3))
+        assert not result.converged
+        assert result.iterations <= 3
+        assert result.cost <= initial_cost
+
+    def test_optimum_on_bound_stays_inside_bounds(self):
+        # at 5 % noise the front optimum runs into the mu_zeta_y bound
+        config = FitConfig()
+        result = fit_lateral(synthetic_dataset(FRONT, seed=0, noise=0.05), config)
+        p = result.params
+        assert p.mu_zeta_y >= config.bounds[0][1] * 0.9999
+        for value, (lo, hi) in zip((p.mu_zeta_y, p.c_y, p.k_y), config.bounds):
+            assert lo <= value <= hi
 
     def test_robust_stiffness_guess(self):
         dataset = synthetic_dataset(FRONT, seed=7, noise=0.05)

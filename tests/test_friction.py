@@ -1,24 +1,18 @@
-"""Friction laws: capped quadratic mu_x, lateral sin-atan law, lookup."""
+"""Friction laws: capped quadratic mu_x, lateral sin-atan law."""
 
 import numpy as np
 import pytest
 
 from sleddyn.errors import DataError
 from sleddyn.friction import (
-    FLAT_RADIUS,
     LateralFrictionParams,
     LongitudinalFrictionParams,
-    PressureLookup,
     force_x,
     force_x_mu,
     force_y,
     force_y_braghin,
-    load_pressure_table,
-    lookup_pressure,
     mu_x,
-    save_pressure_table,
     stiffness_factor,
-    track_radius_y,
 )
 
 # published reference values the laws are exercised against
@@ -153,71 +147,6 @@ class TestBraghin:
         f = force_y_braghin(1000.0, alpha)
         assert np.all(np.abs(f) < 0.5 * 1000.0)
         assert force_y_braghin(1000.0, 1e9) == pytest.approx(500.0, rel=1e-6)
-
-
-class TestTrackRadius:
-    def test_hollow(self):
-        assert track_radius_y(30.0, -0.6) == pytest.approx(50.0)
-
-    def test_crest(self):
-        assert track_radius_y(30.0, 0.6) == pytest.approx(-50.0)
-
-    def test_flat_sentinel(self):
-        assert track_radius_y(30.0, 0.0) == FLAT_RADIUS
-        assert track_radius_y(30.0, 5e-4) == FLAT_RADIUS
-
-
-def grid_table():
-    f_z = np.array([1000.0, 2000.0, 4000.0])
-    r = np.array([20.0, 50.0, 200.0])
-    p = np.array([
-        [6.0, 7.0, 9.0],
-        [7.0, 8.0, 10.0],
-        [8.0, 9.0, 11.0],
-    ])
-    return PressureLookup(f_z_axis=f_z, radius_axis=r, pressure=p)
-
-
-class TestPressureLookup:
-    def test_grid_nodes_are_exact(self):
-        table = grid_table()
-        for i, r in enumerate(table.radius_axis):
-            for j, f in enumerate(table.f_z_axis):
-                assert lookup_pressure(table, f, r) == pytest.approx(table.pressure[i, j])
-
-    def test_cell_center_is_corner_average(self):
-        table = grid_table()
-        value = lookup_pressure(table, 1500.0, 35.0)
-        assert value == pytest.approx((6.0 + 7.0 + 7.0 + 8.0) / 4.0)
-
-    def test_edge_clamping(self):
-        table = grid_table()
-        assert lookup_pressure(table, 10000.0, 50.0) == pytest.approx(10.0)
-        assert lookup_pressure(table, 2000.0, FLAT_RADIUS) == pytest.approx(9.0)
-        assert lookup_pressure(table, 500.0, 5.0) == pytest.approx(6.0)
-
-    def test_malformed_tables_rejected(self):
-        with pytest.raises(DataError):
-            PressureLookup(f_z_axis=np.array([2.0, 1.0]), radius_axis=np.array([1.0, 2.0]),
-                           pressure=np.ones((2, 2)))
-        with pytest.raises(DataError):
-            PressureLookup(f_z_axis=np.array([1.0, 2.0]), radius_axis=np.array([1.0, 2.0]),
-                           pressure=np.zeros((2, 2)))
-
-    def test_non_numeric_cell_names_line(self, tmp_path):
-        path = tmp_path / "pressure.txt"
-        path.write_text("# F_z axis\n1000 2000\n10 6.0 7.0\n20 7.0 n/a\n")
-        with pytest.raises(DataError, match=r"pressure.txt:4: expected numbers"):
-            load_pressure_table(path)
-
-    def test_file_round_trip(self, tmp_path):
-        table = grid_table()
-        path = tmp_path / "pressure.txt"
-        save_pressure_table(table, path)
-        loaded = load_pressure_table(path)
-        assert np.array_equal(loaded.f_z_axis, table.f_z_axis)
-        assert np.array_equal(loaded.radius_axis, table.radius_axis)
-        assert np.array_equal(loaded.pressure, table.pressure)
 
 
 class TestParamFiles:
