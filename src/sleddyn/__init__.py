@@ -20,7 +20,6 @@ from .fitting import FitConfig, FitDataset, FitResult, fit_lateral, fit_report, 
 from .friction import (
     LateralFrictionParams,
     LongitudinalFrictionParams,
-    force_x,
     force_y,
     force_y_braghin,
     mu_x,

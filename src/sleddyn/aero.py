@@ -15,23 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reference bluff-body drag-area increase and the area ratios behind the
-# default yaw sensitivity. Kept as named constants so the scaling chain
-# is checkable.
-REFERENCE_YAW_SLOPE_PCT_PER_DEG = 3.2
-REFERENCE_SIDE_TO_FRONT_RATIO = 2.3
-SLED_SIDE_TO_FRONT_RATIO = 5.0
 DEFAULT_YAW_SENSITIVITY_PER_DEG = 0.0694
-
-
-def yaw_sensitivity_from_areas(side_to_front_ratio: float = SLED_SIDE_TO_FRONT_RATIO,
-                               reference_slope_pct: float = REFERENCE_YAW_SLOPE_PCT_PER_DEG,
-                               reference_ratio: float = REFERENCE_SIDE_TO_FRONT_RATIO) -> float:
-    """Relative drag-area increase per degree of yaw, in %/deg.
-
-    Scales the reference slope linearly with the side/front area ratio.
-    """
-    return side_to_front_ratio / reference_ratio * reference_slope_pct
 
 
 @dataclass(frozen=True)

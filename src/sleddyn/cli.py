@@ -59,20 +59,24 @@ DEFAULTS = {
 
 
 class Config:
-    """Resolved configuration: bob parameters, aero model, processing options."""
+    """Resolved configuration: bob parameters, aero model, processing options.
+
+    Raises ValueError for an air state or aero model out of range.
+    """
 
     def __init__(self, options: dict, bob=None, schema=None):
         self.options = options
         self.bob = bob
         self.schema = schema or identity_schema()
-        self.air = AirState(p_air=options["p_air"], temperature=options["temperature"],
-                            r_specific=options["r_specific"])
+        air = AirState(p_air=options["p_air"], temperature=options["temperature"],
+                       r_specific=options["r_specific"])
+        self._aero = None if bob is None else AeroModel(
+            cx_ax=bob.cx_ax, air=air, yaw_sensitivity=options["yaw_sensitivity"])
 
     def aero_model(self) -> AeroModel:
-        if self.bob is None:
+        if self._aero is None:
             raise ConfigError("aero model needs bob parameters (cx_ax)")
-        return AeroModel(cx_ax=self.bob.cx_ax, air=self.air,
-                         yaw_sensitivity=self.options["yaw_sensitivity"])
+        return self._aero
 
 
 def load_config(path, overrides: dict | None = None, schema_path=None) -> Config:
@@ -114,7 +118,12 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
             options[key] = value
     if schema_path is not None:
         schema = load_schema(schema_path)
-    return Config(options, bob=bob, schema=schema)
+    if not 0 < options["rate_hz"] < np.inf:
+        raise ConfigError(f"rate_hz must be positive and finite, got {options['rate_hz']}")
+    try:
+        return Config(options, bob=bob, schema=schema)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _require_bob(config: Config):

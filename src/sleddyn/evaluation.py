@@ -104,11 +104,10 @@ def _bridge(values: np.ndarray, valid: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def loss_energies(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
-                  window=None, mu_x: float = MU_X_DEFAULT,
-                  max_gap: float = MAX_GAP_S) -> list[LossBreakdown]:
+                  window=None, mu_x: float = MU_X_DEFAULT) -> list[LossBreakdown]:
     """Loss breakdowns over the window, one entry per contiguous segment.
 
-    Samples in invalid spans no longer than ``max_gap`` seconds are
+    Samples in invalid spans no longer than :data:`MAX_GAP_S` seconds are
     bridged by interpolation over distance; longer gaps split the window
     and each segment is reported with its own denominators.
     """
@@ -125,7 +124,7 @@ def loss_energies(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
     valid_w = trace.valid[idx]
     if not valid_w.any():
         raise DataError("evaluation window contains no valid samples")
-    for lo, hi in _segments(valid_w, t_w, max_gap):
+    for lo, hi in _segments(valid_w, t_w, MAX_GAP_S):
         seg = idx[lo:hi]
         if seg.size < 2:
             continue

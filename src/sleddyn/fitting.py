@@ -156,9 +156,9 @@ def robust_stiffness_guess(dataset: FitDataset, bounds=DEFAULT_BOUNDS) -> float:
 def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResult:
     """Fit (mu_zeta_y, c_y, k_y) to the dataset with e_y held fixed.
 
-    Raises DataError for too-small datasets and NumericalError when the
-    Jacobian is rank deficient at the start point (e.g. all slip angles
-    zero). ``iterations`` counts model evaluations; running out of them
+    Raises DataError for too-small datasets or a non-finite sample, and
+    NumericalError when the Jacobian is rank deficient at the start point
+    (e.g. all slip angles zero). ``iterations`` counts model evaluations; running out of them
     (``max_iterations``) returns the best iterate with ``converged=False``.
     """
     # imported here, like scipy.signal in lowpass_filter, so that commands
@@ -168,6 +168,9 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     config = config or FitConfig()
     if len(dataset) < 30:
         raise DataError(f"dataset of {len(dataset)} samples is too small (need >= 10x parameters)")
+    for name in ("alpha", "f_z", "f_y"):
+        if not np.all(np.isfinite(getattr(dataset, name))):
+            raise DataError(f"non-finite {name} in the {dataset.runner or 'lateral'} fit dataset")
     if not np.any(np.abs(dataset.alpha) > 0):
         raise NumericalError("all slip angles are zero: lateral parameters are unidentifiable")
 
@@ -218,13 +221,12 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     )
 
 
-def fit_report(result: FitResult, dataset: FitDataset, n_bins: int = 3,
-               n_curve: int = 81) -> list[dict]:
+def fit_report(result: FitResult, dataset: FitDataset, n_bins: int = 3) -> list[dict]:
     """Per-F_z-bin diagnostics mirroring scatter-plus-model-curve figures.
 
     Each entry holds the bin's normal-force range, slip-angle quantile
     summary of the measured forces, and the model curve evaluated at the
-    bin's median normal force. Empty bins are omitted.
+    bin's median normal force at 81 slip angles. Empty bins are omitted.
     """
     from .friction import force_y
 
@@ -237,7 +239,7 @@ def fit_report(result: FitResult, dataset: FitDataset, n_bins: int = 3,
         alpha = dataset.alpha[mask]
         f_y = dataset.f_y[mask]
         f_z_med = float(np.median(dataset.f_z[mask]))
-        grid = np.linspace(alpha.min(), alpha.max(), n_curve) if alpha.size > 1 else np.array([alpha[0]])
+        grid = np.linspace(alpha.min(), alpha.max(), 81) if alpha.size > 1 else np.array([alpha[0]])
         report.append({
             "f_z_range": (float(edges[i]), float(edges[i + 1])),
             "f_z_median": f_z_med,

@@ -111,45 +111,31 @@ def force_x_mu(f_z, alpha, mu):
     return -np.asarray(mu, dtype=float) * np.asarray(f_z, dtype=float) * np.cos(alpha)
 
 
-def force_x(f_z, alpha, p, params: LongitudinalFrictionParams):
-    """Longitudinal force from the pressure-dependent coefficient."""
-    return force_x_mu(f_z, alpha, mu_x(p, params))
-
-
-def stiffness_factor(f_z, params: LateralFrictionParams, zeta_y: float = 1.0):
-    """B_y = K_y / (C_y * mu_zeta_y * zeta_y * F_z); F_z must be positive."""
+def stiffness_factor(f_z, params: LateralFrictionParams):
+    """B_y = K_y / (C_y * mu_zeta_y * F_z); F_z must be positive."""
     f_z = np.asarray(f_z, dtype=float)
     if np.any(f_z <= 0.0):
         raise ValueError("normal force must be positive for the lateral law")
-    return params.k_y / (params.c_y * params.mu_zeta_y * zeta_y * f_z)
+    return params.k_y / (params.c_y * params.mu_zeta_y * f_z)
 
 
-def force_y(f_z, alpha, params: LateralFrictionParams, zeta_y: float = 1.0):
+def force_y(f_z, alpha, params: LateralFrictionParams):
     """Lateral force [N] at slip angle alpha [rad] and normal force F_z [N].
 
     Odd in alpha, slope k_y at alpha = 0; with e_y <= 1 the magnitude
-    keeps growing slowly past the measured slip-angle range. ``zeta_y``
-    is an asperity tuning factor on the fitted peak-scale product
-    (rough ice reduces contact area); the fits themselves absorb it
-    into mu_zeta_y, so it defaults to 1.
+    keeps growing slowly past the measured slip-angle range. An asperity
+    factor on the peak (rough ice reduces contact area) is absorbed into
+    the fitted mu_zeta_y.
     """
     f_z = np.asarray(f_z, dtype=float)
-    b_a = stiffness_factor(f_z, params, zeta_y) * np.asarray(alpha, dtype=float)
+    b_a = stiffness_factor(f_z, params) * np.asarray(alpha, dtype=float)
     arg = b_a - params.e_y * (b_a - np.arctan(b_a))
-    return params.mu_zeta_y * zeta_y * f_z * np.sin(params.c_y * np.arctan(arg))
+    return params.mu_zeta_y * f_z * np.sin(params.c_y * np.arctan(arg))
 
 
 def force_y_braghin(f_z, alpha, mu_y: float = BRAGHIN_MU_Y, k3: float = BRAGHIN_K3):
     """Reference lateral model F_y = mu_y * F_z * (2/pi) * atan(k3 * alpha)."""
     return mu_y * np.asarray(f_z, dtype=float) * (2.0 / np.pi) * np.arctan(k3 * np.asarray(alpha, dtype=float))
-
-
-def save_longitudinal_params(params: LongitudinalFrictionParams, path,
-                             header: list[str] | None = None) -> None:
-    from .kvfile import dump_kv
-
-    dump_kv({"b_x": params.b_x, "c_x": params.c_x, "d_x": params.d_x,
-             "e_x": params.e_x, "zeta_x": params.zeta_x}, path, header=header)
 
 
 def load_longitudinal_params(path) -> LongitudinalFrictionParams:

@@ -63,22 +63,15 @@ class GlideRun:
             raise DataError("distance must be strictly increasing over the glide")
         if np.any(v <= 0):
             raise DataError("speed must stay positive inside the gliding window")
+        if not (self.m > 0 and self.cx_ax >= 0):
+            raise DataError(f"mass m must be positive and drag area cx_ax non-negative, "
+                            f"got m = {self.m}, cx_ax = {self.cx_ax}")
         if self.direction not in ("up", "down"):
             raise DataError(f"direction must be 'up' or 'down', got {self.direction!r}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "v", v)
         if self.h is not None:
             object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-
-
-def glide_run_from_time_series(t, v, m, air, cx_ax, direction="down", kappa=0.0,
-                               h=None, specimen="") -> GlideRun:
-    """Build a GlideRun from t/v samples, integrating distance on the fly."""
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
-    return GlideRun(s=s, v=v, m=m, air=air, cx_ax=cx_ax, direction=direction,
-                    kappa=kappa, h=h, specimen=specimen)
 
 
 def energy_series(run: GlideRun):
@@ -211,6 +204,10 @@ def fit_quadratic_mu_p(points) -> LongitudinalFrictionParams:
 
 
 def load_glide_csv(path) -> GlideRun:
+    """Read a glide run; distance integrates v over t (trapezoidal).
+
+    Raises DataError for a missing, non-numeric or out-of-range metadata value.
+    """
     table = read_table(path)
     header = [name.strip().lower() for name in table.header]
     if header[:1] != ["t"] or len(header) < 2:
@@ -225,14 +222,17 @@ def load_glide_csv(path) -> GlideRun:
     missing = [k for k in required if k not in meta]
     if missing:
         raise DataError(f"{path}: metadata block missing {', '.join(missing)}")
-    arr = table.data
-    air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
-                   r_specific=float(meta.get("r_specific", 287.05)))
-    return glide_run_from_time_series(
-        t=arr[:, 0], v=arr[:, 1],
-        h=arr[:, 2] if header[2:3] == ["h"] else None,
-        m=float(meta["m"]), air=air, cx_ax=float(meta["cx_ax"]),
-        direction=meta["direction"], kappa=float(meta.get("kappa", 0.0)),
+    try:
+        m, cx_ax, kappa = (float(meta.get(key, 0.0)) for key in ("m", "cx_ax", "kappa"))
+        air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
+                       r_specific=float(meta.get("r_specific", 287.05)))
+    except ValueError as exc:
+        raise DataError(f"{path}: bad glide metadata: {exc}") from None
+    t, v = table.data[:, 0], table.data[:, 1]
+    return GlideRun(
+        s=np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))]), v=v,
+        h=table.data[:, 2] if header[2:3] == ["h"] else None,
+        m=m, air=air, cx_ax=cx_ax, direction=meta["direction"], kappa=kappa,
         specimen=meta.get("specimen", Path(path).stem),
     )
 

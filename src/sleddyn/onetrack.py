@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import friction, kinematics
-from .aero import AeroModel, drag_force
+from .aero import AeroModel, drag_area_at_beta, drag_force
 from .errors import DataError
 from .kinematics import MountingOffset
 from .tables import read_table, write_table
@@ -99,22 +99,6 @@ def recover_f_x_f0(f_x_f, f_y_f0, f_z_f0, a_matrix):
             - a31 * np.asarray(f_z_f0, dtype=float)) / a11
 
 
-def forces_to_runner_frame(f_f0, gamma, delta):
-    """Express a body-frame (f_x, f_y, f_z) triple in the runner frame.
-
-    The runner frame is reached by rolling gamma then steering delta, so
-    components transform with the transpose of the (active) rotation.
-    """
-    a = kinematics.rotation_f0_to_f(gamma, delta)
-    return kinematics.rotate_forces(np.swapaxes(a, -1, -2), *f_f0)
-
-
-def runner_to_f0_frame(f_f, gamma, delta):
-    """Rotate a runner-frame force triple out into the body frame."""
-    a = kinematics.rotation_f0_to_f(gamma, delta)
-    return kinematics.rotate_forces(a, *f_f)
-
-
 def front_runner_forces(alpha_f, f_z_f0, gamma, delta, lateral, mu_x_front):
     """Front runner force triples implied by the friction laws.
 
@@ -169,16 +153,15 @@ class AxleForceTrace:
 
 def build_axle_trace(run: TelemetryRun, params: BobParameters,
                      aero: AeroModel | None = None,
-                     lateral_aero: bool = False,
                      mu_x_fixed: float = friction.MU_X_DEFAULT,
                      v_min: float = kinematics.V_MIN) -> AxleForceTrace:
     """Reconstruct per-sample axle forces for a processed run.
 
     The front longitudinal force is predefined through the friction law
-    with the fixed coefficient ``mu_x_fixed``. External lateral force
-    defaults to zero; with ``lateral_aero=True`` and an aero model it is
-    set to the body-frame y-component of the drag force. Guard failures
-    flag samples invalid instead of aborting.
+    with the fixed coefficient ``mu_x_fixed``. The external lateral force
+    is the body-frame y-component of the drag force when an aero model
+    is given, and zero without one. Guard failures flag samples invalid
+    instead of aborting.
     """
     if run.derived is None:
         raise DataError("run must be processed (derive_channels) before reconstruction")
@@ -196,11 +179,7 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
     beta = kinematics.slip_angle_at(run.alpha_sensor, run.psi_dot, run.v, off.l_s_f - params.l_f, v_min)
 
     f_y_ext = np.zeros(len(run))
-    if lateral_aero:
-        if aero is None:
-            raise DataError("lateral_aero requires an aero model")
-        from .aero import drag_area_at_beta
-
+    if aero is not None:
         beta_safe = np.where(np.isfinite(beta), beta, 0.0)
         # drag acts against the velocity; its body-frame y-component is +F_d sin(beta)
         f_y_ext = drag_force(run.v, 1.0, aero.air) * drag_area_at_beta(aero, beta_safe) * np.sin(beta_safe)
@@ -243,18 +222,6 @@ def load_trace_csv(path) -> AxleForceTrace:
     kwargs = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
     kwargs["valid"] = kwargs["valid"] > 0.5
     return AxleForceTrace(**kwargs)
-
-
-def save_bob_params(params: BobParameters, path) -> None:
-    from .kvfile import dump_kv
-
-    off = params.offset
-    dump_kv({
-        "m": params.m, "j_yy": params.j_yy, "j_zz": params.j_zz,
-        "l_f": params.l_f, "l_r": params.l_r, "cx_ax": params.cx_ax,
-        "l_x": off.l_x, "l_y": off.l_y, "l_z": off.l_z,
-        "l_s_f": off.l_s_f, "l_s_r": off.l_s_r,
-    }, path)
 
 
 def load_bob_params(path) -> BobParameters:

@@ -103,13 +103,6 @@ class TrackProfile:
         return (self._inv_r[i + 1] - self._inv_r[i]) / (self._s[i + 1] - self._s[i])
 
 
-def straight_track(length: float, kappa: float = 0.0, n: float = 1.0) -> TrackProfile:
-    return TrackProfile(
-        s=np.array([0.0, length]), kappa=np.array([kappa, kappa]),
-        inv_r_y=np.zeros(2), n=np.array([n, n]),
-    )
-
-
 @dataclass(frozen=True)
 class ControlTrace:
     """Steering and roll-split angles over time (linear interpolation)."""
@@ -141,23 +134,6 @@ class ControlTrace:
         return _interp_scalar(t, self._t, self._gamma)
 
 
-def zero_controls(t_max: float) -> ControlTrace:
-    return ControlTrace(t=np.array([0.0, t_max]), delta=np.zeros(2), gamma=np.zeros(2))
-
-
-def step_steer(t_step: float, delta_deg: float, t_max: float, ramp: float = 0.5) -> ControlTrace:
-    """Smooth (cosine-ramped) step in the steering angle at t_step."""
-    t = np.unique(np.concatenate([
-        [0.0, t_step], t_step + np.linspace(0.0, ramp, 26)[1:], [t_max],
-    ]))
-    d = np.deg2rad(delta_deg)
-    delta = np.where(
-        t <= t_step, 0.0,
-        np.where(t >= t_step + ramp, d, d * 0.5 * (1 - np.cos(np.pi * (t - t_step) / ramp))),
-    )
-    return ControlTrace(t=t, delta=delta, gamma=np.zeros_like(t))
-
-
 @dataclass(frozen=True)
 class FrictionSetup:
     """Friction laws the simulator drives: lateral per axle, one mu_x for both."""
@@ -178,7 +154,7 @@ class SimState:
 
 _LOG_FIELDS = (
     "t", "s", "v", "beta", "psi_dot", "psi_ddot", "theta_dot", "theta_ddot",
-    "delta", "gamma", "kappa", "h",
+    "delta", "gamma", "kappa",
     "a_x", "a_y", "a_z",
     "f_x_f0", "f_y_f0", "f_z_f0", "f_x_f", "f_y_f", "f_z_f",
     "f_x_r", "f_y_r", "f_z_r", "f_drag",
@@ -345,7 +321,6 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
         raise ConfigError("initial speed below the stop threshold")
     state = SimState(t=0.0, s=float(track.s[0]), v=v0, beta=beta0, psi_dot=psi_dot0)
     rows = {name: [] for name in _LOG_FIELDS}
-    h = 0.0
 
     def log_state(st: SimState):
         bundle, deriv = _bundle_and_derivatives(st, bob, track, controls, setup, aero)
@@ -356,7 +331,7 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
             "t": st.t, "s": st.s, "v": st.v, "beta": st.beta,
             "psi_dot": st.psi_dot, "psi_ddot": deriv[3],
             "theta_dot": bundle["theta_dot"], "theta_ddot": bundle["theta_ddot"],
-            "delta": bundle["delta"], "gamma": bundle["gamma"], "kappa": bundle["kappa"], "h": h,
+            "delta": bundle["delta"], "gamma": bundle["gamma"], "kappa": bundle["kappa"],
             "a_x": (f_x_f0 + bundle["f_x_r"] - bundle["f_drag"] * math.cos(st.beta)) / bob.m,
             "a_y": (f_y_f0 + bundle["f_y_r"] + bundle["f_drag"] * math.sin(st.beta)) / bob.m,
             "a_z": (f_z_f0 + bundle["f_z_r"]) / bob.m,
@@ -382,8 +357,6 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
             raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
         if new.v <= v_stop or new.s >= track.s[-1]:
             break
-        h += -0.5 * (state.v * math.sin(track.kappa_at(state.s))
-                     + new.v * math.sin(track.kappa_at(new.s))) * dt
         state = new
         log_state(state)
     return SimLog(data={k: np.array(v) for k, v in rows.items()}, dt=dt)
@@ -420,8 +393,7 @@ class NoiseSpec:
 
 def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 100.0,
                                noise: NoiseSpec | None = None, seed: int | None = None,
-                               meta: TelemetryMeta | None = None,
-                               with_h: bool = False) -> tuple[TelemetryRun, AxleForceTrace]:
+                               meta: TelemetryMeta | None = None) -> tuple[TelemetryRun, AxleForceTrace]:
     """Sensor-frame telemetry plus ground-truth axle forces from a log.
 
     The log grid is decimated to the requested rate (its spacing must
@@ -459,11 +431,7 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
             for name, arr in channels.items()
         }
         channels["v"] = np.maximum(channels["v"], 0.0)
-    run = TelemetryRun(
-        t=t, channels=channels,
-        meta=meta or TelemetryMeta(rate_hz=rate),
-        h=dec["h"] if with_h else None,
-    )
+    run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta(rate_hz=rate))
 
     n = t.size
     truth = AxleForceTrace(
@@ -483,11 +451,17 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
 
 
 def load_scenario(path):
-    """Scenario JSON: track/control breakpoints, initial state, sim and noise settings."""
+    """Scenario JSON: track/control breakpoints, initial state, sim and noise settings.
+
+    Raises ConfigError for a missing field, a value of the wrong type and
+    a time step, duration or export rate that is not positive and finite.
+    """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid scenario JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a scenario is a JSON object, got {type(raw).__name__}")
     try:
         track = TrackProfile(
             s=np.array(raw["track"]["s"], dtype=float),
@@ -500,23 +474,28 @@ def load_scenario(path):
             delta=np.array(raw["controls"]["delta"], dtype=float),
             gamma=np.array(raw["controls"]["gamma"], dtype=float),
         )
+        initial, simcfg, meta = (raw.get(key, {}) for key in ("initial", "sim", "meta"))
+        scenario = {
+            "track": track,
+            "controls": controls,
+            "v0": float(initial.get("v0", 10.0)),
+            "beta0": float(initial.get("beta0", 0.0)),
+            "psi_dot0": float(initial.get("psi_dot0", 0.0)),
+            "dt": float(simcfg.get("dt", 0.005)),
+            "t_max": float(simcfg.get("t_max", 60.0)),
+            "noise": NoiseSpec(sigma={str(k): float(v) for k, v in raw.get("noise", {}).items()}),
+            "meta": TelemetryMeta(
+                driver=str(meta.get("driver", "")),
+                track=str(meta.get("track", "")),
+                rate_hz=float(meta.get("rate_hz", 100.0)),
+            ),
+        }
     except KeyError as exc:
         raise ConfigError(f"{path}: scenario missing section/field {exc}") from exc
-    initial = raw.get("initial", {})
-    simcfg = raw.get("sim", {})
-    noise = NoiseSpec(sigma=dict(raw.get("noise", {})))
-    return {
-        "track": track,
-        "controls": controls,
-        "v0": float(initial.get("v0", 10.0)),
-        "beta0": float(initial.get("beta0", 0.0)),
-        "psi_dot0": float(initial.get("psi_dot0", 0.0)),
-        "dt": float(simcfg.get("dt", 0.005)),
-        "t_max": float(simcfg.get("t_max", 60.0)),
-        "noise": noise,
-        "meta": TelemetryMeta(
-            driver=str(raw.get("meta", {}).get("driver", "")),
-            track=str(raw.get("meta", {}).get("track", "")),
-            rate_hz=float(raw.get("meta", {}).get("rate_hz", 100.0)),
-        ),
-    }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad scenario value: {exc}") from None
+    for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
+                        ("meta.rate_hz", scenario["meta"].rate_hz)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{path}: {name} must be positive and finite, got {value}")
+    return scenario

@@ -41,24 +41,6 @@ DEFAULT_CUTOFF_HZ = 20.0
 
 
 @dataclass(frozen=True)
-class TelemetryFrame:
-    """One sample of every core channel; angles in radians."""
-
-    t: float
-    a_x: float
-    a_y: float
-    a_z: float
-    phi_dot: float
-    theta_dot: float
-    psi_dot: float
-    v: float
-    alpha_sensor: float
-    delta: float
-    gamma: float
-    h: float | None = None
-
-
-@dataclass(frozen=True)
 class DerivedChannels:
     """Angular accelerations [rad/s^2] and cumulative distance [m]."""
 
@@ -88,7 +70,6 @@ class TelemetryRun:
     t: np.ndarray
     channels: dict[str, np.ndarray]
     meta: TelemetryMeta = field(default_factory=TelemetryMeta)
-    h: np.ndarray | None = None
     derived: DerivedChannels | None = None
 
     def __post_init__(self):
@@ -110,8 +91,6 @@ class TelemetryRun:
             raise DataError("speed must be non-negative")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "channels", chans)
-        if self.h is not None:
-            object.__setattr__(self, "h", _freeze(self.h))
 
     def __len__(self) -> int:
         return self.t.size
@@ -122,13 +101,6 @@ class TelemetryRun:
         if name in channels:
             return channels[name]
         raise AttributeError(name)
-
-    def frame(self, i: int) -> TelemetryFrame:
-        return TelemetryFrame(
-            t=float(self.t[i]),
-            h=float(self.h[i]) if self.h is not None else None,
-            **{name: float(self.channels[name][i]) for name in CORE_CHANNELS},
-        )
 
     @property
     def duration(self) -> float:
@@ -149,8 +121,8 @@ class TelemetryRun:
 class CsvSchema:
     """Column mapping and unit declaration for telemetry CSV files.
 
-    ``columns`` maps channel names (plus "t" and optionally "h") to CSV
-    column headers. ``angle_unit`` is "rad" or "deg" and also covers the
+    ``columns`` maps "t" and the core channel names to CSV column
+    headers; any other key is ignored. ``angle_unit`` is "rad" or "deg" and also covers the
     angular-rate channels (deg -> deg/s).
     """
 
@@ -169,11 +141,8 @@ class CsvSchema:
             raise ConfigError(f"schema maps several channels to one column: {', '.join(shared)}")
 
 
-def identity_schema(angle_unit: str = "rad", with_h: bool = False) -> CsvSchema:
-    cols = {"t": "t", **{c: c for c in CORE_CHANNELS}}
-    if with_h:
-        cols["h"] = "h"
-    return CsvSchema(columns=cols, angle_unit=angle_unit)
+def identity_schema(angle_unit: str = "rad") -> CsvSchema:
+    return CsvSchema(columns={"t": "t", **{c: c for c in CORE_CHANNELS}}, angle_unit=angle_unit)
 
 
 def load_schema(path) -> CsvSchema:
@@ -186,14 +155,7 @@ def load_schema(path) -> CsvSchema:
     return CsvSchema(columns=dict(raw["columns"]), angle_unit=raw.get("angle_unit", "rad"))
 
 
-def save_schema(schema: CsvSchema, path) -> None:
-    Path(path).write_text(
-        json.dumps({"columns": schema.columns, "angle_unit": schema.angle_unit}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-def ingest_csv(path, schema: CsvSchema, meta: TelemetryMeta | None = None) -> TelemetryRun:
+def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
     """Read one run from CSV, converting to SI units and radians.
 
     Leading ``#`` lines are treated as comments; ``# meta key = value``
@@ -204,10 +166,8 @@ def ingest_csv(path, schema: CsvSchema, meta: TelemetryMeta | None = None) -> Te
     path = Path(path)
     if not path.exists():
         raise DataError(f"telemetry file not found: {path}")
-    wanted = dict(schema.columns)
-    have_h = "h" in wanted
-    names = ["t", *CORE_CHANNELS] + (["h"] if have_h else [])
-    table = read_table(path, [wanted[n] for n in names])
+    names = ["t", *CORE_CHANNELS]
+    table = read_table(path, [schema.columns[n] for n in names])
     data = dict(zip(names, table.data.T))
     meta_fields: dict[str, str] = {}
     for comment in table.comments:
@@ -226,14 +186,13 @@ def ingest_csv(path, schema: CsvSchema, meta: TelemetryMeta | None = None) -> Te
         if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
             arr = arr * scale
         channels[name] = arr
-    if meta is None:
-        rate = 1.0 / float(np.median(np.diff(t))) if t.size > 1 else DEFAULT_RATE_HZ
-        meta = TelemetryMeta(
-            driver=meta_fields.get("driver", ""),
-            track=meta_fields.get("track", ""),
-            rate_hz=float(meta_fields.get("rate_hz", rate)),
-        )
-    return TelemetryRun(t=t, channels=channels, meta=meta, h=data["h"] if have_h else None)
+    rate = 1.0 / float(np.median(np.diff(t))) if t.size > 1 else DEFAULT_RATE_HZ
+    meta = TelemetryMeta(
+        driver=meta_fields.get("driver", ""),
+        track=meta_fields.get("track", ""),
+        rate_hz=float(meta_fields.get("rate_hz", rate)),
+    )
+    return TelemetryRun(t=t, channels=channels, meta=meta)
 
 
 def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
@@ -243,7 +202,7 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
     Floats are written with repr so a round trip reproduces every
     channel bit-identically.
     """
-    schema = schema or identity_schema(with_h=run.h is not None)
+    schema = schema or identity_schema()
     scale = 180.0 / np.pi if schema.angle_unit == "deg" else 1.0
     cols = {schema.columns["t"]: run.t}
     for name in CORE_CHANNELS:
@@ -251,8 +210,6 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
         if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
             arr = arr * scale
         cols[schema.columns[name]] = arr
-    if "h" in schema.columns and run.h is not None:
-        cols[schema.columns["h"]] = run.h
     comments = list(header_comments or [])
     if run.meta.driver:
         comments.append(f"meta driver = {run.meta.driver}")
@@ -282,8 +239,7 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
 
     b, a = butter(2, cutoff, fs=rate)
     channels = {name: filtfilt(b, a, arr) for name, arr in run.channels.items()}
-    h = filtfilt(b, a, run.h) if run.h is not None else None
-    return TelemetryRun(t=run.t, channels=channels, meta=run.meta, h=h)
+    return TelemetryRun(t=run.t, channels=channels, meta=run.meta)
 
 
 def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:
@@ -298,8 +254,7 @@ def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:
     n = int(np.floor(run.duration * rate + 1e-9)) + 1
     t_new = run.t[0] + np.arange(n) / rate
     channels = {name: np.interp(t_new, run.t, arr) for name, arr in run.channels.items()}
-    h = np.interp(t_new, run.t, run.h) if run.h is not None else None
-    return TelemetryRun(t=t_new, channels=channels, meta=replace(run.meta, rate_hz=rate), h=h)
+    return TelemetryRun(t=t_new, channels=channels, meta=replace(run.meta, rate_hz=rate))
 
 
 def derive_channels(run: TelemetryRun) -> TelemetryRun:
@@ -318,7 +273,7 @@ def derive_channels(run: TelemetryRun) -> TelemetryRun:
         psi_ddot=_freeze(np.gradient(run.psi_dot, t)),
         s=_freeze(np.concatenate([[0.0], np.cumsum(0.5 * (run.v[1:] + run.v[:-1]) * np.diff(t))])),
     )
-    return TelemetryRun(t=run.t, channels=dict(run.channels), meta=run.meta, h=run.h, derived=derived)
+    return TelemetryRun(t=run.t, channels=dict(run.channels), meta=run.meta, derived=derived)
 
 
 def process(run: TelemetryRun, cutoff: float | None = DEFAULT_CUTOFF_HZ,

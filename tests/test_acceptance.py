@@ -19,6 +19,7 @@ from conftest import (
     downhill_track,
     step_steer_controls,
     weaving_controls,
+    zero_controls,
 )
 from test_icehouse import simulated_glide
 
@@ -34,7 +35,7 @@ from sleddyn.friction import force_y, mu_x
 from sleddyn.icehouse import average_bidirectional, evaluate_glide, fit_quadratic_mu_p
 from sleddyn.kinematics import rotation_delta, rotation_f0_to_f
 from sleddyn.onetrack import build_axle_trace
-from sleddyn.sim import energy_audit, export_synthetic_telemetry, simulate, zero_controls
+from sleddyn.sim import energy_audit, export_synthetic_telemetry, simulate
 from sleddyn.telemetry import derive_channels
 
 TABLE_POINTS = [
@@ -204,7 +205,7 @@ def test_criterion_5_reconstruction_closure(bob, friction_setup, aero_model):
                            v0=26.0, dt=0.0025, t_max=t_max)
             run, truth = export_synthetic_telemetry(log, bob, rate=100.0)
             run = derive_channels(run)
-            trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+            trace = build_axle_trace(run, bob, aero=aero_model)
             sel = trace.valid.copy()
             sel[:5] = sel[-5:] = False  # one-sided derivative ends
             for name in ("f_y_f0", "f_y_r", "f_z_f0", "f_z_r", "f_x_f0"):
@@ -271,7 +272,7 @@ def test_criterion_8_driver_evaluation_sanity(bob, friction_setup, aero_model):
                        v0=25.0, dt=0.005, t_max=15.0)
         run, _ = export_synthetic_telemetry(log, bob, rate=100.0)
         run = derive_channels(run)
-        trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+        trace = build_axle_trace(run, bob, aero=aero_model)
         straight = loss_energies(trace, run, aero_model)[0]
         straight_max = max(abs(straight.de_ice_f), abs(straight.de_ice_r), abs(straight.de_aero))
 
@@ -281,7 +282,7 @@ def test_criterion_8_driver_evaluation_sanity(bob, friction_setup, aero_model):
                            friction_setup, aero_model, v0=25.0, dt=0.005, t_max=15.0)
             run, _ = export_synthetic_telemetry(log, bob, rate=100.0)
             run = derive_channels(run)
-            trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+            trace = build_axle_trace(run, bob, aero=aero_model)
             losses[label] = loss_energies(trace, run, aero_model)[0]
         ordered = losses["aggressive"].de_ice_f > losses["gentle"].de_ice_f
         additive = losses["aggressive"].de_tot == pytest.approx(
@@ -300,7 +301,7 @@ def test_criterion_9_model_comparison(bob, friction_setup, aero_model):
                        friction_setup, aero_model, v0=25.0, dt=0.005, t_max=18.0)
         run, _ = export_synthetic_telemetry(log, bob, rate=100.0)
         run = derive_channels(run)
-        trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+        trace = build_axle_trace(run, bob, aero=aero_model)
         measured = measured_lateral_cog(trace)
         fitted = model_lateral_cog(trace, LATERAL_FRONT, LATERAL_REAR, run)
         reference = model_lateral_cog(trace, "braghin", "braghin", run)

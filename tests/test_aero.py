@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from sleddyn.aero import (
+    DEFAULT_YAW_SENSITIVITY_PER_DEG,
     AeroModel,
     AirState,
     aero_forces,
     drag_area_at_beta,
     drag_force,
-    yaw_sensitivity_from_areas,
 )
 
 ICE_HOUSE_AIR = AirState(p_air=94700.0, temperature=275.15)  # 947 hPa, 2 C
@@ -57,9 +57,9 @@ class TestDragArea:
 
     def test_scaling_chain_reproduces_constant(self):
         # area ratio 5 vs 2.3 is 2.17x the reference 3.2 %/deg slope
-        assert yaw_sensitivity_from_areas() == pytest.approx(5.0 / 2.3 * 3.2, rel=1e-12)
         assert round(5.0 / 2.3, 2) * 3.2 == pytest.approx(6.944)
         assert round(2.17 * 3.2, 2) == 6.94
+        assert DEFAULT_YAW_SENSITIVITY_PER_DEG * 100.0 == pytest.approx(6.94, rel=1e-12)
 
 
 class TestAeroForces:

@@ -1,25 +1,37 @@
 """End-to-end CLI workflows on synthetic data."""
 
 import dataclasses
+import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import LATERAL_FRONT, LATERAL_REAR, downhill_track, weaving_controls
+from conftest import (
+    LATERAL_FRONT,
+    LATERAL_REAR,
+    downhill_track,
+    save_bob_params,
+    straight_track,
+    weaving_controls,
+    zero_controls,
+)
 
-from sleddyn import icehouse, kvfile, sim, telemetry
+import sleddyn
+from sleddyn import fitting, icehouse, kvfile, sim, telemetry
 from sleddyn.cli import main
 from sleddyn.errors import NumericalError
-from sleddyn.onetrack import save_bob_params
 
 
 @pytest.fixture
 def workspace(tmp_path, bob, friction_setup, aero_model):
     """Config, bob file, schema, and a couple of synthetic telemetry runs."""
     save_bob_params(bob, tmp_path / "bob.kv")
-    telemetry.save_schema(telemetry.identity_schema(), tmp_path / "schema.json")
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": telemetry.identity_schema().columns}))
     (tmp_path / "config.ini").write_text(
         "[paths]\n"
         "bob_params = bob.kv\n"
@@ -51,15 +63,26 @@ class TestFitCommand:
         out = tmp_path / "out"
         code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths])
         assert code == 0
-        # noise-free runs pin k_y but not the mu_zeta_y/c_y split: the front
-        # optimum lies on the mu_zeta_y bound and the summary says so
+        # with the drag's y-component in the reconstruction the noise-free
+        # runs close exactly, and the front optimum lies inside the bounds
         front_line = capsys.readouterr().out.splitlines()[0]
-        assert front_line.startswith("front:") and "[mu_zeta_y at bound]" in front_line
+        assert front_line.startswith("front:") and "at bound" not in front_line
         front = kvfile.load_kv(out / "lateral_front.kv")
         rear = kvfile.load_kv(out / "lateral_rear.kv")
         assert float(front["k_y"]) == pytest.approx(LATERAL_FRONT.k_y, rel=0.05)
         assert float(rear["k_y"]) == pytest.approx(LATERAL_REAR.k_y, rel=0.05)
         assert (out / "diagnostics_front_bin0.csv").exists()
+
+    def test_bound_note_uses_fit_config_bounds(self, workspace, capsys, monkeypatch):
+        # the noise-free optimum has mu_zeta_y near 0.79; a lower bound of 1 holds it there
+        bounds = ((1.0, 20.0), *fitting.DEFAULT_BOUNDS[1:])
+        monkeypatch.setattr(fitting, "FitConfig", functools.partial(fitting.FitConfig, bounds=bounds))
+        tmp_path, paths = workspace
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     "fit", *paths]) == 0
+        front_line, note = capsys.readouterr().out.splitlines()[:2]
+        assert "mu_zeta_y=1 " in front_line and front_line.endswith("[mu_zeta_y at bound]")
+        assert note.startswith("  note: front data poorly constrains")
 
     def test_holdout_excluding_everything_is_data_error(self, workspace):
         tmp_path, paths = workspace
@@ -196,7 +219,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(sim, "step", step)
         with pytest.raises(NumericalError, match=r"non-finite simulator state at t = 0\.05 s"):
-            sim.simulate(bob, sim.straight_track(1000.0), sim.zero_controls(1.0), friction_setup,
+            sim.simulate(bob, straight_track(1000.0), zero_controls(1.0), friction_setup,
                          dt=0.01, t_max=1.0)
         save_bob_params(bob, tmp_path / "bob.kv")
         (tmp_path / "config.ini").write_text("[paths]\nbob_params = bob.kv\n")
@@ -331,8 +354,22 @@ class TestFrictionTableCommand:
         assert main(["--out-dir", str(tmp_path / "x"), "friction-table"]) == 1
 
 
+def scenario_text(section=None, key=None, value=None) -> str:
+    """A valid simulate scenario, with ``raw[section][key] = value`` when a section is given."""
+    raw = {"track": {"s": [0.0, 1000.0], "kappa": [0.07, 0.07], "inv_r_y": [0.0, 0.0], "n": [1.0, 1.0]},
+           "controls": {"t": [0.0, 1.0], "delta": [0.0, 0.0], "gamma": [0.0, 0.0]},
+           "initial": {"v0": 25.0}, "sim": {"dt": 0.005, "t_max": 0.2},
+           "meta": {"rate_hz": 100.0}, "noise": {"a_y": 0.05}}
+    if section is not None:
+        raw[section][key] = value
+    return json.dumps(raw)
+
+
 class TestBadInputFiles:
     BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\n"
+    CONFIG = "[paths]\nbob_params = bob.kv\n"
+    SIMULATE = {"config.ini": CONFIG, "bob.kv": BOB, "scenario.json": scenario_text()}
+    GLIDE = "# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n# direction = up\nt,v\n0,2\n"
 
     @pytest.mark.parametrize("argv, name, text, where", [
         ("friction-table --long-params FILE", "long.kv", "b_x 0.088\nc_x = 2\nd_x = 14\n",
@@ -379,8 +416,51 @@ class TestBadInputFiles:
                          '"gamma": "delta"}}'},
          "several channels to one column: delta"),
         (1, "icehouse --window 2", {}, "nothing to do"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", "fast")},
+         "bad scenario value"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("track", "kappa", [0.07, "steep"])},
+         "bad scenario value"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_y", "loud")},
+         "bad scenario value"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("sim", "dt", 0)},
+         "sim.dt must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("meta", "rate_hz", 0)},
+         "meta.rate_hz must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("sim", "dt", -0.001)},
+         "sim.dt must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": "[1, 2]"},
+         "a scenario is a JSON object"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("m = 100", "m = abc")},
+         "glide.csv: bad glide metadata"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("94700", "-5")},
+         "glide.csv: bad glide metadata: ambient pressure"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("m = 100", "m = 0")},
+         "mass m must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[aero]\np_air = -5\n"},
+         "ambient pressure must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[aero]\nyaw_sensitivity = -1\n"},
+         "yaw sensitivity must be non-negative"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nrate_hz = 0\n"},
+         "rate_hz must be positive"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nrate_hz = -100\n"},
+         "rate_hz must be positive"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
-            "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs"])
+            "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
+            "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
+            "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "glide-m-text",
+            "glide-p-air-negative", "glide-m-zero", "config-p-air-negative", "config-yaw-negative",
+            "config-rate-zero", "config-rate-negative"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -396,3 +476,12 @@ class TestBadInputFiles:
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "o"),
                      "icehouse"]) == 1
         assert "pressure_front is not supported" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # every command pays the import; scipy.signal and scipy.optimize load on first use only
+    code = "import sys, sleddyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

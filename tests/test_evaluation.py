@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import LATERAL_FRONT, LATERAL_REAR, downhill_track, weaving_controls
+from conftest import LATERAL_FRONT, LATERAL_REAR, downhill_track, weaving_controls, zero_controls
 
 from sleddyn.errors import DataError
 from sleddyn.evaluation import (
@@ -16,7 +16,7 @@ from sleddyn.evaluation import (
 )
 from sleddyn.friction import force_y_braghin
 from sleddyn.onetrack import build_axle_trace, front_runner_forces
-from sleddyn.sim import export_synthetic_telemetry, simulate, zero_controls
+from sleddyn.sim import export_synthetic_telemetry, simulate
 from sleddyn.telemetry import derive_channels
 
 
@@ -25,7 +25,7 @@ def run_and_trace(bob, setup, aero, controls, track=None, t_max=20.0, v0=25.0, d
     log = simulate(bob, track, controls, setup, aero, v0=v0, dt=dt, t_max=t_max)
     run, truth = export_synthetic_telemetry(log, bob, rate=100.0)
     run = derive_channels(run)
-    trace = build_axle_trace(run, bob, aero=aero, lateral_aero=True)
+    trace = build_axle_trace(run, bob, aero=aero)
     return run, trace, truth
 
 
@@ -78,7 +78,7 @@ class TestLossEnergies:
         run100, _ = export_synthetic_telemetry(log, bob, rate=100.0)
         traces = []
         for run in (derive_channels(run200), derive_channels(run100)):
-            trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+            trace = build_axle_trace(run, bob, aero=aero_model)
             traces.append(loss_energies(trace, run, aero_model)[0])
         assert traces[0].de_tot == pytest.approx(traces[1].de_tot, rel=1e-3, abs=1e-6)
 

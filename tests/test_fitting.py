@@ -1,5 +1,7 @@
 """Nonlinear lateral-friction fitting: recovery, selection, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,15 @@ class TestFitRecovery:
         dataset = synthetic_dataset(FRONT, n=20)
         with pytest.raises(DataError):
             fit_lateral(dataset)
+
+    @pytest.mark.parametrize("name", ["alpha", "f_z", "f_y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, name, bad):
+        dataset = synthetic_dataset(FRONT, n=200, seed=1)
+        values = getattr(dataset, name).copy()
+        values[5] = bad
+        with pytest.raises(DataError, match=f"non-finite {name} in the front fit dataset"):
+            fit_lateral(dataclasses.replace(dataset, **{name: values}))
 
     def test_cost_nonincreasing(self):
         # the trust-region solver only ever accepts steps that lower the

@@ -7,13 +7,13 @@ from sleddyn.errors import DataError
 from sleddyn.friction import (
     LateralFrictionParams,
     LongitudinalFrictionParams,
-    force_x,
     force_x_mu,
     force_y,
     force_y_braghin,
     mu_x,
     stiffness_factor,
 )
+from sleddyn.kvfile import dump_kv
 
 # published reference values the laws are exercised against
 LONG_REF = LongitudinalFrictionParams(b_x=0.088, c_x=2.01, d_x=14.66, e_x=0.007, zeta_x=1.0)
@@ -65,19 +65,20 @@ class TestMuX:
 
 class TestForceX:
     def test_zero_at_pure_lateral_slide(self):
-        assert force_x(2000.0, np.pi / 2, 7.7, LONG_REF) == pytest.approx(0.0, abs=1e-9)
-        assert force_x(2000.0, -np.pi / 2, 7.7, LONG_REF) == pytest.approx(0.0, abs=1e-9)
+        mu = mu_x(7.7, LONG_REF)
+        assert force_x_mu(2000.0, np.pi / 2, mu) == pytest.approx(0.0, abs=1e-9)
+        assert force_x_mu(2000.0, -np.pi / 2, mu) == pytest.approx(0.0, abs=1e-9)
 
     def test_fixed_mu_reference_case(self):
         # mu = 0.004 fixed, 2000 N load, zero slip -> 8 N of drag
         assert force_x_mu(2000.0, 0.0, 0.004) == pytest.approx(-8.0)
 
     def test_zero_load(self):
-        assert force_x(0.0, 0.1, 7.7, LONG_REF) == 0.0
+        assert force_x_mu(0.0, 0.1, mu_x(7.7, LONG_REF)) == 0.0
 
     def test_even_in_alpha(self):
         alpha = np.linspace(-1.2, 1.2, 41)
-        f = force_x(3000.0, alpha, 10.0, LONG_REF)
+        f = force_x_mu(3000.0, alpha, mu_x(10.0, LONG_REF))
         assert np.allclose(f, f[::-1], atol=1e-12)
         assert np.all(f <= 0.0)
 
@@ -151,10 +152,11 @@ class TestBraghin:
 
 class TestParamFiles:
     def test_longitudinal_round_trip(self, tmp_path):
-        from sleddyn.friction import load_longitudinal_params, save_longitudinal_params
+        from sleddyn.friction import load_longitudinal_params
 
         path = tmp_path / "long.kv"
-        save_longitudinal_params(LONG_REF, path)
+        dump_kv({"b_x": LONG_REF.b_x, "c_x": LONG_REF.c_x, "d_x": LONG_REF.d_x,
+                 "e_x": LONG_REF.e_x, "zeta_x": LONG_REF.zeta_x}, path)
         assert load_longitudinal_params(path) == LONG_REF
 
     def test_missing_key_rejected(self, tmp_path):

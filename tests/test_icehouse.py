@@ -13,7 +13,6 @@ from sleddyn.icehouse import (
     evaluate_glide,
     fit_quadratic_mu_p,
     friction_force_fit,
-    glide_run_from_time_series,
     load_glide_csv,
     middle_window,
     mu_from_force,
@@ -27,6 +26,12 @@ SPECIMEN_POINTS = [
     (7.7, 4.5e-3), (8.6, 3.8e-3), (13.6, 4.2e-3), (16.0, 4.6e-3),
     (10.9, 3.0e-3), (11.8, 2.7e-3), (9.6, 3.3e-3),
 ]
+
+
+def glide_from_time_series(t, v, **kwargs):
+    """GlideRun over the trapezoidal distance of t/v samples, as load_glide_csv builds it."""
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))])
+    return GlideRun(s=s, v=v, **kwargs)
 
 
 def simulated_glide(mu=0.004, slope=0.0, v0=2.4, m=100.0, cx_ax=0.0,
@@ -50,7 +55,7 @@ def simulated_glide(mu=0.004, slope=0.0, v0=2.4, m=100.0, cx_ax=0.0,
         t += dt
         t_list.append(t)
         v_list.append(v)
-    return glide_run_from_time_series(
+    return glide_from_time_series(
         np.array(t_list), np.array(v_list), m=m, air=AIR, cx_ax=cx_ax,
         direction=direction, kappa=analysis_kappa,
     )
@@ -60,7 +65,7 @@ class TestEnergySeries:
     def test_conservative_motion_constant_series(self):
         # level, no drag, constant speed: nothing changes
         t = np.arange(201) / 100.0
-        run = glide_run_from_time_series(t, np.full(t.size, 3.0), m=50.0, air=AIR, cx_ax=0.0)
+        run = glide_from_time_series(t, np.full(t.size, 3.0), m=50.0, air=AIR, cx_ax=0.0)
         series = energy_series(run)
         assert np.allclose(series, 0.0, atol=1e-12)
 
@@ -215,6 +220,7 @@ class TestGlideCsv:
         assert run.m == 100.0
         assert run.v[0] == pytest.approx(2.4)
         assert run.s[0] == 0.0
+        assert np.allclose(np.diff(run.s), 0.5 * (v[1:] + v[:-1]) * 0.01, rtol=1e-12)
 
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

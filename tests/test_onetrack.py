@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import save_bob_params
+
 from sleddyn.errors import DataError
 from sleddyn.friction import LateralFrictionParams
 from sleddyn.kinematics import MountingOffset, rotation_f0_to_f
@@ -11,14 +13,11 @@ from sleddyn.onetrack import (
     build_axle_trace,
     export_trace_csv,
     front_runner_forces,
-    forces_to_runner_frame,
     load_bob_params,
     load_trace_csv,
     recover_f_x_f0,
     reconstruct_lateral,
     reconstruct_vertical,
-    runner_to_f0_frame,
-    save_bob_params,
 )
 from sleddyn.telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun, derive_channels
 
@@ -111,15 +110,6 @@ class TestFrontForceChain:
             f_f = a.T @ f_f0
             recovered = recover_f_x_f0(f_f[0], f_f0[1], f_f0[2], a)
             assert recovered == pytest.approx(f_f0[0], abs=1e-9)
-
-    def test_rotation_round_trip(self):
-        rng = np.random.default_rng(37)
-        gamma = rng.uniform(-0.3, 0.3, 50)
-        delta = rng.uniform(-0.3, 0.3, 50)
-        f = rng.normal(scale=500.0, size=(3, 50))
-        fwd = forces_to_runner_frame(tuple(f), gamma, delta)
-        back = runner_to_f0_frame(fwd, gamma, delta)
-        assert np.allclose(back, f, atol=1e-9)
 
     def test_front_runner_forces_consistency(self):
         # the constructed body-frame triple must carry the prescribed

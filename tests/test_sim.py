@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import corner_track, downhill_track, step_steer_controls, weaving_controls
+from conftest import (
+    corner_track,
+    downhill_track,
+    step_steer_controls,
+    straight_track,
+    weaving_controls,
+    zero_controls,
+)
 
 from sleddyn.errors import ConfigError
 from sleddyn.onetrack import build_axle_trace
@@ -15,8 +22,6 @@ from sleddyn.sim import (
     load_scenario,
     simulate,
     step,
-    straight_track,
-    zero_controls,
 )
 from sleddyn.telemetry import derive_channels, process
 
@@ -171,7 +176,7 @@ class TestExport:
                        v0=25.0, dt=0.0025, t_max=20.0)
         run, truth = export_synthetic_telemetry(log, bob, rate=100.0)
         run = derive_channels(run)
-        trace = build_axle_trace(run, bob, aero=aero_model, lateral_aero=True)
+        trace = build_axle_trace(run, bob, aero=aero_model)
         valid = trace.valid
         for name in ("f_y_f0", "f_y_r", "f_z_f0", "f_z_r", "f_x_f0"):
             rec = getattr(trace, name)[valid][5:-5]
@@ -231,7 +236,7 @@ class TestExport:
                        v0=25.0, dt=0.0025, t_max=20.0)
         run, truth = export_synthetic_telemetry(log, bob, rate=200.0)
         processed = process(run, cutoff=20.0, rate=100.0)
-        trace = build_axle_trace(processed, bob, aero=aero_model, lateral_aero=True)
+        trace = build_axle_trace(processed, bob, aero=aero_model)
         valid = trace.valid & (processed.t > 1.0) & (processed.t < 19.0)
         tru = np.interp(processed.t, truth.t, truth.f_y_r)
         err = np.sqrt(np.mean((trace.f_y_r[valid] - tru[valid]) ** 2))

@@ -16,7 +16,6 @@ from sleddyn.onetrack import AxleForceTrace, export_trace_csv, load_trace_csv
 from sleddyn.tables import read_table, write_table
 from sleddyn.telemetry import (
     CORE_CHANNELS,
-    TelemetryMeta,
     TelemetryRun,
     export_csv,
     identity_schema,
@@ -112,7 +111,7 @@ class TestTelemetryReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.csv"
             export_csv(run, path)
-            back = ingest_csv(path, identity_schema(), meta=TelemetryMeta())
+            back = ingest_csv(path, identity_schema())
             export_trace_csv(trace, Path(tmp) / "trace.csv", header_comments=["demo"])
             trace_back = load_trace_csv(Path(tmp) / "trace.csv")
             save_glide_csv(t, cells[:, 0], Path(tmp) / "glide.csv", meta, h=cells[:, 1])

@@ -1,5 +1,7 @@
 """Telemetry ingestion, filtering, resampling, differentiation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from sleddyn.telemetry import (
     lowpass_filter,
     process,
     resample,
-    save_schema,
 )
 
 
@@ -96,7 +97,7 @@ class TestIngest:
 
     def test_schema_file_round_trip(self, tmp_path):
         path = tmp_path / "schema.json"
-        save_schema(SCHEMA_DEG, path)
+        path.write_text(json.dumps({"columns": SCHEMA_DEG.columns, "angle_unit": "deg"}))
         loaded = load_schema(path)
         assert loaded == SCHEMA_DEG
 
@@ -255,12 +256,6 @@ class TestProperties:
         run = make_run()
         with pytest.raises(ValueError):
             run.a_x[0] = 99.0
-
-    def test_frame_view(self):
-        run = make_run(rate=100.0, duration=0.5, seed=2)
-        frame = run.frame(3)
-        assert frame.t == run.t[3]
-        assert frame.v == run.v[3]
 
     def test_process_pipeline(self):
         run = make_run(rate=500.0, duration=3.0)
