@@ -27,10 +27,10 @@ class AirState:
     r_specific: float = 287.05
 
     def __post_init__(self):
-        if self.p_air <= 0:
-            raise ValueError(f"ambient pressure must be positive, got {self.p_air}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive (kelvin), got {self.temperature}")
+        for name, value in (("ambient pressure", self.p_air), ("temperature [K]", self.temperature),
+                            ("gas constant r_specific", self.r_specific)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def density(self) -> float:
@@ -53,10 +53,10 @@ class AeroModel:
     yaw_sensitivity: float = DEFAULT_YAW_SENSITIVITY_PER_DEG
 
     def __post_init__(self):
-        if self.cx_ax <= 0:
-            raise ValueError(f"drag area must be positive, got {self.cx_ax}")
-        if self.yaw_sensitivity < 0:
-            raise ValueError("yaw sensitivity must be non-negative")
+        if not 0 < self.cx_ax < np.inf:
+            raise ValueError(f"drag area must be positive and finite, got {self.cx_ax}")
+        if not 0 <= self.yaw_sensitivity < np.inf:
+            raise ValueError("yaw sensitivity must be non-negative and finite")
 
 
 def drag_area_at_beta(model: AeroModel, beta):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import evaluation, fitting, icehouse, kvfile, sim, telemetry
 from .aero import AeroModel, AirState
-from .errors import ConfigError, DataError, NumericalError, SleddynError
+from .errors import ConfigError, DataError, SleddynError, reading
 from .friction import MU_X_DEFAULT, force_y_braghin, mu_x
 from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
 from .tables import write_table
@@ -87,23 +87,20 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
     paths: dict[str, Path] = {}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        base = Path(path).parent
-        for key in options:
-            for section in ("processing", "aero"):
-                if parser.has_option(section, key):
-                    try:
-                        options[key] = parser.getfloat(section, key)
-                    except ValueError as exc:
-                        raise ConfigError(f"{path}: bad value for {key}: {exc}") from exc
-        if parser.has_option("paths", "pressure_front"):
-            raise ConfigError(f"{path}: [paths] pressure_front is not supported: "
-                              "no command uses a pressure table")
-        for key in ("bob_params", "schema"):
-            if parser.has_option("paths", key):
-                paths[key] = base / parser.get("paths", key)
+        with reading(path, ConfigError):
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"config file not found: {path}")
+            for key in options:
+                for section in ("processing", "aero"):
+                    if parser.has_option(section, key):
+                        with reading(path, ConfigError, f"bad value for {key}: "):
+                            options[key] = parser.getfloat(section, key)
+            if parser.has_option("paths", "pressure_front"):
+                raise ConfigError(f"{path}: [paths] pressure_front is not supported: "
+                                  "no command uses a pressure table")
+            for key in ("bob_params", "schema"):
+                if parser.has_option("paths", key):
+                    paths[key] = Path(path).parent / parser.get("paths", key)
     # environment variables override file paths (and nothing else)
     for key in ("bob_params", "schema"):
         env = os.environ.get(f"SLEDDYN_{key.upper()}")
@@ -120,10 +117,8 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
         schema = load_schema(schema_path)
     if not 0 < options["rate_hz"] < np.inf:
         raise ConfigError(f"rate_hz must be positive and finite, got {options['rate_hz']}")
-    try:
+    with reading(path, ConfigError):
         return Config(options, bob=bob, schema=schema)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _require_bob(config: Config):
@@ -497,21 +492,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SleddynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc.label, exc, exc.exit_code)
+    except np.linalg.LinAlgError as exc:
+        return _fail("numerical failure", exc, 3)
     except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("data error", exc, 2)
+
+
+def _fail(label: str, exc: Exception, code: int) -> int:
+    # some messages (configparser's) span lines; stderr gets exactly one
+    print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, reading
 from .friction import LateralFrictionParams
 from .onetrack import AxleForceTrace
 from .telemetry import TelemetryRun
@@ -265,16 +265,10 @@ def save_fit_result(result: FitResult, path, header: list[str] | None = None) ->
 
 
 def load_lateral_params(path) -> LateralFrictionParams:
-    from .kvfile import load_kv
+    from .kvfile import load_floats
 
-    raw = load_kv(path)
-    try:
-        values = [float(raw[k]) for k in ("mu_zeta_y", "c_y", "k_y")] + [float(raw.get("e_y", 0.99))]
-    except KeyError as exc:
-        raise DataError(f"{path}: missing lateral parameter {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric lateral parameter: {exc}") from None
-    try:
-        return LateralFrictionParams(*values)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    # a fit result also holds non-numeric keys such as ``converged = True``
+    raw = load_floats(path, ("mu_zeta_y", "c_y", "k_y", "e_y"))
+    with reading(path):
+        return LateralFrictionParams(mu_zeta_y=raw["mu_zeta_y"], c_y=raw["c_y"], k_y=raw["k_y"],
+                                     e_y=raw.get("e_y", 0.99))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import reading
 
 #: Default fixed longitudinal friction coefficient.
 MU_X_DEFAULT = 0.004
@@ -51,11 +51,13 @@ class LongitudinalFrictionParams:
     zeta_x: float = 1.0
 
     def __post_init__(self):
-        if self.b_x <= 0:
-            raise ValueError("b_x must be positive (convex quadratic)")
-        if self.e_x <= 0:
+        if not 0 < self.b_x < np.inf:
+            raise ValueError("b_x must be positive (convex quadratic) and finite")
+        if not np.isfinite([self.c_x, self.d_x]).all():
+            raise ValueError("c_x and d_x must be finite")
+        if not self.e_x > 0:
             raise ValueError("e_x cap must be positive")
-        if self.zeta_x < 1.0:
+        if not 1.0 <= self.zeta_x < np.inf:
             raise ValueError("asperity factor zeta_x must be >= 1")
 
     @property
@@ -79,12 +81,12 @@ class LateralFrictionParams:
     e_y: float = 0.99
 
     def __post_init__(self):
-        if self.mu_zeta_y <= 0:
-            raise ValueError("mu_zeta_y must be positive")
+        if not 0 < self.mu_zeta_y < np.inf:
+            raise ValueError("mu_zeta_y must be positive and finite")
         if not 0.0 < self.c_y < 2.0:
             raise ValueError(f"shape factor c_y must be in (0, 2), got {self.c_y}")
-        if self.k_y <= 0:
-            raise ValueError("cornering stiffness k_y must be positive")
+        if not 0 < self.k_y < np.inf:
+            raise ValueError("cornering stiffness k_y must be positive and finite")
         if not 0.0 < self.e_y <= 1.0:
             raise ValueError(f"curvature factor e_y must be in (0, 1], got {self.e_y}")
 
@@ -142,11 +144,7 @@ def load_longitudinal_params(path) -> LongitudinalFrictionParams:
     from .kvfile import load_floats
 
     raw = load_floats(path)
-    try:
+    with reading(path):
         return LongitudinalFrictionParams(
             b_x=raw["b_x"], c_x=raw["c_x"], d_x=raw["d_x"],
             e_x=raw.get("e_x", 0.007), zeta_x=raw.get("zeta_x", 1.0))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing longitudinal parameter {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aero import AirState, drag_force
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, reading
 from .friction import LongitudinalFrictionParams
 from .tables import read_table, write_table
 
@@ -58,16 +58,16 @@ class GlideRun:
         s = np.asarray(self.s, dtype=float)
         v = np.asarray(self.v, dtype=float)
         if s.shape != v.shape or s.ndim != 1:
-            raise DataError("s and v must be 1-d arrays of equal length")
-        if np.any(np.diff(s) <= 0):
-            raise DataError("distance must be strictly increasing over the glide")
-        if np.any(v <= 0):
-            raise DataError("speed must stay positive inside the gliding window")
-        if not (self.m > 0 and self.cx_ax >= 0):
-            raise DataError(f"mass m must be positive and drag area cx_ax non-negative, "
-                            f"got m = {self.m}, cx_ax = {self.cx_ax}")
+            raise ValueError("s and v must be 1-d arrays of equal length")
+        if not (np.all(np.diff(s) > 0) and np.isfinite(s).all()):
+            raise ValueError("distance must be finite and strictly increasing over the glide")
+        if not np.all(v > 0):
+            raise ValueError("speed must stay positive inside the gliding window")
+        if not (0 < self.m < np.inf and 0 <= self.cx_ax < np.inf and np.isfinite(self.kappa or 0.0)):
+            raise ValueError(f"mass m must be positive, drag area cx_ax non-negative and slope "
+                             f"kappa finite, got m = {self.m}, cx_ax = {self.cx_ax}, kappa = {self.kappa}")
         if self.direction not in ("up", "down"):
-            raise DataError(f"direction must be 'up' or 'down', got {self.direction!r}")
+            raise ValueError(f"direction must be 'up' or 'down', got {self.direction!r}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "v", v)
         if self.h is not None:
@@ -168,16 +168,14 @@ def evaluate_glide(run: GlideRun, window=None, window_fraction: float = DEFAULT_
 def load_points(path) -> list[tuple[float, float]]:
     """(pressure [MPa], mu) pairs: the last two comma- or space-separated cells of each line."""
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.replace(",", " ").split()
-            try:
+            with reading(f"{path}:{lineno}", what=f"expected a (pressure, mu) pair, got {line!r}: "):
                 pts.append((float(cells[-2]), float(cells[-1])))
-            except (IndexError, ValueError):
-                raise DataError(f"{path}:{lineno}: expected a (pressure, mu) pair, got {line!r}") from None
     return pts
 
 
@@ -196,6 +194,8 @@ def fit_quadratic_mu_p(points) -> LongitudinalFrictionParams:
         raise NumericalError("rank-deficient design: pressures are collinear in (p, p^2)")
     coef, *_ = np.linalg.lstsq(design, mu * 1e3, rcond=None)
     a, b, c = (float(x) for x in coef)
+    if not a > 0:
+        raise DataError(f"the points give no convex quadratic in p (B = {a:.4g}): mu(p) has no minimum")
     return LongitudinalFrictionParams(b_x=a, c_x=-b, d_x=c)
 
 
@@ -206,7 +206,8 @@ def fit_quadratic_mu_p(points) -> LongitudinalFrictionParams:
 def load_glide_csv(path) -> GlideRun:
     """Read a glide run; distance integrates v over t (trapezoidal).
 
-    Raises DataError for a missing, non-numeric or out-of-range metadata value.
+    Raises DataError naming the file for a missing, non-numeric or
+    out-of-range metadata value and for a run ``GlideRun`` rejects.
     """
     table = read_table(path)
     header = [name.strip().lower() for name in table.header]
@@ -218,23 +219,19 @@ def load_glide_csv(path) -> GlideRun:
         if "=" in comment:
             k, _, v = comment.partition("=")
             meta[k.strip()] = v.strip()
-    required = ("m", "p_air", "temperature", "cx_ax", "direction")
-    missing = [k for k in required if k not in meta]
-    if missing:
-        raise DataError(f"{path}: metadata block missing {', '.join(missing)}")
-    try:
-        m, cx_ax, kappa = (float(meta.get(key, 0.0)) for key in ("m", "cx_ax", "kappa"))
+    with reading(path, what="bad glide metadata: "):
+        m, cx_ax, kappa = float(meta["m"]), float(meta["cx_ax"]), float(meta.get("kappa", 0.0))
         air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
                        r_specific=float(meta.get("r_specific", 287.05)))
-    except ValueError as exc:
-        raise DataError(f"{path}: bad glide metadata: {exc}") from None
+        direction = meta["direction"]
     t, v = table.data[:, 0], table.data[:, 1]
-    return GlideRun(
-        s=np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))]), v=v,
-        h=table.data[:, 2] if header[2:3] == ["h"] else None,
-        m=m, air=air, cx_ax=cx_ax, direction=meta["direction"], kappa=kappa,
-        specimen=meta.get("specimen", Path(path).stem),
-    )
+    with reading(path):
+        return GlideRun(
+            s=np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))]), v=v,
+            h=table.data[:, 2] if header[2:3] == ["h"] else None,
+            m=m, air=air, cx_ax=cx_ax, direction=direction, kappa=kappa,
+            specimen=meta.get("specimen", Path(path).stem),
+        )
 
 
 def save_glide_csv(run_t, run_v, path, meta: dict, h=None) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, reading
 
 TOOL_VERSION = "0.1.0"
 
@@ -37,7 +37,9 @@ def load_kv(path) -> dict[str, str]:
     Raises DataError naming the file line for a line without ``=``.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    with reading(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -48,17 +50,16 @@ def load_kv(path) -> dict[str, str]:
     return out
 
 
-def load_floats(path) -> dict[str, float]:
-    """Read a ``key = value`` file whose values are all numbers.
+def load_floats(path, keys=None) -> dict[str, float]:
+    """Read a ``key = value`` file whose values (those of ``keys``, when given) are numbers.
 
     Raises DataError naming the file and the key of a value that is not a number.
     """
     out: dict[str, float] = {}
     for key, value in load_kv(path).items():
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise DataError(f"{path}: {key} = {value!r} is not a number") from None
+        if keys is None or key in keys:
+            with reading(path, what=f"{key} = {value!r}: "):
+                out[key] = float(value)
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import friction, kinematics
 from .aero import AeroModel, drag_area_at_beta, drag_force
-from .errors import DataError
+from .errors import DataError, reading
 from .kinematics import MountingOffset
 from .tables import read_table, write_table
 from .telemetry import TelemetryRun
@@ -52,8 +52,8 @@ class BobParameters:
 
     def __post_init__(self):
         for name in ("m", "j_yy", "j_zz", "l_f", "l_r", "cx_ax"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def wheelbase(self) -> float:
@@ -232,12 +232,8 @@ def load_bob_params(path) -> BobParameters:
         l_x=raw.get("l_x", 0.0), l_y=raw.get("l_y", 0.0), l_z=raw.get("l_z", 0.0),
         l_s_f=raw.get("l_s_f", 0.0), l_s_r=raw.get("l_s_r", 0.0),
     )
-    try:
+    with reading(path):
         return BobParameters(
             m=raw["m"], j_yy=raw["j_yy"], j_zz=raw["j_zz"],
             l_f=raw["l_f"], l_r=raw["l_r"], cx_ax=raw["cx_ax"], offset=offset,
         )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing bob parameter {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import friction, kinematics
 from .aero import AeroModel
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, NumericalError, reading
 from .friction import LateralFrictionParams
 from .onetrack import AxleForceTrace, BobParameters
 from .telemetry import TelemetryMeta, TelemetryRun
@@ -50,7 +50,7 @@ def _interp_scalar(x: float, xs: list, ys: list) -> float:
     """Clamped linear interpolation on breakpoint lists (hot path)."""
     if x <= xs[0]:
         return ys[0]
-    if x >= xs[-1]:
+    if not x < xs[-1]:  # also catches NaN, which the step's state check then reports
         return ys[-1]
     i = bisect_right(xs, x) - 1
     frac = (x - xs[i]) / (xs[i + 1] - xs[i])
@@ -68,15 +68,15 @@ class TrackProfile:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
-        if s.ndim != 1 or s.size < 2 or np.any(np.diff(s) <= 0):
-            raise DataError("track breakpoints must be strictly increasing")
+        if s.ndim != 1 or s.size < 2 or not np.all(np.diff(s) > 0):
+            raise ValueError("track breakpoints must be strictly increasing")
         for name in ("kappa", "inv_r_y", "n"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != s.shape:
-                raise DataError(f"track profile {name} length mismatch")
+            if arr.shape != s.shape or not np.isfinite(arr).all():
+                raise ValueError(f"track profile {name} needs one finite value per breakpoint")
             object.__setattr__(self, name, arr)
         if np.any(self.n < 1.0):
-            raise DataError("normal-load factor must be >= 1")
+            raise ValueError("normal-load factor must be >= 1")
         object.__setattr__(self, "s", s)
         # plain-list caches for the scalar hot path
         object.__setattr__(self, "_s", s.tolist())
@@ -113,14 +113,14 @@ class ControlTrace:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise DataError("control breakpoints must be strictly increasing")
+        if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
+            raise ValueError("control breakpoints must be strictly increasing")
         for name in ("delta", "gamma"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != t.shape:
-                raise DataError(f"control trace {name} length mismatch")
-            if np.any(np.abs(arr) >= np.pi / 4):
-                raise DataError(f"|{name}| must stay below pi/4")
+                raise ValueError(f"control trace {name} length mismatch")
+            if not np.all(np.abs(arr) < np.pi / 4):
+                raise ValueError(f"|{name}| must stay below pi/4")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_t", t.tolist())
@@ -453,16 +453,15 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
 def load_scenario(path):
     """Scenario JSON: track/control breakpoints, initial state, sim and noise settings.
 
-    Raises ConfigError for a missing field, a value of the wrong type and
-    a time step, duration or export rate that is not positive and finite.
+    Raises ConfigError naming the file for a missing field, a value of the
+    wrong type or out of range, and a time step, duration or export rate
+    that is not positive and finite.
     """
-    try:
+    with reading(path, ConfigError, "invalid scenario JSON: "):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid scenario JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a scenario is a JSON object, got {type(raw).__name__}")
-    try:
+    with reading(path, ConfigError, "bad scenario value: "):
         track = TrackProfile(
             s=np.array(raw["track"]["s"], dtype=float),
             kappa=np.array(raw["track"]["kappa"], dtype=float),
@@ -490,10 +489,6 @@ def load_scenario(path):
                 rate_hz=float(meta.get("rate_hz", 100.0)),
             ),
         }
-    except KeyError as exc:
-        raise ConfigError(f"{path}: scenario missing section/field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad scenario value: {exc}") from None
     for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
                         ("meta.rate_hz", scenario["meta"].rate_hz)):
         if not 0 < value < math.inf:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,7 @@ def read_table(path, columns=None) -> Table:
     header or column, an unparsable cell or a ragged row, and when the
     body has no data rows; a file that is not UTF-8 is a DataError too.
     """
-    try:
-        return _read_table(path, columns)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def write_table(path, columns: dict, comments=()) -> None:
-    """Write ``columns`` (name -> 1-D array) in the layout ``read_table`` reads.
-
-    Each of ``comments`` becomes a ``# {line}`` line; the header row goes
-    through ``csv.writer``, so a name with a comma or a quote reads back.
-    Rows end in a bare newline and every cell is ``repr(float)``, so
-    ``read_table`` returns the columns bit for bit.
-    """
-    data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        csv.writer(fh, lineterminator="\n").writerow(columns)
-        # converting 1024 rows at a time to Python floats bounds the extra memory
-        for start in range(0, len(data), 1024):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in data[start:start + 1024].tolist())
-
-
-def _read_table(path, columns) -> Table:
-    with open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         comments: list[str] = []
         header = None
         lineno = 0
@@ -106,12 +81,30 @@ def _read_table(path, columns) -> Table:
                               usecols=None if every else idx, ndmin=2)
         except ValueError as exc:
             raise _locate_error(path, lineno, header, idx, every, exc) from None
-    if every:
-        if data.shape[1] != width:
-            raise _locate_error(path, lineno, header, idx, every, None)
-        if idx != list(range(width)):
-            data = data[:, idx]
-    return Table(comments=comments, header=header, data=data, header_line=lineno)
+        if every:
+            if data.shape[1] != width:
+                raise _locate_error(path, lineno, header, idx, every, None)
+            if idx != list(range(width)):
+                data = data[:, idx]
+        return Table(comments=comments, header=header, data=data, header_line=lineno)
+
+
+def write_table(path, columns: dict, comments=()) -> None:
+    """Write ``columns`` (name -> 1-D array) in the layout ``read_table`` reads.
+
+    Each of ``comments`` becomes a ``# {line}`` line; the header row goes
+    through ``csv.writer``, so a name with a comma or a quote reads back.
+    Rows end in a bare newline and every cell is ``repr(float)``, so
+    ``read_table`` returns the columns bit for bit.
+    """
+    data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        # converting 1024 rows at a time to Python floats bounds the extra memory
+        for start in range(0, len(data), 1024):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in data[start:start + 1024].tolist())
 
 
 def _locate_error(path, header_line: int, header: list[str], idx: list[int],

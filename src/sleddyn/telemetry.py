@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .tables import read_table, write_table
 
 #: Channels every run must provide, in canonical order.
@@ -146,26 +146,19 @@ def identity_schema(angle_unit: str = "rad") -> CsvSchema:
 
 
 def load_schema(path) -> CsvSchema:
-    try:
+    with reading(path, ConfigError):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid schema JSON: {exc}") from exc
-    if "columns" not in raw:
-        raise ConfigError(f"{path}: schema needs a 'columns' mapping")
-    return CsvSchema(columns=dict(raw["columns"]), angle_unit=raw.get("angle_unit", "rad"))
+        return CsvSchema(columns=dict(raw["columns"]), angle_unit=raw.get("angle_unit", "rad"))
 
 
 def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
     """Read one run from CSV, converting to SI units and radians.
 
     Leading ``#`` lines are treated as comments; ``# meta key = value``
-    lines populate the run metadata (driver, track). Raises DataError
-    naming the file line for unparsable rows and non-monotonic time
-    stamps.
+    lines populate the run metadata (driver, track); the rate comes from
+    the time column. Raises DataError naming the file line for unparsable
+    rows, non-finite values and non-monotonic time stamps.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"telemetry file not found: {path}")
     names = ["t", *CORE_CHANNELS]
     table = read_table(path, [schema.columns[n] for n in names])
     data = dict(zip(names, table.data.T))
@@ -174,6 +167,9 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
         if comment.startswith("meta ") and "=" in comment:
             key, _, value = comment[5:].partition("=")
             meta_fields[key.strip()] = value.strip()
+    bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
+    if bad.size:
+        raise DataError(f"{path}: non-finite value at line {bad[0] + table.header_line + 1}")
     t = data["t"]
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if bad.size:
@@ -186,11 +182,10 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
         if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
             arr = arr * scale
         channels[name] = arr
-    rate = 1.0 / float(np.median(np.diff(t))) if t.size > 1 else DEFAULT_RATE_HZ
     meta = TelemetryMeta(
         driver=meta_fields.get("driver", ""),
         track=meta_fields.get("track", ""),
-        rate_hz=float(meta_fields.get("rate_hz", rate)),
+        rate_hz=1.0 / float(np.median(np.diff(t))) if t.size > 1 else DEFAULT_RATE_HZ,
     )
     return TelemetryRun(t=t, channels=channels, meta=meta)
 

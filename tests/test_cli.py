@@ -455,21 +455,64 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[processing]\nrate_hz = -100\n"},
          "rate_hz must be positive"),
+        (2, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "bob.kv": BOB.encode() + b"l_x = 0.5\xff\n"}, "bob.kv: not UTF-8 text"),
+        (2, "friction-table --lateral-params lat.kv", {"lat.kv": LAT.encode() + b"\xff\n"},
+         "lat.kv: not UTF-8 text"),
+        (2, "friction-table --long-params long.kv", {"long.kv": b"\xff" + LONG.encode()},
+         "long.kv: not UTF-8 text"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG.encode() + b"# \xe9t\xe9\n"}, "config.ini: not UTF-8 text"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text().encode() + b"\xff"},
+         "scenario.json: not UTF-8 text"),
+        (1, "--schema schema.json simulate scenario.json", {"schema.json": b'{"columns": {"t": "\xb0"}}'},
+         "schema.json: not UTF-8 text"),
+        (2, "icehouse --points points.csv", {"points.csv": b"7.7,4.5e-3\n8.6,3.8e-3\xff\n"},
+         "points.csv: not UTF-8 text"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": "bob_params = bob.kv\n"}, "config.ini: File contains no section headers"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[paths]\nschema = schema.json\n"},
+         "config.ini' [line  3]: section 'paths' already exists"),
+        (1, "--schema schema.json simulate scenario.json", {"schema.json": '{"columns": ["t", "v"]}'},
+         "schema.json: dictionary update sequence"),
+        (1, "--schema schema.json simulate scenario.json", {"schema.json": '{"columns": 3}'},
+         "schema.json: 'int' object is not iterable"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("track", "s", [1000.0, 0.0])},
+         "scenario.json: bad scenario value: track breakpoints must be strictly increasing"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("m = 100", "m = 0")},
+         "glide.csv: mass m must be positive"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
             "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "glide-m-text",
             "glide-p-air-negative", "glide-m-zero", "config-p-air-negative", "config-yaw-negative",
-            "config-rate-zero", "config-rate-negative"])
+            "config-rate-zero", "config-rate-negative", "bob-non-utf8", "lateral-non-utf8",
+            "long-non-utf8", "config-non-utf8", "scenario-non-utf8", "schema-non-utf8",
+            "points-non-utf8", "config-no-section", "config-duplicate-section",
+            "schema-columns-list", "schema-columns-number", "scenario-s-not-increasing",
+            "glide-m-zero-names-file"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         before = set(tmp_path.rglob("*"))
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv.split()]
         assert main(["--out-dir", str(tmp_path / "out"), *argv]) == code
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert set(tmp_path.rglob("*")) == before
+
+    def test_unread_meta_rate_is_ignored(self, workspace, capsys):
+        # the rate comes from the time column; a bad "# meta rate_hz" line changes nothing
+        tmp_path, paths = workspace
+        Path(paths[0]).write_text("# meta rate_hz = abc\n" + Path(paths[0]).read_text())
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     "fit", *paths]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "lateral_rear.kv").exists()
 
     def test_pressure_table_key_is_config_error(self, tmp_path, capsys):
         (tmp_path / "config.ini").write_text("[paths]\npressure_front = pressure.txt\n")
