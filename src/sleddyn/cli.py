@@ -442,9 +442,15 @@ def cmd_friction_table(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1, one line), not SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sleddyn",
-                                     description="runner-ice friction and bobsled dynamics toolkit")
+    parser = _Parser(prog="sleddyn", description="runner-ice friction and bobsled dynamics toolkit")
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--schema", help="telemetry schema JSON (overrides the config)")
     parser.add_argument("--out-dir", default="out", help="output directory")
@@ -488,9 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SleddynError as exc:
         return _fail(exc.label, exc, exc.exit_code)

@@ -46,6 +46,11 @@ class MountingOffset:
     l_s_f: float = 0.0
     l_s_r: float = 0.0
 
+    def __post_init__(self):
+        bad = [name for name in ("l_x", "l_y", "l_z", "l_s_f", "l_s_r") if not np.isfinite(getattr(self, name))]
+        if bad:
+            raise ValueError(f"sensor offset {bad[0]} must be finite, got {getattr(self, bad[0])}")
+
     @property
     def lever_arm(self) -> np.ndarray:
         return np.array([self.l_x, self.l_y, self.l_z])

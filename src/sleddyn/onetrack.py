@@ -228,11 +228,11 @@ def load_bob_params(path) -> BobParameters:
     from .kvfile import load_floats
 
     raw = load_floats(path)
-    offset = MountingOffset(
-        l_x=raw.get("l_x", 0.0), l_y=raw.get("l_y", 0.0), l_z=raw.get("l_z", 0.0),
-        l_s_f=raw.get("l_s_f", 0.0), l_s_r=raw.get("l_s_r", 0.0),
-    )
     with reading(path):
+        offset = MountingOffset(
+            l_x=raw.get("l_x", 0.0), l_y=raw.get("l_y", 0.0), l_z=raw.get("l_z", 0.0),
+            l_s_f=raw.get("l_s_f", 0.0), l_s_r=raw.get("l_s_r", 0.0),
+        )
         return BobParameters(
             m=raw["m"], j_yy=raw["j_yy"], j_zz=raw["j_zz"],
             l_f=raw["l_f"], l_r=raw["l_r"], cx_ax=raw["cx_ax"], offset=offset,

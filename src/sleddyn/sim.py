@@ -17,6 +17,13 @@ the synthetic world satisfies the same momentum balances the
 reconstruction inverts. Drag acts against the velocity with the
 yaw-sensitive drag area.
 
+An evaluation of the right-hand side computes the state-only terms
+(lookups, slip angles, total load, drag) once and the v_dot-dependent
+load part (pitch acceleration, vertical split, runner forces) twice,
+for one fixed-point pass over v_dot. The evaluation that logs an
+accepted state is the next step's k1 ("first same as last"), so a step
+costs four evaluations.
+
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
 the tests audit. Every quantity needed to synthesize sensor channels
@@ -46,17 +53,6 @@ G = 9.81
 MAX_DT = 0.01
 
 
-def _interp_scalar(x: float, xs: list, ys: list) -> float:
-    """Clamped linear interpolation on breakpoint lists (hot path)."""
-    if x <= xs[0]:
-        return ys[0]
-    if not x < xs[-1]:  # also catches NaN, which the step's state check then reports
-        return ys[-1]
-    i = bisect_right(xs, x) - 1
-    frac = (x - xs[i]) / (xs[i + 1] - xs[i])
-    return ys[i] + frac * (ys[i + 1] - ys[i])
-
-
 @dataclass(frozen=True)
 class TrackProfile:
     """Breakpoint table over distance: slope, pitch curvature, load factor."""
@@ -75,32 +71,32 @@ class TrackProfile:
             if arr.shape != s.shape or not np.isfinite(arr).all():
                 raise ValueError(f"track profile {name} needs one finite value per breakpoint")
             object.__setattr__(self, name, arr)
+            object.__setattr__(self, "_" + name, arr.tolist())  # plain lists for the scalar hot path
         if np.any(self.n < 1.0):
             raise ValueError("normal-load factor must be >= 1")
         object.__setattr__(self, "s", s)
-        # plain-list caches for the scalar hot path
         object.__setattr__(self, "_s", s.tolist())
-        object.__setattr__(self, "_kappa", self.kappa.tolist())
-        object.__setattr__(self, "_inv_r", self.inv_r_y.tolist())
-        object.__setattr__(self, "_n", self.n.tolist())
 
     @property
     def length(self) -> float:
         return float(self.s[-1] - self.s[0])
 
-    def kappa_at(self, s: float) -> float:
-        return _interp_scalar(s, self._s, self._kappa)
+    def at(self, s: float):
+        """(kappa, 1/r_y, n, piecewise-constant d(1/r_y)/ds) at s, clamped, from one bisect.
 
-    def inv_r_at(self, s: float) -> float:
-        return _interp_scalar(s, self._s, self._inv_r)
-
-    def n_at(self, s: float) -> float:
-        return _interp_scalar(s, self._s, self._n)
-
-    def inv_r_slope_at(self, s: float) -> float:
-        """Piecewise-constant d(1/r_y)/ds of the breakpoint table."""
-        i = min(max(bisect_right(self._s, s) - 1, 0), len(self._s) - 2)
-        return (self._inv_r[i + 1] - self._inv_r[i]) / (self._s[i + 1] - self._s[i])
+        A NaN s reads the last breakpoint; the step's state check reports it.
+        """
+        xs, kap, inv_r, n = self._s, self._kappa, self._inv_r_y, self._n
+        i = min(max(bisect_right(xs, s) - 1, 0), len(xs) - 2)
+        ds = xs[i + 1] - xs[i]
+        slope = (inv_r[i + 1] - inv_r[i]) / ds
+        if s <= xs[0]:
+            return kap[0], inv_r[0], n[0], slope
+        if not s < xs[-1]:
+            return kap[-1], inv_r[-1], n[-1], slope
+        frac = (s - xs[i]) / ds
+        return (kap[i] + frac * (kap[i + 1] - kap[i]), inv_r[i] + frac * (inv_r[i + 1] - inv_r[i]),
+                n[i] + frac * (n[i + 1] - n[i]), slope)
 
 
 @dataclass(frozen=True)
@@ -122,16 +118,20 @@ class ControlTrace:
             if not np.all(np.abs(arr) < np.pi / 4):
                 raise ValueError(f"|{name}| must stay below pi/4")
             object.__setattr__(self, name, arr)
+            object.__setattr__(self, "_" + name, arr.tolist())
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_t", t.tolist())
-        object.__setattr__(self, "_delta", self.delta.tolist())
-        object.__setattr__(self, "_gamma", self.gamma.tolist())
 
-    def delta_at(self, t: float) -> float:
-        return _interp_scalar(t, self._t, self._delta)
-
-    def gamma_at(self, t: float) -> float:
-        return _interp_scalar(t, self._t, self._gamma)
+    def at(self, t: float):
+        """(delta, gamma) at time t, clamped at both ends."""
+        ts, d, g = self._t, self._delta, self._gamma
+        if t <= ts[0]:
+            return d[0], g[0]
+        if not t < ts[-1]:
+            return d[-1], g[-1]
+        i = bisect_right(ts, t) - 1
+        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return d[i] + frac * (d[i + 1] - d[i]), g[i] + frac * (g[i + 1] - g[i])
 
 
 @dataclass(frozen=True)
@@ -206,94 +206,91 @@ def _front_forces_scalar(alpha_f: float, f_z_f0: float, gamma: float, delta: flo
     return (f_x_f, f_y_f, f_z_f), (f_x_f0, f_y_f0, f_z_f0)
 
 
-def _force_bundle(state: SimState, bob: BobParameters, track: TrackProfile,
-                  controls: ControlTrace, setup: FrictionSetup, aero: AeroModel | None,
-                  v_dot_hint: float = 0.0):
-    """All forces and derived terms at one state (pure scalar math).
+# fields of the state-part and load-part tuples, which the hot path passes bare
+_STATE_TERMS = ("delta", "gamma", "kappa", "theta_dot", "inv_r", "vv_slope", "alpha_f", "alpha_r",
+                "f_z_total", "f_drag", "gravity", "cos_beta", "sin_beta")
+_LOAD_TERMS = ("theta_ddot", "f_f", "f_f0", "f_x_r", "f_y_r", "f_z_r")
 
-    ``v_dot_hint`` feeds the pitch-acceleration term theta_ddot =
-    -v_dot/r - v^2 d(1/r)/ds; one fixed-point pass over v_dot makes the
-    vertical split consistent with the actual acceleration.
-    """
-    t, s, v, beta, psi_dot = state.t, state.s, state.v, state.beta, state.psi_dot
-    delta = controls.delta_at(t)
-    gamma = controls.gamma_at(t)
-    kappa = track.kappa_at(s)
-    inv_r = track.inv_r_at(s)
-    n_load = track.n_at(s)
 
-    theta_dot = -v * inv_r
-    theta_ddot = -v_dot_hint * inv_r - v * v * track.inv_r_slope_at(s)
-
-    alpha_f = beta + delta - psi_dot * bob.l_f / v
-    alpha_r = beta + psi_dot * bob.l_r / v
-
-    f_z_total = n_load * bob.m * G
-    f_z_f0 = (bob.l_r * f_z_total + bob.j_yy * theta_ddot) / bob.wheelbase
-    f_z_r = (bob.l_f * f_z_total - bob.j_yy * theta_ddot) / bob.wheelbase
-
-    f_f, f_f0 = _front_forces_scalar(alpha_f, f_z_f0, gamma, delta, setup.lateral_front, setup.mu_x)
-    f_y_r = _force_y_scalar(f_z_r, alpha_r, setup.lateral_rear)
-    f_x_r = -setup.mu_x * f_z_r * math.cos(alpha_r)
-
+def _state_part(t, s, v, beta, psi_dot, bob: BobParameters, track: TrackProfile,
+                controls: ControlTrace, aero: AeroModel | None):
+    """The ``_STATE_TERMS`` at one state: everything that does not depend on v_dot."""
+    delta, gamma = controls.at(t)
+    kappa, inv_r, n_load, slope = track.at(s)
     if aero is not None:
         area = aero.cx_ax * (1.0 + aero.yaw_sensitivity * math.degrees(abs(beta)))
         f_drag = 0.5 * area * v * v * aero.air.density
     else:
         f_drag = 0.0
-
-    return {
-        "delta": delta, "gamma": gamma, "kappa": kappa,
-        "theta_dot": theta_dot, "theta_ddot": theta_ddot,
-        "alpha_f": alpha_f, "alpha_r": alpha_r,
-        "f_f0": f_f0, "f_f": f_f,
-        "f_x_r": f_x_r, "f_y_r": f_y_r, "f_z_r": f_z_r, "f_z_f0": f_z_f0,
-        "f_drag": f_drag,
-    }
+    return (delta, gamma, kappa, -v * inv_r, inv_r, v * v * slope,
+            beta + delta - psi_dot * bob.l_f / v, beta + psi_dot * bob.l_r / v,
+            n_load * bob.m * G, f_drag, bob.m * G * math.sin(kappa), math.cos(beta), math.sin(beta))
 
 
-def _derivatives(state: SimState, bundle, bob: BobParameters):
-    """(s, v, beta, psi_dot) time derivatives from a force bundle."""
-    v, beta, psi_dot = state.v, state.beta, state.psi_dot
-    cb, sb = math.cos(beta), math.sin(beta)
+def _load_part(part, v_dot_hint: float, bob: BobParameters, setup: FrictionSetup):
+    """The ``_LOAD_TERMS`` for one v_dot hint: the vertical split and the runner forces.
+
+    ``v_dot_hint`` feeds the pitch-acceleration term theta_ddot =
+    -v_dot/r - v^2 d(1/r)/ds, which shifts load between the axles.
+    """
+    delta, gamma, _, _, inv_r, vv_slope, alpha_f, alpha_r, f_z_total = part[:9]
+    theta_ddot = -v_dot_hint * inv_r - vv_slope
+    wheelbase = bob.wheelbase
+    f_z_f0 = (bob.l_r * f_z_total + bob.j_yy * theta_ddot) / wheelbase
+    f_z_r = (bob.l_f * f_z_total - bob.j_yy * theta_ddot) / wheelbase
+    f_f, f_f0 = _front_forces_scalar(alpha_f, f_z_f0, gamma, delta, setup.lateral_front, setup.mu_x)
+    f_y_r = _force_y_scalar(f_z_r, alpha_r, setup.lateral_rear)
+    f_x_r = -setup.mu_x * f_z_r * math.cos(alpha_r)
+    return theta_ddot, f_f, f_f0, f_x_r, f_y_r, f_z_r
+
+
+def _derivatives(v, psi_dot, part, load, bob: BobParameters):
+    """(s, v, beta, psi_dot) time derivatives from the two parts."""
+    f_drag, gravity, cb, sb = part[9:]
+    _, _, (f_x_f0, f_y_f0, _), f_x_r, f_y_r, _ = load
     u, w = v * cb, -v * sb
-    f_x_f0, f_y_f0, _ = bundle["f_f0"]
-    along = bob.m * G * math.sin(bundle["kappa"]) - bundle["f_drag"]
-    sum_x = f_x_f0 + bundle["f_x_r"] + along * cb
-    sum_y = f_y_f0 + bundle["f_y_r"] - along * sb
+    along = gravity - f_drag
+    sum_x = f_x_f0 + f_x_r + along * cb
+    sum_y = f_y_f0 + f_y_r - along * sb
     v_dot = (u * sum_x + w * sum_y) / (bob.m * v)
     beta_dot = psi_dot - (u * sum_y - w * sum_x) / (bob.m * v * v)
-    psi_ddot = (bob.l_f * f_y_f0 - bob.l_r * bundle["f_y_r"]) / bob.j_zz
+    psi_ddot = (bob.l_f * f_y_f0 - bob.l_r * f_y_r) / bob.j_zz
     return (v, v_dot, beta_dot, psi_ddot)
 
 
-def _bundle_and_derivatives(state: SimState, bob, track, controls, setup, aero):
-    """Force bundle and state derivatives, with one fixed-point pass.
+def _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero):
+    """(state part, load part, derivatives) with one fixed-point pass over v_dot.
 
     The vertical axle split depends on theta_ddot, which contains
     v_dot; a first pass with v_dot = 0 supplies the hint for the second,
-    so the returned bundle is self-consistent to second order.
+    so the returned load is self-consistent to second order.
     """
-    bundle = _force_bundle(state, bob, track, controls, setup, aero)
-    deriv = _derivatives(state, bundle, bob)
-    bundle = _force_bundle(state, bob, track, controls, setup, aero, v_dot_hint=float(deriv[1]))
-    return bundle, _derivatives(state, bundle, bob)
+    part = _state_part(t, s, v, beta, psi_dot, bob, track, controls, aero)
+    load = _load_part(part, 0.0, bob, setup)
+    load = _load_part(part, _derivatives(v, psi_dot, part, load, bob)[1], bob, setup)
+    return part, load, _derivatives(v, psi_dot, part, load, bob)
+
+
+def _force_bundle(state: SimState, bob: BobParameters, track: TrackProfile,
+                  controls: ControlTrace, setup: FrictionSetup, aero: AeroModel | None,
+                  v_dot_hint: float = 0.0) -> dict:
+    """Named view of the state part and one load part at ``state``."""
+    part = _state_part(state.t, state.s, state.v, state.beta, state.psi_dot, bob, track, controls, aero)
+    return dict(zip(_STATE_TERMS + _LOAD_TERMS, part + _load_part(part, v_dot_hint, bob, setup)))
 
 
 def step(state: SimState, bob: BobParameters, track: TrackProfile, controls: ControlTrace,
-         setup: FrictionSetup, aero: AeroModel | None, dt: float) -> SimState:
-    """One fixed-step fourth-order Runge-Kutta step."""
+         setup: FrictionSetup, aero: AeroModel | None, dt: float, k1=None) -> SimState:
+    """One fixed-step RK4 step; ``k1``, the derivatives at ``state``, is computed unless passed."""
     if dt > MAX_DT:
         raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
 
     def f(t, s, v, beta, psi_dot):
-        st = SimState(t=t, s=s, v=v, beta=beta, psi_dot=psi_dot)
-        _, deriv = _bundle_and_derivatives(st, bob, track, controls, setup, aero)
-        return deriv
+        return _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero)[2]
 
     t0, s0, v0, b0, p0 = state.t, state.s, state.v, state.beta, state.psi_dot
     half = dt / 2.0
-    k1 = f(t0, s0, v0, b0, p0)
+    k1 = f(t0, s0, v0, b0, p0) if k1 is None else k1
     k2 = f(t0 + half, s0 + half * k1[0], v0 + half * k1[1], b0 + half * k1[2], p0 + half * k1[3])
     k3 = f(t0 + half, s0 + half * k2[0], v0 + half * k2[1], b0 + half * k2[2], p0 + half * k2[3])
     k4 = f(t0 + dt, s0 + dt * k3[0], v0 + dt * k3[1], b0 + dt * k3[2], p0 + dt * k3[3])
@@ -320,46 +317,39 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
     if v0 <= v_stop:
         raise ConfigError("initial speed below the stop threshold")
     state = SimState(t=0.0, s=float(track.s[0]), v=v0, beta=beta0, psi_dot=psi_dot0)
-    rows = {name: [] for name in _LOG_FIELDS}
+    rows = []  # one tuple per accepted state, in _LOG_FIELDS order; grows with the run, not t_max
 
     def log_state(st: SimState):
-        bundle, deriv = _bundle_and_derivatives(st, bob, track, controls, setup, aero)
-        f_x_f0, f_y_f0, f_z_f0 = bundle["f_f0"]
-        u, w = st.v * math.cos(st.beta), -st.v * math.sin(st.beta)
-        w_front, w_rear = w + st.psi_dot * bob.l_f, w - st.psi_dot * bob.l_r
-        values = {
-            "t": st.t, "s": st.s, "v": st.v, "beta": st.beta,
-            "psi_dot": st.psi_dot, "psi_ddot": deriv[3],
-            "theta_dot": bundle["theta_dot"], "theta_ddot": bundle["theta_ddot"],
-            "delta": bundle["delta"], "gamma": bundle["gamma"], "kappa": bundle["kappa"],
-            "a_x": (f_x_f0 + bundle["f_x_r"] - bundle["f_drag"] * math.cos(st.beta)) / bob.m,
-            "a_y": (f_y_f0 + bundle["f_y_r"] + bundle["f_drag"] * math.sin(st.beta)) / bob.m,
-            "a_z": (f_z_f0 + bundle["f_z_r"]) / bob.m,
-            "f_x_f0": f_x_f0, "f_y_f0": f_y_f0, "f_z_f0": f_z_f0,
-            "f_x_f": bundle["f_f"][0], "f_y_f": bundle["f_f"][1], "f_z_f": bundle["f_f"][2],
-            "f_x_r": bundle["f_x_r"], "f_y_r": bundle["f_y_r"], "f_z_r": bundle["f_z_r"],
-            "f_drag": bundle["f_drag"],
-            "alpha_f": bundle["alpha_f"], "alpha_r": bundle["alpha_r"],
-            "p_gravity": bob.m * G * math.sin(bundle["kappa"]) * st.v,
-            "p_aero": -bundle["f_drag"] * st.v,
-            "p_front": f_x_f0 * u + f_y_f0 * w_front,
-            "p_rear": bundle["f_x_r"] * u + bundle["f_y_r"] * w_rear,
-            "e_kin": 0.5 * bob.m * st.v ** 2 + 0.5 * bob.j_zz * st.psi_dot ** 2,
-        }
-        for name in _LOG_FIELDS:
-            rows[name].append(float(values[name]))
+        """Log the accepted state; its derivatives are the next step's k1."""
+        t, s, v, beta, psi_dot = st.t, st.s, st.v, st.beta, st.psi_dot
+        part, load, deriv = _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero)
+        delta, gamma, kappa, theta_dot, _, _, alpha_f, alpha_r, _, f_drag, gravity, cb, sb = part
+        theta_ddot, (f_x_f, f_y_f, f_z_f), (f_x_f0, f_y_f0, f_z_f0), f_x_r, f_y_r, f_z_r = load
+        u, w = v * cb, -v * sb
+        rows.append((
+            t, s, v, beta, psi_dot, deriv[3], theta_dot, theta_ddot, delta, gamma, kappa,
+            (f_x_f0 + f_x_r - f_drag * cb) / bob.m, (f_y_f0 + f_y_r + f_drag * sb) / bob.m,
+            (f_z_f0 + f_z_r) / bob.m,
+            f_x_f0, f_y_f0, f_z_f0, f_x_f, f_y_f, f_z_f, f_x_r, f_y_r, f_z_r, f_drag,
+            alpha_f, alpha_r, gravity * v, -f_drag * v,
+            f_x_f0 * u + f_y_f0 * (w + psi_dot * bob.l_f), f_x_r * u + f_y_r * (w - psi_dot * bob.l_r),
+            0.5 * bob.m * v ** 2 + 0.5 * bob.j_zz * psi_dot ** 2,
+        ))
+        return deriv
 
     n_steps = int(round(t_max / dt))
-    log_state(state)
+    k1 = log_state(state)
     for _ in range(n_steps):
-        new = step(state, bob, track, controls, setup, aero, dt)
+        new = step(state, bob, track, controls, setup, aero, dt, k1)
         if not all(map(math.isfinite, (new.s, new.v, new.beta, new.psi_dot))):
             raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
         if new.v <= v_stop or new.s >= track.s[-1]:
             break
         state = new
-        log_state(state)
-    return SimLog(data={k: np.array(v) for k, v in rows.items()}, dt=dt)
+        k1 = log_state(state)
+    table = np.array(rows, dtype=float)
+    rows.clear()
+    return SimLog(data=dict(zip(_LOG_FIELDS, table.T.copy())), dt=dt)
 
 
 def energy_audit(log: SimLog) -> float:

@@ -131,14 +131,14 @@ class CsvSchema:
 
     def __post_init__(self):
         if self.angle_unit not in ("rad", "deg"):
-            raise ConfigError(f"angle_unit must be 'rad' or 'deg', got {self.angle_unit!r}")
+            raise ValueError(f"angle_unit must be 'rad' or 'deg', got {self.angle_unit!r}")
         missing = [k for k in ("t", *CORE_CHANNELS) if k not in self.columns]
         if missing:
-            raise ConfigError(f"schema missing column mappings: {', '.join(missing)}")
+            raise ValueError(f"schema missing column mappings: {', '.join(missing)}")
         columns = list(self.columns.values())
         shared = sorted({c for c in columns if columns.count(c) > 1})
         if shared:
-            raise ConfigError(f"schema maps several channels to one column: {', '.join(shared)}")
+            raise ValueError(f"schema maps several channels to one column: {', '.join(shared)}")
 
 
 def identity_schema(angle_unit: str = "rad") -> CsvSchema:

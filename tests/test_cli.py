@@ -25,6 +25,7 @@ import sleddyn
 from sleddyn import fitting, icehouse, kvfile, sim, telemetry
 from sleddyn.cli import main
 from sleddyn.errors import NumericalError
+from sleddyn.tables import read_table
 
 
 @pytest.fixture
@@ -231,6 +232,20 @@ class TestSimulateCommand:
         assert "non-finite simulator state" in err and "Traceback" not in err
         assert set(tmp_path.rglob("*")) == before
 
+    def test_huge_t_max_ends_at_track_end(self, workspace, capsys):
+        tmp_path, _ = workspace
+        scenario = {"track": {"s": [0.0, 150.0], "kappa": [0.07, 0.07], "inv_r_y": [0.0, 0.0],
+                              "n": [1.0, 1.0]},
+                    "controls": {"t": [0.0, 1.0], "delta": [0.0, 0.0], "gamma": [0.0, 0.0]},
+                    "initial": {"v0": 20.0}, "sim": {"dt": 0.002, "t_max": 1e9}}
+        (tmp_path / "long.json").write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
+                     "simulate", str(tmp_path / "long.json")]) == 0
+        assert capsys.readouterr().err == ""
+        t, s = read_table(out / "truth.csv", ["t", "s"]).data[-1]
+        assert t < 10.0 and 140.0 < s < 150.0
+
     def test_determinism_with_seed(self, workspace):
         tmp_path, _ = workspace
         scenario_path = self.scenario(tmp_path)
@@ -369,6 +384,7 @@ class TestBadInputFiles:
     BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\n"
     CONFIG = "[paths]\nbob_params = bob.kv\n"
     SIMULATE = {"config.ini": CONFIG, "bob.kv": BOB, "scenario.json": scenario_text()}
+    SCHEMA = {"columns": telemetry.identity_schema().columns}
     GLIDE = "# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n# direction = up\nt,v\n0,2\n"
 
     @pytest.mark.parametrize("argv, name, text, where", [
@@ -484,6 +500,18 @@ class TestBadInputFiles:
          "scenario.json: bad scenario value: track breakpoints must be strictly increasing"),
         (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("m = 100", "m = 0")},
          "glide.csv: mass m must be positive"),
+        (2, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "bob.kv": BOB + "l_x = inf\n"}, "bob.kv: sensor offset l_x must be finite"),
+        (1, "--schema schema.json simulate scenario.json",
+         {"schema.json": json.dumps({"columns": {**SCHEMA["columns"], "gamma": "delta"}})},
+         "schema.json: schema maps several channels to one column: delta"),
+        (1, "--schema schema.json simulate scenario.json",
+         {"schema.json": json.dumps({**SCHEMA, "angle_unit": "grad"})},
+         "schema.json: angle_unit must be 'rad' or 'deg'"),
+        (1, "fit run.csv --rate abc", {}, "error: sleddyn fit: argument --rate: invalid float value"),
+        (1, "fit run.csv --bogus", {}, "error: sleddyn: unrecognized arguments: --bogus"),
+        (1, "nosuch", {}, "error: sleddyn: argument command: invalid choice: 'nosuch'"),
+        (1, "eval run.csv", {}, "error: sleddyn eval: the following arguments are required"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
@@ -493,7 +521,9 @@ class TestBadInputFiles:
             "long-non-utf8", "config-non-utf8", "scenario-non-utf8", "schema-non-utf8",
             "points-non-utf8", "config-no-section", "config-duplicate-section",
             "schema-columns-list", "schema-columns-number", "scenario-s-not-increasing",
-            "glide-m-zero-names-file"])
+            "glide-m-zero-names-file", "bob-offset-inf", "schema-shared-column-names-file",
+            "schema-bad-angle-unit", "argv-rate-not-number", "argv-unknown-option",
+            "argv-unknown-command", "argv-missing-required"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -513,6 +543,12 @@ class TestBadInputFiles:
                      "fit", *paths]) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "out" / "lateral_rear.kv").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--rate" in capsys.readouterr().out
 
     def test_pressure_table_key_is_config_error(self, tmp_path, capsys):
         (tmp_path / "config.ini").write_text("[paths]\npressure_front = pressure.txt\n")

@@ -12,11 +12,14 @@ from conftest import (
     zero_controls,
 )
 
+from reference_sim import reference_simulate
 from sleddyn.errors import ConfigError
 from sleddyn.onetrack import build_axle_trace
 from sleddyn.sim import (
+    _LOG_FIELDS,
     NoiseSpec,
     SimState,
+    TrackProfile,
     energy_audit,
     export_synthetic_telemetry,
     load_scenario,
@@ -68,6 +71,43 @@ class TestScalarFastPath:
                 float(drag_force(v, area, aero_model.air)), rel=1e-13)
 
 
+def bumped_track(length: float, kappa_deg: float) -> TrackProfile:
+    """Constant slope with one banked, pitched bump at s = 60 m."""
+    s = np.linspace(0.0, length, 61)
+    bump = np.exp(-0.5 * ((s - 60.0) / 20.0) ** 2)
+    return TrackProfile(s=s, kappa=np.full(s.size, np.deg2rad(kappa_deg)), inv_r_y=0.02 * bump,
+                        n=1.0 + 2.5 * bump)
+
+
+class TestBitIdentity:
+    """``simulate`` reproduces the frozen reference integrator bit for bit.
+
+    A speed-up of the force chain must leave every logged column
+    unchanged; see ``reference_sim`` for when that file may change.
+    """
+
+    @pytest.mark.parametrize("length, kappa_deg, v0, dt, t_max, v_stop, ends", [
+        (300.0, 4.0, 25.0, 0.0025, 3.0, 0.1, "t_max"),
+        (150.0, 4.0, 25.0, 0.002, 10.0, 0.1, "track end"),
+        (150.0, -4.0, 12.0, 0.005, 30.0, 2.0, "v_stop"),
+    ], ids=["t-max", "track-end", "v-stop"])
+    def test_log_matches_reference(self, bob, friction_setup, aero_model, length, kappa_deg, v0,
+                                   dt, t_max, v_stop, ends):
+        track = bumped_track(length, kappa_deg)
+        controls = weaving_controls(t_max, gamma_amp_deg=3.0)
+        kwargs = dict(v0=v0, dt=dt, t_max=t_max, v_stop=v_stop)
+        log = simulate(bob, track, controls, friction_setup, aero_model, **kwargs)
+        ref = reference_simulate(bob, track, controls, friction_setup, aero_model, **kwargs)
+        assert len(log) == len(ref)
+        for name in _LOG_FIELDS:
+            assert np.array_equal(log.data[name], ref.data[name]), name
+            assert log.data[name].tobytes() == ref.data[name].tobytes(), name  # signed zeros too
+        assert np.abs(log.gamma).max() > 0.01 and log.f_drag.min() > 0.0
+        reached = {"t_max": log.t[-1] > t_max - dt, "track end": log.s[-1] > length - v0 * dt,
+                   "v_stop": log.v[-1] < v_stop + 0.1}
+        assert [k for k, hit in reached.items() if hit] == [ends]
+
+
 class TestDynamics:
     def test_straight_glide_stays_straight(self, bob, friction_setup):
         track = straight_track(3000.0, kappa=np.deg2rad(2.0))
@@ -106,6 +146,15 @@ class TestDynamics:
                        v0=20.0, dt=0.005, t_max=60.0)
         assert log.s[-1] <= 100.0
         assert log.t[-1] < 60.0
+
+    def test_huge_t_max_runs_only_the_steps_taken(self, bob, friction_setup, aero_model):
+        # the log grows with the run; t_max sizes nothing up front
+        track = straight_track(150.0, kappa=np.deg2rad(4.0))
+        log = simulate(bob, track, weaving_controls(10.0), friction_setup, aero_model,
+                       v0=20.0, dt=0.002, t_max=1e9)
+        assert log.s[-1] < 150.0 and log.t[-1] < 10.0
+        assert len(log) == round(log.t[-1] / 0.002) + 1
+        assert all(log.data[name].size == len(log) for name in _LOG_FIELDS)
 
     def test_dt_bound_enforced(self, bob, friction_setup):
         state = SimState(t=0.0, s=0.0, v=10.0, beta=0.0, psi_dot=0.0)

@@ -102,7 +102,7 @@ class TestIngest:
         assert loaded == SCHEMA_DEG
 
     def test_schema_missing_mapping_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             CsvSchema(columns={"t": "t"})
 
 
