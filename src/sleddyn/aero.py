@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_YAW_SENSITIVITY_PER_DEG = 0.0694
+#: Specific gas constant of dry air [J/(kg K)].
+R_SPECIFIC_AIR = 287.05
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,7 @@ class AirState:
 
     p_air: float
     temperature: float
-    r_specific: float = 287.05
+    r_specific: float = R_SPECIFIC_AIR
 
     def __post_init__(self):
         for name, value in (("ambient pressure", self.p_air), ("temperature [K]", self.temperature),

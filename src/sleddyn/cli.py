@@ -32,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, fitting, icehouse, kvfile, sim, telemetry
-from .aero import AeroModel, AirState
+from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, AirState
 from .errors import ConfigError, DataError, SleddynError, reading
 from .friction import MU_X_DEFAULT, force_y_braghin, mu_x
+from .kinematics import V_MIN
 from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
 from .tables import write_table
 from .telemetry import identity_schema, load_schema
@@ -44,18 +45,24 @@ from .telemetry import identity_schema, load_schema
 # configuration
 
 
+# each number's default, under the one config section that may set it
 DEFAULTS = {
-    "cutoff_hz": 20.0,
-    "rate_hz": 100.0,
-    "roll_threshold_deg_s2": 100.0,
-    "window_fraction": 0.6,
-    "v_min": 2.0,
-    "mu_x": MU_X_DEFAULT,
-    "yaw_sensitivity": 0.0694,
-    "p_air": 94700.0,
-    "temperature": 275.15,
-    "r_specific": 287.05,
+    "processing": {
+        "cutoff_hz": telemetry.DEFAULT_CUTOFF_HZ,
+        "rate_hz": telemetry.DEFAULT_RATE_HZ,
+        "roll_threshold_deg_s2": fitting.DEFAULT_ROLL_THRESHOLD_DEG_S2,
+        "window_fraction": icehouse.DEFAULT_WINDOW_FRACTION,
+        "v_min": V_MIN,
+        "mu_x": MU_X_DEFAULT,
+    },
+    "aero": {
+        "yaw_sensitivity": DEFAULT_YAW_SENSITIVITY_PER_DEG,
+        "p_air": 94700.0,
+        "temperature": 275.15,
+        "r_specific": R_SPECIFIC_AIR,
+    },
 }
+PATH_KEYS = ("bob_params", "schema")
 
 
 class Config:
@@ -80,36 +87,25 @@ class Config:
 
 
 def load_config(path, overrides: dict | None = None, schema_path=None) -> Config:
-    import os
-
-    options = dict(DEFAULTS)
-    bob = schema = None
+    """Defaults < INI file < non-None ``overrides``; an INI key the program does not read is a ConfigError."""
+    options = {key: value for section in DEFAULTS.values() for key, value in section.items()}
     paths: dict[str, Path] = {}
     if path is not None:
         parser = configparser.ConfigParser()
         with reading(path, ConfigError):
             if not parser.read(path, encoding="utf-8"):
                 raise ConfigError(f"config file not found: {path}")
-            for key in options:
-                for section in ("processing", "aero"):
-                    if parser.has_option(section, key):
+            for section in (parser.default_section, *parser.sections()):
+                for key in parser[section]:
+                    if section == "paths" and key in PATH_KEYS:
+                        paths[key] = Path(path).parent / parser.get(section, key)
+                    elif key in DEFAULTS.get(section, ()):
                         with reading(path, ConfigError, f"bad value for {key}: "):
                             options[key] = parser.getfloat(section, key)
-            if parser.has_option("paths", "pressure_front"):
-                raise ConfigError(f"{path}: [paths] pressure_front is not supported: "
-                                  "no command uses a pressure table")
-            for key in ("bob_params", "schema"):
-                if parser.has_option("paths", key):
-                    paths[key] = Path(path).parent / parser.get("paths", key)
-    # environment variables override file paths (and nothing else)
-    for key in ("bob_params", "schema"):
-        env = os.environ.get(f"SLEDDYN_{key.upper()}")
-        if env:
-            paths[key] = Path(env)
-    if "bob_params" in paths:
-        bob = load_bob_params(paths["bob_params"])
-    if "schema" in paths:
-        schema = load_schema(paths["schema"])
+                    else:
+                        raise ConfigError(f"{path}: [{section}] {key} is not supported")
+    bob = load_bob_params(paths["bob_params"]) if "bob_params" in paths else None
+    schema = load_schema(paths["schema"]) if "schema" in paths else None
     for key, value in (overrides or {}).items():
         if value is not None:
             options[key] = value
@@ -262,7 +258,7 @@ def cmd_fit(args) -> int:
             for name, value, (lo, hi) in zip(
                 ("mu_zeta_y", "c_y", "k_y"),
                 (result.params.mu_zeta_y, result.params.c_y, result.params.k_y),
-                fit_config.bounds)
+                fitting.DEFAULT_BOUNDS)
             if value <= lo * 1.0001 or value >= hi * 0.9999
         )
         print(f"{runner}: mu_zeta_y={result.params.mu_zeta_y:.4g} c_y={result.params.c_y:.4g} "

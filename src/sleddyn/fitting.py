@@ -25,17 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, reading
-from .friction import LateralFrictionParams
+from .friction import E_Y, LateralFrictionParams
 from .onetrack import AxleForceTrace
 from .telemetry import TelemetryRun
 
+#: (lo, hi) of mu_zeta_y, c_y and k_y.
 DEFAULT_BOUNDS = ((0.1, 20.0), (0.001, 1.9), (100.0, 1e6))
 DEFAULT_ROLL_THRESHOLD_DEG_S2 = 100.0
-# Stop rules besides FitConfig.cost_tolerance (scipy's ftol). They end fits
-# whose relative cost drop never falls below it: a zero-residual optimum
-# (noise-free data) or a cost_tolerance below machine epsilon. A 1e-10
-# relative step in log-parameters, or a scaled gradient of 1e-10, is far
-# below what the data resolve: a fit that reaches them has stopped moving.
+#: Start point of (mu_zeta_y, c_y); k_y starts from robust_stiffness_guess.
+INITIAL_MU_ZETA_Y, INITIAL_C_Y = 3.0, 0.05
+# Stop rules: a step that lowers the cost by less than the fraction _FTOL.
+# _XTOL and _GTOL end a zero-residual fit (noise-free data), whose relative
+# cost drop never gets that small: a 1e-10 relative step in log-parameters,
+# or a scaled gradient of 1e-10, is far below what the data resolve.
+_FTOL = 1e-14
 _XTOL = 1e-10
 _GTOL = 1e-10
 
@@ -44,29 +47,18 @@ _GTOL = 1e-10
 class FitConfig:
     """Settings for the lateral-friction fit.
 
-    ``initial`` is (mu_zeta_y, c_y, k_y); a ``None`` stiffness requests
-    the warm start from the data. ``roll_threshold_deg_s2`` excludes
-    samples whose roll acceleration exceeds it (the rigid-body transfer
-    breaks down under strong roll-split action). ``fix_k_y`` freezes the
-    stiffness at its initial value. The solver stops once a step lowers
-    the cost by less than the fraction ``cost_tolerance``, or after
-    ``max_iterations`` model evaluations.
+    ``roll_threshold_deg_s2`` excludes samples whose roll acceleration
+    exceeds it (the rigid-body transfer breaks down under strong
+    roll-split action). The solver gives up after ``max_iterations``
+    model evaluations.
     """
 
-    e_y: float = 0.99
-    initial: tuple = (3.0, 0.05, None)
-    bounds: tuple = DEFAULT_BOUNDS
     roll_threshold_deg_s2: float = DEFAULT_ROLL_THRESHOLD_DEG_S2
     max_iterations: int = 300
-    cost_tolerance: float = 1e-14
-    fix_k_y: bool = False
 
     def __post_init__(self):
         if self.roll_threshold_deg_s2 <= 0:
             raise ValueError("roll threshold must be positive")
-        for value, (lo, hi) in zip(self.initial, self.bounds):
-            if value is not None and not lo <= value <= hi:
-                raise ValueError(f"initial guess {value} outside bounds [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -121,40 +113,42 @@ def select_fit_samples(trace: AxleForceTrace, run: TelemetryRun, config: FitConf
     return FitDataset(alpha=alpha[keep], f_z=f_z[keep], f_y=f_y[keep], runner=runner)
 
 
-def _model_and_jacobian(log_theta, alpha, f_z, e_y):
+def _model_and_jacobian(log_theta, alpha, f_z):
     """Lateral-law prediction and its Jacobian w.r.t. log-parameters."""
     mz, cy, ky = np.exp(log_theta)
     b = ky / (cy * mz * f_z)
     b_a = b * alpha
     at = np.arctan(b_a)
-    g = b_a - e_y * (b_a - at)
+    g = b_a - E_Y * (b_a - at)
     ag = np.arctan(g)
     s = np.sin(cy * ag)
     pred = mz * f_z * s
     # chain rule: dF/dB, then dB/dlog(param) = +-B
-    dg_db = alpha * (1.0 - e_y) + e_y * alpha / (1.0 + b_a * b_a)
+    dg_db = alpha * (1.0 - E_Y) + E_Y * alpha / (1.0 + b_a * b_a)
     df_db = mz * f_z * np.cos(cy * ag) * cy * dg_db / (1.0 + g * g)
-    jac = np.column_stack([
+    # Fortran order on purpose: the memory layout sets the BLAS summation
+    # order inside the solver, and a C-ordered copy moves the last digits
+    jac = np.array([
         pred - df_db * b,                                 # d/dlog mu_zeta_y
         mz * f_z * np.cos(cy * ag) * cy * ag - df_db * b,  # d/dlog c_y
         df_db * b,                                         # d/dlog k_y
-    ])
+    ]).T
     return pred, jac
 
 
-def robust_stiffness_guess(dataset: FitDataset, bounds=DEFAULT_BOUNDS) -> float:
-    """Median F_y/alpha over the lowest-|alpha| decile of the dataset."""
+def robust_stiffness_guess(dataset: FitDataset) -> float:
+    """Median F_y/alpha over the lowest-|alpha| decile, clipped to the k_y bounds."""
     n = max(10, len(dataset) // 10)
     idx = np.argsort(np.abs(dataset.alpha))[:n]
     alpha, f_y = dataset.alpha[idx], dataset.f_y[idx]
     usable = np.abs(alpha) > 1e-8
     if not usable.any():
-        return float(np.sqrt(bounds[2][0] * bounds[2][1]))
-    return float(np.clip(np.median(f_y[usable] / alpha[usable]), *bounds[2]))
+        return float(np.sqrt(DEFAULT_BOUNDS[2][0] * DEFAULT_BOUNDS[2][1]))
+    return float(np.clip(np.median(f_y[usable] / alpha[usable]), *DEFAULT_BOUNDS[2]))
 
 
 def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResult:
-    """Fit (mu_zeta_y, c_y, k_y) to the dataset with e_y held fixed.
+    """Fit (mu_zeta_y, c_y, k_y) to the dataset with e_y held at E_Y.
 
     Raises DataError for too-small datasets or a non-finite sample, and
     NumericalError when the Jacobian is rank deficient at the start point
@@ -174,42 +168,25 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     if not np.any(np.abs(dataset.alpha) > 0):
         raise NumericalError("all slip angles are zero: lateral parameters are unidentifiable")
 
-    initial = list(config.initial)
-    if initial[2] is None:
-        initial[2] = robust_stiffness_guess(dataset, config.bounds)
-    lo = np.log([b[0] for b in config.bounds])
-    hi = np.log([b[1] for b in config.bounds])
-    theta = np.clip(np.log(np.asarray(initial, dtype=float)), lo, hi)
-    free = np.array([True, True, not config.fix_k_y])
-
+    lo, hi = np.log(DEFAULT_BOUNDS).T
+    theta = np.clip(np.log([INITIAL_MU_ZETA_Y, INITIAL_C_Y, robust_stiffness_guess(dataset)]), lo, hi)
     alpha, f_z, f_y = dataset.alpha, dataset.f_z, dataset.f_y
 
-    def model(x):
-        full = theta.copy()
-        full[free] = x
-        pred, jac = _model_and_jacobian(full, alpha, f_z, config.e_y)
-        return pred, jac[:, free]
-
-    if not np.all(np.sum(model(theta[free])[1] ** 2, axis=0) > 0):
+    if not np.all(np.sum(_model_and_jacobian(theta, alpha, f_z)[1] ** 2, axis=0) > 0):
         raise NumericalError("rank-deficient Jacobian in lateral fit")
-    sol = least_squares(lambda x: model(x)[0] - f_y, theta[free], jac=lambda x: model(x)[1],
-                        bounds=(lo[free], hi[free]), method="trf", ftol=config.cost_tolerance,
+    sol = least_squares(lambda x: _model_and_jacobian(x, alpha, f_z)[0] - f_y, theta,
+                        jac=lambda x: _model_and_jacobian(x, alpha, f_z)[1],
+                        bounds=(lo, hi), method="trf", ftol=_FTOL,
                         xtol=_XTOL, gtol=_GTOL, max_nfev=config.max_iterations)
-    theta[free] = sol.x
     residual, jf, cost = sol.fun, sol.jac, float(sol.cost)
 
-    params = LateralFrictionParams(
-        mu_zeta_y=float(np.exp(theta[0])), c_y=float(np.exp(theta[1])),
-        k_y=float(np.exp(theta[2])), e_y=config.e_y,
-    )
-    dof = max(len(dataset) - int(free.sum()), 1)
-    sigma2 = 2.0 * cost / dof
+    mz, cy, ky = np.exp(sol.x)
+    params = LateralFrictionParams(mu_zeta_y=float(mz), c_y=float(cy), k_y=float(ky), e_y=E_Y)
+    sigma2 = 2.0 * cost / max(len(dataset) - 3, 1)
     try:
-        cov_free = sigma2 * np.linalg.inv(jf.T @ jf)
+        covariance = sigma2 * np.linalg.inv(jf.T @ jf)
     except np.linalg.LinAlgError:
-        cov_free = np.full((int(free.sum()),) * 2, np.nan)
-    covariance = np.full((3, 3), np.nan)
-    covariance[np.ix_(free, free)] = cov_free
+        covariance = np.full((3, 3), np.nan)
     return FitResult(
         params=params,
         residual_rms=float(np.sqrt(np.mean(residual ** 2))),
@@ -271,4 +248,4 @@ def load_lateral_params(path) -> LateralFrictionParams:
     raw = load_floats(path, ("mu_zeta_y", "c_y", "k_y", "e_y"))
     with reading(path):
         return LateralFrictionParams(mu_zeta_y=raw["mu_zeta_y"], c_y=raw["c_y"], k_y=raw["k_y"],
-                                     e_y=raw.get("e_y", 0.99))
+                                     e_y=raw.get("e_y", E_Y))

@@ -35,6 +35,9 @@ from .errors import reading
 #: Default fixed longitudinal friction coefficient.
 MU_X_DEFAULT = 0.004
 
+#: Curvature factor of the lateral law, held fixed rather than fitted.
+E_Y = 0.99
+
 #: Reference-model constants: peak coefficient and slip-angle gain [1/rad].
 BRAGHIN_MU_Y = 0.5
 BRAGHIN_K3 = 50.0
@@ -78,7 +81,7 @@ class LateralFrictionParams:
     mu_zeta_y: float
     c_y: float
     k_y: float
-    e_y: float = 0.99
+    e_y: float = E_Y
 
     def __post_init__(self):
         if not 0 < self.mu_zeta_y < np.inf:

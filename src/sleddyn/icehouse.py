@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aero import AirState, drag_force
+from .aero import R_SPECIFIC_AIR, AirState, drag_force
 from .errors import DataError, NumericalError, reading
 from .friction import LongitudinalFrictionParams
 from .tables import read_table, write_table
@@ -39,9 +39,9 @@ MIN_FIT_SAMPLES = 20
 class GlideRun:
     """Speed-over-distance record of one gliding run.
 
-    ``kappa`` is the slope angle along the direction of travel
-    (positive when climbing) used when no altitude channel exists; the
-    direction tag only serves to pair opposite runs for averaging.
+    ``kappa`` is the slope angle along the direction of travel (positive
+    when climbing), replaced by the altitude channel ``h`` when there is
+    one; the direction tag only serves to pair opposite runs for averaging.
     """
 
     s: np.ndarray
@@ -50,7 +50,7 @@ class GlideRun:
     air: AirState
     cx_ax: float
     direction: str = "down"
-    kappa: float | None = 0.0
+    kappa: float = 0.0
     h: np.ndarray | None = None
     specimen: str = ""
 
@@ -63,7 +63,7 @@ class GlideRun:
             raise ValueError("distance must be finite and strictly increasing over the glide")
         if not np.all(v > 0):
             raise ValueError("speed must stay positive inside the gliding window")
-        if not (0 < self.m < np.inf and 0 <= self.cx_ax < np.inf and np.isfinite(self.kappa or 0.0)):
+        if not (0 < self.m < np.inf and 0 <= self.cx_ax < np.inf and np.isfinite(self.kappa)):
             raise ValueError(f"mass m must be positive, drag area cx_ax non-negative and slope "
                              f"kappa finite, got m = {self.m}, cx_ax = {self.cx_ax}, kappa = {self.kappa}")
         if self.direction not in ("up", "down"):
@@ -84,10 +84,8 @@ def energy_series(run: GlideRun):
     s = run.s
     if run.h is not None:
         e_pot = run.m * G * (run.h - run.h[0])
-    elif run.kappa is not None:
-        e_pot = run.m * G * np.sin(run.kappa) * (s - s[0])
     else:
-        raise DataError("glide run needs either an altitude channel or a slope angle")
+        e_pot = run.m * G * np.sin(run.kappa) * (s - s[0])
     e_kin = 0.5 * run.m * (run.v ** 2 - run.v[0] ** 2)
     f_aero = drag_force(run.v, run.cx_ax, run.air)
     e_aero = np.concatenate([[0.0], np.cumsum(0.5 * (f_aero[1:] + f_aero[:-1]) * np.diff(s))])
@@ -150,18 +148,14 @@ class GlideResult:
     mu_stderr: float
 
 
-def evaluate_glide(run: GlideRun, window=None, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> GlideResult:
+def evaluate_glide(run: GlideRun, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> GlideResult:
     """Full energy-method evaluation of one gliding run."""
-    energy = energy_series(run)
-    if window is None:
-        window = middle_window(run.s, window_fraction)
-    force, stderr = friction_force_fit(run.s, energy, window)
-    kappa = run.kappa if run.kappa is not None else 0.0
-    scale = run.m * G * np.cos(kappa)
+    force, stderr = friction_force_fit(run.s, energy_series(run), middle_window(run.s, window_fraction))
+    scale = run.m * G * np.cos(run.kappa)
     return GlideResult(
         specimen=run.specimen, direction=run.direction,
         f_ice=force, f_ice_stderr=stderr,
-        mu=mu_from_force(force, run.m, kappa), mu_stderr=stderr / scale,
+        mu=mu_from_force(force, run.m, run.kappa), mu_stderr=stderr / scale,
     )
 
 
@@ -207,7 +201,8 @@ def load_glide_csv(path) -> GlideRun:
     """Read a glide run; distance integrates v over t (trapezoidal).
 
     Raises DataError naming the file for a missing, non-numeric or
-    out-of-range metadata value and for a run ``GlideRun`` rejects.
+    out-of-range metadata value and for a run ``GlideRun`` rejects, and
+    naming the line for a non-finite cell.
     """
     table = read_table(path)
     header = [name.strip().lower() for name in table.header]
@@ -222,8 +217,11 @@ def load_glide_csv(path) -> GlideRun:
     with reading(path, what="bad glide metadata: "):
         m, cx_ax, kappa = float(meta["m"]), float(meta["cx_ax"]), float(meta.get("kappa", 0.0))
         air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
-                       r_specific=float(meta.get("r_specific", 287.05)))
+                       r_specific=float(meta.get("r_specific", R_SPECIFIC_AIR)))
         direction = meta["direction"]
+    bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
+    if bad.size:
+        raise DataError(f"{path}: non-finite value at line {bad[0] + table.header_line + 1}")
     t, v = table.data[:, 0], table.data[:, 1]
     with reading(path):
         return GlideRun(

@@ -1,7 +1,6 @@
 """End-to-end CLI workflows on synthetic data."""
 
 import dataclasses
-import functools
 import json
 import os
 import subprocess
@@ -77,7 +76,7 @@ class TestFitCommand:
     def test_bound_note_uses_fit_config_bounds(self, workspace, capsys, monkeypatch):
         # the noise-free optimum has mu_zeta_y near 0.79; a lower bound of 1 holds it there
         bounds = ((1.0, 20.0), *fitting.DEFAULT_BOUNDS[1:])
-        monkeypatch.setattr(fitting, "FitConfig", functools.partial(fitting.FitConfig, bounds=bounds))
+        monkeypatch.setattr(fitting, "DEFAULT_BOUNDS", bounds)
         tmp_path, paths = workspace
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                      "fit", *paths]) == 0
@@ -133,17 +132,6 @@ class TestFitCommand:
 
     def test_no_files_is_usage_error(self, tmp_path):
         assert main(["--out-dir", str(tmp_path / "o"), "fit"]) == 1
-
-    def test_env_var_overrides_bob_path(self, workspace, monkeypatch):
-        tmp_path, paths = workspace
-        other = tmp_path / "elsewhere.kv"
-        other.write_text((tmp_path / "bob.kv").read_text())
-        (tmp_path / "bob.kv").unlink()
-        out = tmp_path / "env_out"
-        monkeypatch.setenv("SLEDDYN_BOB_PARAMS", str(other))
-        code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
-                     "fit", paths[0]])
-        assert code == 0
 
 
 class TestEvalCommand:
@@ -512,6 +500,13 @@ class TestBadInputFiles:
         (1, "fit run.csv --bogus", {}, "error: sleddyn: unrecognized arguments: --bogus"),
         (1, "nosuch", {}, "error: sleddyn: argument command: invalid choice: 'nosuch'"),
         (1, "eval run.csv", {}, "error: sleddyn eval: the following arguments are required"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE + "inf,1.9\n0.2,1.8\n"}, "glide.csv: non-finite value at line 8"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\ncutof_hz = 5\n"},
+         "config.ini: [processing] cutof_hz is not supported"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[procesing]\ncutoff_hz = 5\n"},
+         "config.ini: [procesing] cutoff_hz is not supported"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
@@ -523,7 +518,8 @@ class TestBadInputFiles:
             "schema-columns-list", "schema-columns-number", "scenario-s-not-increasing",
             "glide-m-zero-names-file", "bob-offset-inf", "schema-shared-column-names-file",
             "schema-bad-angle-unit", "argv-rate-not-number", "argv-unknown-option",
-            "argv-unknown-command", "argv-missing-required"])
+            "argv-unknown-command", "argv-missing-required", "glide-time-inf", "config-misspelled-key",
+            "config-misspelled-section"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

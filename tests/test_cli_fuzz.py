@@ -103,6 +103,8 @@ def inputs(tmp_path_factory) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in root.iterdir() if path.is_file()}
 
 
+# a numpy warning would reach a real process's stderr as extra lines
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target, argv", CASES, ids=[target for target, _ in CASES])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

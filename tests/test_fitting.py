@@ -7,6 +7,7 @@ import pytest
 
 from sleddyn.errors import DataError, NumericalError
 from sleddyn.fitting import (
+    DEFAULT_BOUNDS,
     FitConfig,
     FitDataset,
     fit_lateral,
@@ -56,15 +57,6 @@ class TestFitRecovery:
         front = fit_lateral(synthetic_dataset(FRONT, seed=3)).params
         rear = fit_lateral(synthetic_dataset(REAR, seed=3)).params
         assert rear.k_y / front.k_y == pytest.approx(49776.0 / 10522.0, rel=0.02)
-
-    def test_two_parameter_fit_with_fixed_stiffness(self):
-        dataset = synthetic_dataset(FRONT, seed=4)
-        config = FitConfig(initial=(3.0, 0.05, FRONT.k_y), fix_k_y=True,
-                           cost_tolerance=1e-16, max_iterations=500)
-        result = fit_lateral(dataset, config)
-        assert result.params.k_y == pytest.approx(FRONT.k_y, rel=1e-12)
-        assert result.params.mu_zeta_y == pytest.approx(FRONT.mu_zeta_y, rel=1e-6)
-        assert result.params.c_y == pytest.approx(FRONT.c_y, rel=1e-6)
 
     def test_stiffness_recovery_under_noise(self):
         errors = []
@@ -126,11 +118,10 @@ class TestFitRecovery:
 
     def test_optimum_on_bound_stays_inside_bounds(self):
         # at 5 % noise the front optimum runs into the mu_zeta_y bound
-        config = FitConfig()
-        result = fit_lateral(synthetic_dataset(FRONT, seed=0, noise=0.05), config)
+        result = fit_lateral(synthetic_dataset(FRONT, seed=0, noise=0.05))
         p = result.params
-        assert p.mu_zeta_y >= config.bounds[0][1] * 0.9999
-        for value, (lo, hi) in zip((p.mu_zeta_y, p.c_y, p.k_y), config.bounds):
+        assert p.mu_zeta_y >= DEFAULT_BOUNDS[0][1] * 0.9999
+        for value, (lo, hi) in zip((p.mu_zeta_y, p.c_y, p.k_y), DEFAULT_BOUNDS):
             assert lo <= value <= hi
 
     def test_robust_stiffness_guess(self):

@@ -88,12 +88,6 @@ class TestEnergySeries:
         # downhill tilt: potential falls by m g sin(kappa) per meter
         assert np.diff(series)[0] / np.diff(s)[0] == pytest.approx(-100.0 * G * np.sin(kappa))
 
-    def test_requires_height_or_slope(self):
-        s = np.linspace(0.0, 10.0, 50)
-        run = GlideRun(s=s, v=np.full(s.size, 2.0), m=10.0, air=AIR, cx_ax=0.0, kappa=None)
-        with pytest.raises(DataError):
-            energy_series(run)
-
     def test_altitude_channel_preferred(self):
         s = np.linspace(0.0, 30.0, 200)
         h = 5.0 - 0.01 * s
