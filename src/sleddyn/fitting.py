@@ -171,11 +171,16 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
     lo, hi = np.log(DEFAULT_BOUNDS).T
     theta = np.clip(np.log([INITIAL_MU_ZETA_Y, INITIAL_C_Y, robust_stiffness_guess(dataset)]), lo, hi)
     alpha, f_z, f_y = dataset.alpha, dataset.f_z, dataset.f_y
+    last = [None, None]  # (x bytes, model and Jacobian): scipy asks for both at the same x
 
-    if not np.all(np.sum(_model_and_jacobian(theta, alpha, f_z)[1] ** 2, axis=0) > 0):
+    def model(x):
+        if last[0] != x.tobytes():
+            last[:] = x.tobytes(), _model_and_jacobian(x, alpha, f_z)
+        return last[1]
+
+    if not np.all(np.sum(model(theta)[1] ** 2, axis=0) > 0):
         raise NumericalError("rank-deficient Jacobian in lateral fit")
-    sol = least_squares(lambda x: _model_and_jacobian(x, alpha, f_z)[0] - f_y, theta,
-                        jac=lambda x: _model_and_jacobian(x, alpha, f_z)[1],
+    sol = least_squares(lambda x: model(x)[0] - f_y, theta, jac=lambda x: model(x)[1],
                         bounds=(lo, hi), method="trf", ftol=_FTOL,
                         xtol=_XTOL, gtol=_GTOL, max_nfev=config.max_iterations)
     residual, jf, cost = sol.fun, sol.jac, float(sol.cost)

@@ -25,7 +25,7 @@ import numpy as np
 from .aero import R_SPECIFIC_AIR, AirState, drag_force
 from .errors import DataError, NumericalError, reading
 from .friction import LongitudinalFrictionParams
-from .tables import read_table, write_table
+from .tables import data_line, read_table, write_table
 
 G = 9.81
 
@@ -221,7 +221,7 @@ def load_glide_csv(path) -> GlideRun:
         direction = meta["direction"]
     bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
     if bad.size:
-        raise DataError(f"{path}: non-finite value at line {bad[0] + table.header_line + 1}")
+        raise DataError(f"{path}: non-finite value at line {data_line(path, table.header_line, bad[0])}")
     t, v = table.data[:, 0], table.data[:, 1]
     with reading(path):
         return GlideRun(

@@ -17,12 +17,15 @@ the synthetic world satisfies the same momentum balances the
 reconstruction inverts. Drag acts against the velocity with the
 yaw-sensitive drag area.
 
-An evaluation of the right-hand side computes the state-only terms
-(lookups, slip angles, total load, drag) once and the v_dot-dependent
-load part (pitch acceleration, vertical split, runner forces) twice,
-for one fixed-point pass over v_dot. The evaluation that logs an
-accepted state is the next step's k1 ("first same as last"), so a step
-costs four evaluations.
+One evaluator is built per run: ``_rhs`` binds the run's constants
+(masses, lever arms, both lateral laws, drag, the track and control
+lookups) once and returns a flat function of the state. Each
+evaluation computes the state-only terms (lookups, slip angles, total
+load, drag, trigonometry) once and the v_dot-dependent loads (pitch
+acceleration, vertical split, runner forces) twice, for one
+fixed-point pass over v_dot. The evaluation that logs an accepted
+state is the next step's k1 ("first same as last"), so a step costs
+four evaluations.
 
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
@@ -180,120 +183,89 @@ class SimLog:
         return self.data["t"].size
 
 
-def _force_y_scalar(f_z: float, alpha: float, p: LateralFrictionParams) -> float:
-    b_a = p.k_y / (p.c_y * p.mu_zeta_y * f_z) * alpha
-    arg = b_a - p.e_y * (b_a - math.atan(b_a))
-    return p.mu_zeta_y * f_z * math.sin(p.c_y * math.atan(arg))
+# entries of the tuple ``rhs`` returns: the four derivatives, then the logged terms
+_TERMS = ("s_dot", "v_dot", "beta_dot", "psi_ddot",
+          "delta", "gamma", "kappa", "theta_dot", "theta_ddot", "alpha_f", "alpha_r",
+          "f_drag", "gravity", "cos_beta", "sin_beta",
+          "f_x_f", "f_y_f", "f_z_f", "f_x_f0", "f_y_f0", "f_z_f0", "f_x_r", "f_y_r", "f_z_r")
 
 
-def _front_forces_scalar(alpha_f: float, f_z_f0: float, gamma: float, delta: float,
-                         lateral: LateralFrictionParams, mu: float):
-    """Scalar twin of onetrack.front_runner_forces (hot path).
+def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup: FrictionSetup,
+         aero: AeroModel | None):
+    """The run's right-hand side ``rhs(t, s, v, beta, psi_dot)`` -> the ``_TERMS`` tuple.
 
-    Uses the closed form of the frame rotation: the composed matrix
-    equals Rx(gamma) Rz(delta), which actively rotates runner-frame
-    forces into the body frame. The test suite checks this path against
-    the vectorized version.
+    The vertical axle split depends on theta_ddot = -v_dot/r - v^2 d(1/r)/ds,
+    which contains v_dot: a first pass with v_dot = 0 supplies the hint for
+    the second, so the returned loads are self-consistent to second order.
+    The front triple uses the closed form Rx(gamma) Rz(delta) of the frame
+    rotation. ``TestScalarFastPath`` checks the terms against the
+    vectorized force chain.
     """
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    cd, sd = math.cos(delta), math.sin(delta)
-    f_y_f = _force_y_scalar(f_z_f0, alpha_f, lateral)
-    f_x_f = -mu * f_z_f0 * math.cos(alpha_f)
-    # z-row of F_f0 = A F_f with A = Rx(g) Rz(d): (sg sd, sg cd, cg)
-    f_z_f = (f_z_f0 - sg * sd * f_x_f - sg * cd * f_y_f) / cg
-    f_x_f0 = cd * f_x_f - sd * f_y_f
-    f_y_f0 = cg * sd * f_x_f + cg * cd * f_y_f - sg * f_z_f
-    return (f_x_f, f_y_f, f_z_f), (f_x_f0, f_y_f0, f_z_f0)
-
-
-# fields of the state-part and load-part tuples, which the hot path passes bare
-_STATE_TERMS = ("delta", "gamma", "kappa", "theta_dot", "inv_r", "vv_slope", "alpha_f", "alpha_r",
-                "f_z_total", "f_drag", "gravity", "cos_beta", "sin_beta")
-_LOAD_TERMS = ("theta_ddot", "f_f", "f_f0", "f_x_r", "f_y_r", "f_z_r")
-
-
-def _state_part(t, s, v, beta, psi_dot, bob: BobParameters, track: TrackProfile,
-                controls: ControlTrace, aero: AeroModel | None):
-    """The ``_STATE_TERMS`` at one state: everything that does not depend on v_dot."""
-    delta, gamma = controls.at(t)
-    kappa, inv_r, n_load, slope = track.at(s)
+    sin, cos, atan, degrees = math.sin, math.cos, math.atan, math.degrees
+    control_at, track_at = controls.at, track.at
+    m, l_f, l_r, j_yy, j_zz, wheelbase = bob.m, bob.l_f, bob.l_r, bob.j_yy, bob.j_zz, bob.wheelbase
+    m_g = m * G
+    front, rear = setup.lateral_front, setup.lateral_rear
+    k_f, c_f, mu_f, e_f, cm_f = front.k_y, front.c_y, front.mu_zeta_y, front.e_y, front.c_y * front.mu_zeta_y
+    k_r, c_r, mu_r, e_r, cm_r = rear.k_y, rear.c_y, rear.mu_zeta_y, rear.e_y, rear.c_y * rear.mu_zeta_y
+    neg_mu = -setup.mu_x
     if aero is not None:
-        area = aero.cx_ax * (1.0 + aero.yaw_sensitivity * math.degrees(abs(beta)))
-        f_drag = 0.5 * area * v * v * aero.air.density
-    else:
-        f_drag = 0.0
-    return (delta, gamma, kappa, -v * inv_r, inv_r, v * v * slope,
-            beta + delta - psi_dot * bob.l_f / v, beta + psi_dot * bob.l_r / v,
-            n_load * bob.m * G, f_drag, bob.m * G * math.sin(kappa), math.cos(beta), math.sin(beta))
+        cx_ax, yaw_sensitivity, density = aero.cx_ax, aero.yaw_sensitivity, aero.air.density
+
+    def rhs(t, s, v, beta, psi_dot):
+        delta, gamma = control_at(t)
+        kappa, inv_r, n_load, slope = track_at(s)
+        if aero is not None:
+            area = cx_ax * (1.0 + yaw_sensitivity * degrees(abs(beta)))
+            f_drag = 0.5 * area * v * v * density
+        else:
+            f_drag = 0.0
+        vv_slope = v * v * slope
+        alpha_f = beta + delta - psi_dot * l_f / v
+        alpha_r = beta + psi_dot * l_r / v
+        f_z_total = n_load * m * G
+        gravity = m_g * sin(kappa)
+        cb, sb, cg, sg, cd, sd = cos(beta), sin(beta), cos(gamma), sin(gamma), cos(delta), sin(delta)
+        sg_sd, sg_cd, cg_sd, cg_cd = sg * sd, sg * cd, cg * sd, cg * cd
+        cos_alpha_f, cos_alpha_r = cos(alpha_f), cos(alpha_r)
+        static_f, static_r = l_r * f_z_total, l_f * f_z_total
+        u, w = v * cb, -v * sb
+        along = gravity - f_drag
+        along_x, along_y = along * cb, along * sb
+        mv = m * v
+        v_dot = 0.0
+        for _ in (0, 1):
+            theta_ddot = -v_dot * inv_r - vv_slope
+            f_z_f0 = (static_f + j_yy * theta_ddot) / wheelbase
+            f_z_r = (static_r - j_yy * theta_ddot) / wheelbase
+            b_a = k_f / (cm_f * f_z_f0) * alpha_f
+            f_y_f = mu_f * f_z_f0 * sin(c_f * atan(b_a - e_f * (b_a - atan(b_a))))
+            f_x_f = neg_mu * f_z_f0 * cos_alpha_f
+            # z-row of F_f0 = A F_f with A = Rx(g) Rz(d): (sg sd, sg cd, cg)
+            f_z_f = (f_z_f0 - sg_sd * f_x_f - sg_cd * f_y_f) / cg
+            f_x_f0 = cd * f_x_f - sd * f_y_f
+            f_y_f0 = cg_sd * f_x_f + cg_cd * f_y_f - sg * f_z_f
+            b_a = k_r / (cm_r * f_z_r) * alpha_r
+            f_y_r = mu_r * f_z_r * sin(c_r * atan(b_a - e_r * (b_a - atan(b_a))))
+            f_x_r = neg_mu * f_z_r * cos_alpha_r
+            sum_x = f_x_f0 + f_x_r + along_x
+            sum_y = f_y_f0 + f_y_r - along_y
+            v_dot = (u * sum_x + w * sum_y) / mv
+        return (v, v_dot, psi_dot - (u * sum_y - w * sum_x) / (mv * v), (l_f * f_y_f0 - l_r * f_y_r) / j_zz,
+                delta, gamma, kappa, -v * inv_r, theta_ddot, alpha_f, alpha_r, f_drag, gravity, cb, sb,
+                f_x_f, f_y_f, f_z_f, f_x_f0, f_y_f0, f_z_f0, f_x_r, f_y_r, f_z_r)
+
+    return rhs
 
 
-def _load_part(part, v_dot_hint: float, bob: BobParameters, setup: FrictionSetup):
-    """The ``_LOAD_TERMS`` for one v_dot hint: the vertical split and the runner forces.
-
-    ``v_dot_hint`` feeds the pitch-acceleration term theta_ddot =
-    -v_dot/r - v^2 d(1/r)/ds, which shifts load between the axles.
-    """
-    delta, gamma, _, _, inv_r, vv_slope, alpha_f, alpha_r, f_z_total = part[:9]
-    theta_ddot = -v_dot_hint * inv_r - vv_slope
-    wheelbase = bob.wheelbase
-    f_z_f0 = (bob.l_r * f_z_total + bob.j_yy * theta_ddot) / wheelbase
-    f_z_r = (bob.l_f * f_z_total - bob.j_yy * theta_ddot) / wheelbase
-    f_f, f_f0 = _front_forces_scalar(alpha_f, f_z_f0, gamma, delta, setup.lateral_front, setup.mu_x)
-    f_y_r = _force_y_scalar(f_z_r, alpha_r, setup.lateral_rear)
-    f_x_r = -setup.mu_x * f_z_r * math.cos(alpha_r)
-    return theta_ddot, f_f, f_f0, f_x_r, f_y_r, f_z_r
-
-
-def _derivatives(v, psi_dot, part, load, bob: BobParameters):
-    """(s, v, beta, psi_dot) time derivatives from the two parts."""
-    f_drag, gravity, cb, sb = part[9:]
-    _, _, (f_x_f0, f_y_f0, _), f_x_r, f_y_r, _ = load
-    u, w = v * cb, -v * sb
-    along = gravity - f_drag
-    sum_x = f_x_f0 + f_x_r + along * cb
-    sum_y = f_y_f0 + f_y_r - along * sb
-    v_dot = (u * sum_x + w * sum_y) / (bob.m * v)
-    beta_dot = psi_dot - (u * sum_y - w * sum_x) / (bob.m * v * v)
-    psi_ddot = (bob.l_f * f_y_f0 - bob.l_r * f_y_r) / bob.j_zz
-    return (v, v_dot, beta_dot, psi_ddot)
-
-
-def _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero):
-    """(state part, load part, derivatives) with one fixed-point pass over v_dot.
-
-    The vertical axle split depends on theta_ddot, which contains
-    v_dot; a first pass with v_dot = 0 supplies the hint for the second,
-    so the returned load is self-consistent to second order.
-    """
-    part = _state_part(t, s, v, beta, psi_dot, bob, track, controls, aero)
-    load = _load_part(part, 0.0, bob, setup)
-    load = _load_part(part, _derivatives(v, psi_dot, part, load, bob)[1], bob, setup)
-    return part, load, _derivatives(v, psi_dot, part, load, bob)
-
-
-def _force_bundle(state: SimState, bob: BobParameters, track: TrackProfile,
-                  controls: ControlTrace, setup: FrictionSetup, aero: AeroModel | None,
-                  v_dot_hint: float = 0.0) -> dict:
-    """Named view of the state part and one load part at ``state``."""
-    part = _state_part(state.t, state.s, state.v, state.beta, state.psi_dot, bob, track, controls, aero)
-    return dict(zip(_STATE_TERMS + _LOAD_TERMS, part + _load_part(part, v_dot_hint, bob, setup)))
-
-
-def step(state: SimState, bob: BobParameters, track: TrackProfile, controls: ControlTrace,
-         setup: FrictionSetup, aero: AeroModel | None, dt: float, k1=None) -> SimState:
-    """One fixed-step RK4 step; ``k1``, the derivatives at ``state``, is computed unless passed."""
-    if dt > MAX_DT:
-        raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
-
-    def f(t, s, v, beta, psi_dot):
-        return _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero)[2]
-
+def step(state: SimState, rhs, dt: float, k1=None) -> SimState:
+    """One fixed-step RK4 step of ``rhs``; ``k1``, its value at ``state``, is computed unless passed."""
     t0, s0, v0, b0, p0 = state.t, state.s, state.v, state.beta, state.psi_dot
     half = dt / 2.0
-    k1 = f(t0, s0, v0, b0, p0) if k1 is None else k1
-    k2 = f(t0 + half, s0 + half * k1[0], v0 + half * k1[1], b0 + half * k1[2], p0 + half * k1[3])
-    k3 = f(t0 + half, s0 + half * k2[0], v0 + half * k2[1], b0 + half * k2[2], p0 + half * k2[3])
-    k4 = f(t0 + dt, s0 + dt * k3[0], v0 + dt * k3[1], b0 + dt * k3[2], p0 + dt * k3[3])
+    k1 = rhs(t0, s0, v0, b0, p0) if k1 is None else k1
+    k2 = rhs(t0 + half, s0 + half * k1[0], v0 + half * k1[1], b0 + half * k1[2], p0 + half * k1[3])
+    k3 = rhs(t0 + half, s0 + half * k2[0], v0 + half * k2[1], b0 + half * k2[2], p0 + half * k2[3])
+    k4 = rhs(t0 + dt, s0 + dt * k3[0], v0 + dt * k3[1], b0 + dt * k3[2], p0 + dt * k3[3])
     sixth = dt / 6.0
     return SimState(
         t=t0 + dt,
@@ -314,20 +286,23 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
     ``v_stop``; the log always contains the states actually reached.
     A non-finite state raises NumericalError naming its time.
     """
+    if dt > MAX_DT:
+        raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
     if v0 <= v_stop:
         raise ConfigError("initial speed below the stop threshold")
+    rhs = _rhs(bob, track, controls, setup, aero)
     state = SimState(t=0.0, s=float(track.s[0]), v=v0, beta=beta0, psi_dot=psi_dot0)
     rows = []  # one tuple per accepted state, in _LOG_FIELDS order; grows with the run, not t_max
 
     def log_state(st: SimState):
-        """Log the accepted state; its derivatives are the next step's k1."""
+        """Log the accepted state; its ``rhs`` value is the next step's k1."""
         t, s, v, beta, psi_dot = st.t, st.s, st.v, st.beta, st.psi_dot
-        part, load, deriv = _evaluate(t, s, v, beta, psi_dot, bob, track, controls, setup, aero)
-        delta, gamma, kappa, theta_dot, _, _, alpha_f, alpha_r, _, f_drag, gravity, cb, sb = part
-        theta_ddot, (f_x_f, f_y_f, f_z_f), (f_x_f0, f_y_f0, f_z_f0), f_x_r, f_y_r, f_z_r = load
+        k = rhs(t, s, v, beta, psi_dot)
+        (_, _, _, psi_ddot, delta, gamma, kappa, theta_dot, theta_ddot, alpha_f, alpha_r, f_drag, gravity,
+         cb, sb, f_x_f, f_y_f, f_z_f, f_x_f0, f_y_f0, f_z_f0, f_x_r, f_y_r, f_z_r) = k
         u, w = v * cb, -v * sb
         rows.append((
-            t, s, v, beta, psi_dot, deriv[3], theta_dot, theta_ddot, delta, gamma, kappa,
+            t, s, v, beta, psi_dot, psi_ddot, theta_dot, theta_ddot, delta, gamma, kappa,
             (f_x_f0 + f_x_r - f_drag * cb) / bob.m, (f_y_f0 + f_y_r + f_drag * sb) / bob.m,
             (f_z_f0 + f_z_r) / bob.m,
             f_x_f0, f_y_f0, f_z_f0, f_x_f, f_y_f, f_z_f, f_x_r, f_y_r, f_z_r, f_drag,
@@ -335,12 +310,12 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
             f_x_f0 * u + f_y_f0 * (w + psi_dot * bob.l_f), f_x_r * u + f_y_r * (w - psi_dot * bob.l_r),
             0.5 * bob.m * v ** 2 + 0.5 * bob.j_zz * psi_dot ** 2,
         ))
-        return deriv
+        return k
 
     n_steps = int(round(t_max / dt))
     k1 = log_state(state)
     for _ in range(n_steps):
-        new = step(state, bob, track, controls, setup, aero, dt, k1)
+        new = step(state, rhs, dt, k1)
         if not all(map(math.isfinite, (new.s, new.v, new.beta, new.psi_dot))):
             raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
         if new.v <= v_stop or new.s >= track.s[-1]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -107,15 +108,26 @@ def write_table(path, columns: dict, comments=()) -> None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in data[start:start + 1024].tolist())
 
 
+def data_line(path, header_line: int, row: int) -> int:
+    """1-based file line of data row ``row`` (0-based), counting skipped blank and ``#`` lines."""
+    with open(path, encoding="utf-8") as fh:
+        return next(islice(_body_lines(fh, header_line), row, None))[0]
+
+
+def _body_lines(fh, header_line: int):
+    """(file line, text before any ``#``) of each data line after the header in open file ``fh``."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.split("#", 1)[0]
+        if lineno > header_line and text.strip():
+            yield lineno, text
+
+
 def _locate_error(path, header_line: int, header: list[str], idx: list[int],
                   every: bool, exc) -> DataError:
     """DataError naming the first body line that ``read_table`` cannot accept."""
     width = len(header)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0]
-            if lineno <= header_line or not text.strip():
-                continue
+        for lineno, text in _body_lines(fh, header_line):
             cells = next(csv.reader([text]))
             if (every and len(cells) != width) or max(idx) >= len(cells):
                 return DataError(f"{path}:{lineno}: row has {len(cells)} fields, header has {width}")

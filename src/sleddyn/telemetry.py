@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, reading
-from .tables import read_table, write_table
+from .tables import data_line, read_table, write_table
 
 #: Channels every run must provide, in canonical order.
 CORE_CHANNELS = (
@@ -169,12 +169,13 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
             meta_fields[key.strip()] = value.strip()
     bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
     if bad.size:
-        raise DataError(f"{path}: non-finite value at line {bad[0] + table.header_line + 1}")
+        raise DataError(f"{path}: non-finite value at line {data_line(path, table.header_line, bad[0])}")
     t = data["t"]
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if bad.size:
-        # bad[0] flags the second sample of the offending pair
-        raise DataError(f"{path}: time not strictly increasing at line {bad[0] + table.header_line + 2}")
+        # t[bad[0] + 1] <= t[bad[0]]: name the later sample
+        line = data_line(path, table.header_line, bad[0] + 1)
+        raise DataError(f"{path}: time not strictly increasing at line {line}")
     scale = np.pi / 180.0 if schema.angle_unit == "deg" else 1.0
     channels = {}
     for name in CORE_CHANNELS:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sleddyn import fitting
 from sleddyn.errors import DataError, NumericalError
 from sleddyn.fitting import (
     DEFAULT_BOUNDS,
@@ -123,6 +124,20 @@ class TestFitRecovery:
         assert p.mu_zeta_y >= DEFAULT_BOUNDS[0][1] * 0.9999
         for value, (lo, hi) in zip((p.mu_zeta_y, p.c_y, p.k_y), DEFAULT_BOUNDS):
             assert lo <= value <= hi
+
+    def test_one_model_evaluation_per_point(self, monkeypatch):
+        # scipy's residual and Jacobian calls at one point, and the start-point
+        # rank check, share a single model evaluation
+        real, calls = fitting._model_and_jacobian, []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(fitting, "_model_and_jacobian", counted)
+        result = fit_lateral(synthetic_dataset(REAR, seed=3, noise=0.02))
+        assert result.converged and result.iterations > 5
+        assert len(calls) == result.iterations
 
     def test_robust_stiffness_guess(self):
         dataset = synthetic_dataset(FRONT, seed=7, noise=0.05)

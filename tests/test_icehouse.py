@@ -216,6 +216,13 @@ class TestGlideCsv:
         assert run.s[0] == 0.0
         assert np.allclose(np.diff(run.s), 0.5 * (v[1:] + v[:-1]) * 0.01, rtol=1e-12)
 
+    def test_non_finite_cell_names_file_line_past_skipped_lines(self, tmp_path):
+        path = tmp_path / "glide.csv"
+        path.write_text("# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n"
+                        "# direction = up\nt,v\n0,2\n\n# note\nnan,1.8\n0.2,1.7\n")
+        with pytest.raises(DataError, match="non-finite value at line 10$"):
+            load_glide_csv(path)
+
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# m = 100\nt,v\n0.0,2.4\n0.01,2.39\n")

@@ -13,18 +13,21 @@ from conftest import (
 )
 
 from reference_sim import reference_simulate
+from sleddyn import sim
 from sleddyn.errors import ConfigError
 from sleddyn.onetrack import build_axle_trace
 from sleddyn.sim import (
     _LOG_FIELDS,
+    _TERMS,
+    ControlTrace,
+    FrictionSetup,
     NoiseSpec,
-    SimState,
     TrackProfile,
+    _rhs,
     energy_audit,
     export_synthetic_telemetry,
     load_scenario,
     simulate,
-    step,
 )
 from sleddyn.telemetry import derive_channels, process
 
@@ -32,43 +35,54 @@ G = 9.81
 
 
 class TestScalarFastPath:
-    def test_front_forces_match_vectorized_reference(self):
-        # the simulator's scalar force chain must agree with the
-        # vectorized implementation used by reconstruction and validation
-        from conftest import LATERAL_FRONT
-        from sleddyn.onetrack import front_runner_forces
-        from sleddyn.sim import _front_forces_scalar, _force_y_scalar
+    """``rhs``'s named terms agree with the vectorized force chain.
+
+    Reconstruction and validation use ``onetrack.front_runner_forces``,
+    ``friction.force_y`` and ``aero.drag_force``; ``rhs`` writes the same
+    laws out inline.
+    """
+
+    @staticmethod
+    def evaluate(bob, setup, aero, gamma, delta, rng):
+        """(v, beta, named ``rhs`` terms) at a random state on the banked corner, controls constant."""
+        controls = ControlTrace(t=np.array([0.0, 10.0]), delta=np.full(2, delta), gamma=np.full(2, gamma))
+        rhs = _rhs(bob, corner_track(), controls, setup, aero)
+        t, s, v, beta, psi_dot = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 1500.0), rng.uniform(3.0, 40.0),
+                                  rng.uniform(-0.2, 0.2), rng.uniform(-0.5, 0.5))
+        return v, beta, dict(zip(_TERMS, rhs(t, s, v, beta, psi_dot)))
+
+    def test_front_forces_match_vectorized_reference(self, bob, aero_model):
+        from conftest import LATERAL_FRONT, LATERAL_REAR
         from sleddyn.friction import force_y
+        from sleddyn.onetrack import front_runner_forces
 
         rng = np.random.default_rng(77)
         for _ in range(200):
-            alpha = rng.uniform(-0.1, 0.1)
-            f_z = rng.uniform(1e3, 2e4)
             gamma, delta = rng.uniform(-0.3, 0.3, 2)
             mu = rng.uniform(0.002, 0.008)
-            f_f_s, f_f0_s = _front_forces_scalar(alpha, f_z, gamma, delta, LATERAL_FRONT, mu)
-            f_f_v, f_f0_v = front_runner_forces(alpha, f_z, gamma, delta, LATERAL_FRONT, mu)
-            assert np.allclose(f_f_s, [float(c) for c in f_f_v], rtol=1e-12, atol=1e-9)
-            assert np.allclose(f_f0_s, [float(c) for c in f_f0_v], rtol=1e-12, atol=1e-9)
-            assert _force_y_scalar(f_z, alpha, LATERAL_FRONT) == pytest.approx(
-                float(force_y(f_z, alpha, LATERAL_FRONT)), rel=1e-13)
+            setup = FrictionSetup(lateral_front=LATERAL_FRONT, lateral_rear=LATERAL_REAR, mu_x=mu)
+            _, _, k = self.evaluate(bob, setup, aero_model, gamma, delta, rng)
+            f_f_v, f_f0_v = front_runner_forces(k["alpha_f"], k["f_z_f0"], gamma, delta, LATERAL_FRONT, mu)
+            assert np.allclose([k["f_x_f"], k["f_y_f"], k["f_z_f"]], [float(c) for c in f_f_v],
+                               rtol=1e-12, atol=1e-9)
+            assert np.allclose([k["f_x_f0"], k["f_y_f0"], k["f_z_f0"]], [float(c) for c in f_f0_v],
+                               rtol=1e-12, atol=1e-9)
+            assert k["f_y_f"] == pytest.approx(float(force_y(k["f_z_f0"], k["alpha_f"], LATERAL_FRONT)),
+                                               rel=1e-13)
+            assert k["f_y_r"] == pytest.approx(float(force_y(k["f_z_r"], k["alpha_r"], LATERAL_REAR)),
+                                               rel=1e-13)
 
     def test_drag_matches_aero_module(self, bob, friction_setup, aero_model):
-        # the force bundle writes the yaw-inflated drag out inline (area, then force)
+        # rhs writes the yaw-inflated drag out inline (area, then force)
         from sleddyn.aero import drag_area_at_beta, drag_force
-        from sleddyn.sim import _force_bundle
 
-        track, controls = straight_track(1000.0), zero_controls(10.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            v, beta = rng.uniform(3.0, 40.0), rng.uniform(-0.2, 0.2)
-            state = SimState(t=1.0, s=10.0, v=v, beta=beta, psi_dot=0.0)
-            bundle = _force_bundle(state, bob, track, controls, friction_setup, aero_model)
+            gamma, delta = rng.uniform(-0.3, 0.3, 2)
+            v, beta, k = self.evaluate(bob, friction_setup, aero_model, gamma, delta, rng)
             area = float(drag_area_at_beta(aero_model, beta))
-            assert bundle["f_drag"] == pytest.approx(
-                float(drag_force(v, 1.0, aero_model.air)) * area, rel=1e-13)
-            assert bundle["f_drag"] == pytest.approx(
-                float(drag_force(v, area, aero_model.air)), rel=1e-13)
+            assert k["f_drag"] == pytest.approx(float(drag_force(v, 1.0, aero_model.air)) * area, rel=1e-13)
+            assert k["f_drag"] == pytest.approx(float(drag_force(v, area, aero_model.air)), rel=1e-13)
 
 
 def bumped_track(length: float, kappa_deg: float) -> TrackProfile:
@@ -157,9 +171,22 @@ class TestDynamics:
         assert all(log.data[name].size == len(log) for name in _LOG_FIELDS)
 
     def test_dt_bound_enforced(self, bob, friction_setup):
-        state = SimState(t=0.0, s=0.0, v=10.0, beta=0.0, psi_dot=0.0)
         with pytest.raises(ConfigError):
-            step(state, bob, straight_track(100.0), zero_controls(1.0), friction_setup, None, dt=0.02)
+            simulate(bob, straight_track(100.0), zero_controls(1.0), friction_setup, None, dt=0.02)
+
+    def test_one_step_call_per_logged_step(self, bob, friction_setup, aero_model, monkeypatch):
+        # a run that ends at t_max logs its start state plus one state per step
+        real_step, calls = sim.step, []
+
+        def step(*args):
+            calls.append(None)
+            return real_step(*args)
+
+        monkeypatch.setattr(sim, "step", step)
+        log = simulate(bob, straight_track(1000.0, kappa=np.deg2rad(4.0)), weaving_controls(2.0),
+                       friction_setup, aero_model, v0=20.0, dt=0.005, t_max=2.0)
+        assert log.t[-1] == pytest.approx(2.0)
+        assert len(calls) == len(log) - 1 == 400
 
     def test_vertical_split_closes_pitch_balance(self, bob, friction_setup, aero_model):
         track = corner_track()

@@ -70,6 +70,19 @@ class TestIngest:
         with pytest.raises(DataError, match="line 4"):
             ingest_csv(path, SCHEMA_DEG)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.02,0,nan,0,0,0,0,1,0,0,0", "non-finite value at line 6$"),
+        ("0.005,0,0,0,0,0,0,1,0,0,0", "time not strictly increasing at line 6$"),
+    ], ids=["non-finite", "time"])
+    def test_row_check_names_file_line_past_skipped_lines(self, tmp_path, bad_row, message):
+        # the blank and comment lines are not data rows, but they are file lines
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ax,ay,az,p,q,r,speed,slip,steer,roll\n"
+                        "0.0,0,0,0,0,0,0,1,0,0,0\n0.01,0,0,0,0,0,0,1,0,0,0\n\n# note\n"
+                        f"{bad_row}\n0.03,0,0,0,0,0,0,1,0,0,0\n")
+        with pytest.raises(DataError, match=message):
+            ingest_csv(path, SCHEMA_DEG)
+
     def test_unparsable_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
