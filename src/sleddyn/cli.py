@@ -14,9 +14,15 @@ Subcommands:
   and ground-truth forces.
 * ``friction-table`` - plot-ready curves of the friction laws.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure. Commands validate inputs and finish computing before the first
-output file is written, so failures leave no partial artifacts.
+Each ``cmd_*`` handler only computes: it returns its files (name ->
+writer taking the target path) and its stdout lines. ``main`` publishes
+the files with ``_publish``, which stages them in a temporary directory
+and moves them into ``--out-dir`` after the last write succeeds, then
+prints the lines. A failure, a failed write included, leaves no partial
+artifacts.
+
+Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
+write too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,8 +31,12 @@ import argparse
 import configparser
 import csv
 import json
+import os
+import shutil
 import sys
+import tempfile
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +73,15 @@ DEFAULTS = {
     },
 }
 PATH_KEYS = ("bob_params", "schema")
+# what each [processing] value must be, as (test, wording); NaN fails every test
+LIMITS = {
+    "cutoff_hz": (lambda x: 0 <= x < np.inf, "non-negative and finite (0 turns the filter off)"),
+    "rate_hz": (lambda x: 0 < x < np.inf, "positive and finite"),
+    "roll_threshold_deg_s2": (lambda x: 0 < x < np.inf, "positive and finite"),
+    "window_fraction": (lambda x: 0 < x <= 1, "in (0, 1]"),
+    "v_min": (lambda x: 0 <= x < np.inf, "non-negative and finite"),
+    "mu_x": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+}
 
 
 class Config:
@@ -87,7 +106,11 @@ class Config:
 
 
 def load_config(path, overrides: dict | None = None, schema_path=None) -> Config:
-    """Defaults < INI file < non-None ``overrides``; an INI key the program does not read is a ConfigError."""
+    """Defaults < INI file < non-None ``overrides``.
+
+    An INI key the program does not read, and a ``[processing]`` value
+    outside its ``LIMITS``, are ConfigErrors.
+    """
     options = {key: value for section in DEFAULTS.values() for key, value in section.items()}
     paths: dict[str, Path] = {}
     if path is not None:
@@ -111,8 +134,9 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
             options[key] = value
     if schema_path is not None:
         schema = load_schema(schema_path)
-    if not 0 < options["rate_hz"] < np.inf:
-        raise ConfigError(f"rate_hz must be positive and finite, got {options['rate_hz']}")
+    for key, (test, wording) in LIMITS.items():
+        if not test(options[key]):
+            raise ConfigError(f"{key} must be {wording}, got {options[key]}")
     with reading(path, ConfigError):
         return Config(options, bob=bob, schema=schema)
 
@@ -139,59 +163,41 @@ def _run_keys(paths) -> list[str]:
 # icehouse
 
 
-def cmd_icehouse(args) -> int:
+def cmd_icehouse(args) -> tuple[dict, list[str]]:
     config = load_config(args.config, {"window_fraction": args.window})
     if not (args.glides or args.points):
         raise ConfigError("nothing to do: give glide files and/or --points")
-    out_dir = Path(args.out_dir)
-    results = []
-    if args.points:
-        params = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points))
-        results.append(("quadratic", params))
-    glide_results = []
+    quadratic = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points)) if args.points else None
+    report: dict = {}
     specimens: dict[str, dict[str, list]] = defaultdict(lambda: {"up": [], "down": []})
-    for path in args.glides:
+    for key, path in zip(_run_keys(args.glides), args.glides):
         run = icehouse.load_glide_csv(path)
         outcome = icehouse.evaluate_glide(run, window_fraction=config.options["window_fraction"])
-        glide_results.append(outcome)
         specimens[run.specimen][run.direction].append(outcome)
-    averaged = {}
+        for field in ("mu", "mu_stderr", "f_ice"):
+            report[f"run.{key}.{field}"] = getattr(outcome, field)
     for name, sides in specimens.items():
         if not sides["up"] or not sides["down"]:
             raise DataError(f"specimen {name!r} needs runs in both directions for averaging")
         mu_up = float(np.mean([r.mu for r in sides["up"]]))
         mu_down = float(np.mean([r.mu for r in sides["down"]]))
-        err = float(np.sqrt(np.mean([r.mu_stderr ** 2 for r in sides["up"] + sides["down"]])))
-        averaged[name] = (icehouse.average_bidirectional(mu_up, mu_down), err)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
+        report[f"specimen.{name}.mu"] = icehouse.average_bidirectional(mu_up, mu_down)
+        report[f"specimen.{name}.mu_stderr"] = float(
+            np.sqrt(np.mean([r.mu_stderr ** 2 for r in sides["up"] + sides["down"]])))
+    if quadratic is not None:
+        for field in ("b_x", "c_x", "d_x", "e_x", "zeta_x", "vertex_pressure"):
+            report[f"quadratic.{field}"] = getattr(quadratic, field)
     header = kvfile.provenance_lines(list(args.glides) + ([args.points] if args.points else []),
                                      {"window_fraction": config.options["window_fraction"]})
-    report: dict = {}
-    for key, outcome in zip(_run_keys(args.glides), glide_results):
-        report[f"run.{key}.mu"] = outcome.mu
-        report[f"run.{key}.mu_stderr"] = outcome.mu_stderr
-        report[f"run.{key}.f_ice"] = outcome.f_ice
-    for name, (mu_avg, err) in averaged.items():
-        report[f"specimen.{name}.mu"] = mu_avg
-        report[f"specimen.{name}.mu_stderr"] = err
-    for label, params in results:
-        report[f"{label}.b_x"] = params.b_x
-        report[f"{label}.c_x"] = params.c_x
-        report[f"{label}.d_x"] = params.d_x
-        report[f"{label}.e_x"] = params.e_x
-        report[f"{label}.zeta_x"] = params.zeta_x
-        report[f"{label}.vertex_pressure"] = params.vertex_pressure
-    kvfile.dump_kv(report, out_dir / "friction_report.kv", header=header)
-    print(f"wrote {out_dir / 'friction_report.kv'}")
-    return 0
+    files = {"friction_report.kv": partial(kvfile.dump_kv, report, header=header)}
+    return files, [f"wrote {args.out_dir / 'friction_report.kv'}"]
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict, list[str]]:
     if not args.telemetry:
         raise ConfigError("no telemetry files given")
     config = load_config(args.config, {
@@ -199,7 +205,6 @@ def cmd_fit(args) -> int:
         "roll_threshold_deg_s2": args.roll_threshold,
     }, schema_path=args.schema)
     bob = _require_bob(config)
-    out_dir = Path(args.out_dir)
     runs = [_prepare_run(p, config) for p in args.telemetry]
 
     fit_runs, holdout_runs = [], []
@@ -209,133 +214,117 @@ def cmd_fit(args) -> int:
         raise DataError("holdout excluded every run")
 
     aero = config.aero_model()
-    fit_config = fitting.FitConfig(roll_threshold_deg_s2=config.options["roll_threshold_deg_s2"])
+    threshold = config.options["roll_threshold_deg_s2"]
     datasets: dict[str, list] = {"front": [], "rear": []}
     for path, run in fit_runs:
         trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
                                  v_min=config.options["v_min"])
         for runner in ("front", "rear"):
-            datasets[runner].append(fitting.select_fit_samples(trace, run, fit_config, runner))
+            datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
 
     results = {}
     for runner, parts in datasets.items():
-        data = fitting.FitDataset(
-            alpha=np.concatenate([d.alpha for d in parts]),
-            f_z=np.concatenate([d.f_z for d in parts]),
-            f_y=np.concatenate([d.f_y for d in parts]),
-            runner=runner,
-        )
-        results[runner] = (fitting.fit_lateral(data, fit_config), data)
+        data = fitting.FitDataset(runner=runner, **{name: np.concatenate([getattr(d, name) for d in parts])
+                                                    for name in ("alpha", "f_z", "f_y")})
+        results[runner] = (fitting.fit_lateral(data), data)
 
     validation = {}
-    keys = _run_keys([path for path, _ in holdout_runs])
-    for key, (path, run) in zip(keys, holdout_runs):
+    laws = {"fitted": (results["front"][0].params, results["rear"][0].params),
+            "reference": ("braghin", "braghin")}
+    for key, (_, run) in zip(_run_keys([path for path, _ in holdout_runs]), holdout_runs):
         trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
                                  v_min=config.options["v_min"])
         measured = evaluation.measured_lateral_cog(trace)
-        fitted = evaluation.model_lateral_cog(
-            trace, results["front"][0].params, results["rear"][0].params, run,
-            mu_x=config.options["mu_x"])
-        reference = evaluation.model_lateral_cog(trace, "braghin", "braghin", run,
-                                                 mu_x=config.options["mu_x"])
-        validation[key] = {
-            "fitted": evaluation.validate_rmse(fitted, measured, trace.valid),
-            "reference": evaluation.validate_rmse(reference, measured, trace.valid),
-        }
+        validation[key] = {name: evaluation.validate_rmse(
+            evaluation.model_lateral_cog(trace, front, rear, run, mu_x=config.options["mu_x"]),
+            measured, trace.valid) for name, (front, rear) in laws.items()}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = kvfile.provenance_lines([p for p, _ in fit_runs],
-                                     {"roll_threshold": fit_config.roll_threshold_deg_s2})
+    header = kvfile.provenance_lines([p for p, _ in fit_runs], {"roll_threshold": threshold})
+    files, lines = {}, []
     for runner, (result, data) in results.items():
-        fitting.save_fit_result(result, out_dir / f"lateral_{runner}.kv", header=header)
-        report = fitting.fit_report(result, data)
-        for i, entry in enumerate(report):
-            write_table(out_dir / f"diagnostics_{runner}_bin{i}.csv", {
+        files[f"lateral_{runner}.kv"] = partial(fitting.save_fit_result, result, header=header)
+        for i, entry in enumerate(fitting.fit_report(result, data)):
+            files[f"diagnostics_{runner}_bin{i}.csv"] = partial(write_table, columns={
                 "alpha": entry["curve_alpha"], "f_y_model": entry["curve_f_y"],
-            }, header)
-        notes = "".join(
-            f" [{name} at bound]"
-            for name, value, (lo, hi) in zip(
-                ("mu_zeta_y", "c_y", "k_y"),
-                (result.params.mu_zeta_y, result.params.c_y, result.params.k_y),
-                fitting.DEFAULT_BOUNDS)
-            if value <= lo * 1.0001 or value >= hi * 0.9999
-        )
-        print(f"{runner}: mu_zeta_y={result.params.mu_zeta_y:.4g} c_y={result.params.c_y:.4g} "
-              f"k_y={result.params.k_y:.6g} rms={result.residual_rms:.4g} N "
-              f"({result.n_samples} samples, converged={result.converged}){notes}")
+            }, comments=header)
+        p = result.params
+        notes = "".join(f" [{name} at bound]" for name, value, (lo, hi) in zip(
+            ("mu_zeta_y", "c_y", "k_y"), (p.mu_zeta_y, p.c_y, p.k_y), fitting.DEFAULT_BOUNDS)
+            if value <= lo * 1.0001 or value >= hi * 0.9999)
+        lines.append(f"{runner}: mu_zeta_y={p.mu_zeta_y:.4g} c_y={p.c_y:.4g} k_y={p.k_y:.6g} "
+                     f"rms={result.residual_rms:.4g} N "
+                     f"({result.n_samples} samples, converged={result.converged}){notes}")
         if notes:
-            print(f"  note: {runner} data poorly constrains the scale/shape split "
-                  "(small slip-angle or load range); the stiffness k_y and the "
-                  "predicted curve remain reliable")
+            lines.append(f"  note: {runner} data poorly constrains the scale/shape split "
+                         "(small slip-angle or load range); the stiffness k_y and the "
+                         "predicted curve remain reliable")
     if validation:
-        with open(out_dir / "validation_rmse.json", "w", encoding="utf-8") as fh:
-            json.dump({"provenance": header, "runs": validation}, fh, indent=2)
-        print(f"holdout validation written for {len(validation)} runs")
-    return 0
+        files["validation_rmse.json"] = partial(_write_json, data={"provenance": header,
+                                                                   "runs": validation})
+        lines.append(f"holdout validation written for {len(validation)} runs")
+    return files, lines
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, list[str]]:
     if not args.telemetry:
         raise ConfigError("no telemetry files given")
     config = load_config(args.config, schema_path=args.schema)
     bob = _require_bob(config)
-    front = fitting.load_lateral_params(args.front_params)
-    rear = fitting.load_lateral_params(args.rear_params)
-    out_dir = Path(args.out_dir)
+    # checked like any parameter file, though the evaluation reads neither law
+    fitting.load_lateral_params(args.front_params)
+    fitting.load_lateral_params(args.rear_params)
     runs = [_prepare_run(p, config) for p in args.telemetry]
     aero = config.aero_model()
 
     rows = []
     labeled = []
-    for path, run in zip(args.telemetry, runs):
+    for key, run in zip(_run_keys(args.telemetry), runs):
         trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
                                  v_min=config.options["v_min"])
         parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
         loss = evaluation.combine_losses(parts)
-        label = run.meta.driver or Path(path).stem
-        track = run.meta.track or "unknown"
+        label = run.meta.driver or key
         labeled.append((label, run, trace))
-        rows.append({
-            "run": Path(path).stem, "driver": label, "track": track,
-            "e_tot_loss": loss.e_tot_loss, "de_ice_f": loss.de_ice_f,
-            "de_ice_r": loss.de_ice_r, "de_aero": loss.de_aero, "de_tot": loss.de_tot,
-            "runtime": loss.runtime, "distance": loss.distance,
-            "segments": len(parts),
-        })
+        rows.append({"run": key, "driver": label, "track": run.meta.track or "unknown", **{
+            name: getattr(loss, name) for name in ("e_tot_loss", "de_ice_f", "de_ice_r", "de_aero",
+                                                   "de_tot", "runtime", "distance")
+        }, "segments": len(parts)})
     angle_report = evaluation.angle_statistics(labeled)
+
+    losses = ("de_ice_f", "de_ice_r", "de_aero", "de_tot")
 
     def medians(group_key):
         groups: dict[str, list] = defaultdict(list)
         for row in rows:
             groups[row[group_key]].append(row)
-        return {
-            label: {
-                key: float(np.median([r[key] for r in rws]))
-                for key in ("de_ice_f", "de_ice_r", "de_aero", "de_tot")
-            }
-            for label, rws in groups.items()
-        }
+        return {label: {key: float(np.median([r[key] for r in rws])) for key in losses}
+                for label, rws in groups.items()}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = kvfile.provenance_lines(args.telemetry, {"mu_x": config.options["mu_x"]})
-    with open(out_dir / "evaluation.json", "w", encoding="utf-8") as fh:
-        json.dump({
+    files = {
+        "evaluation.json": partial(_write_json, data={
             "provenance": header,
             "runs": rows,
             "driver_summaries": medians("driver"),
             "track_summaries": medians("track"),
             "angle_statistics": angle_report,
-        }, fh, indent=2)
-    write_table(out_dir / "losses.csv", {
-        key: [r[key] for r in rows] for key in ("de_ice_f", "de_ice_r", "de_aero", "de_tot")
-    }, header)
-    # boxplot companion: one row per (driver, angle channel)
-    with open(out_dir / "angles.csv", "w", newline="", encoding="utf-8") as fh:
+        }),
+        "losses.csv": partial(write_table, columns={key: [r[key] for r in rows] for key in losses},
+                              comments=header),
+        "angles.csv": partial(_write_angles, angle_report=angle_report, header=header),
+    }
+    drivers = {r["driver"] for r in rows}
+    return files, [f"evaluated {len(rows)} runs for {len(drivers)} drivers "
+                   f"-> {args.out_dir / 'evaluation.json'}"]
+
+
+def _write_angles(path, angle_report: dict, header: list[str]) -> None:
+    """Boxplot companion of ``evaluation.json``: one row per (driver, angle channel)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
@@ -343,23 +332,21 @@ def cmd_eval(args) -> int:
                          "over_2deg", "over_4deg", "n"])
         for driver, channels in angle_report.items():
             for channel, stats in channels.items():
-                q = stats["quantiles_deg"]
-                writer.writerow([
-                    driver, channel,
-                    *(repr(q[p]) for p in (0.05, 0.25, 0.5, 0.75, 0.95)),
-                    repr(stats["exceedance"][2.0]), repr(stats["exceedance"][4.0]),
-                    stats["n"],
-                ])
-    drivers = {r["driver"] for r in rows}
-    print(f"evaluated {len(rows)} runs for {len(drivers)} drivers -> {out_dir / 'evaluation.json'}")
-    return 0
+                q, over = stats["quantiles_deg"], stats["exceedance"]
+                writer.writerow([driver, channel, *(repr(q[p]) for p in (0.05, 0.25, 0.5, 0.75, 0.95)),
+                                 repr(over[2.0]), repr(over[4.0]), stats["n"]])
+
+
+def _write_json(path, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, list[str]]:
     config = load_config(args.config, schema_path=args.schema)
     bob = _require_bob(config)
     scenario = sim.load_scenario(args.scenario)
@@ -379,13 +366,13 @@ def cmd_simulate(args) -> int:
     run, truth = sim.export_synthetic_telemetry(
         log, bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
         seed=args.seed, meta=scenario["meta"])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
-    telemetry.export_csv(run, out_dir / "telemetry.csv", config.schema, header_comments=header)
-    export_trace_csv(truth, out_dir / "truth.csv", header_comments=header)
-    print(f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {out_dir}")
-    return 0
+    files = {
+        "telemetry.csv": partial(telemetry.export_csv, run, schema=config.schema,
+                                 header_comments=header),
+        "truth.csv": partial(export_trace_csv, truth, header_comments=header),
+    }
+    return files, [f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"]
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +391,18 @@ def _pressure_grid(p_range: str) -> np.ndarray:
     return np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
 
 
-def cmd_friction_table(args) -> int:
+def cmd_friction_table(args) -> tuple[dict, list[str]]:
     if not (args.long_params or args.lateral_params):
         raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
-    tables = {}
+    files = {}
     if args.long_params:
         from .friction import load_longitudinal_params
 
         grid = _pressure_grid(args.p_range)
         params = load_longitudinal_params(args.long_params)
         header = kvfile.provenance_lines([args.long_params], {"p_range": args.p_range})
-        tables["mu_x_curve.csv"] = ({"p_mpa": grid, "mu_x": mu_x(grid, params)}, header)
+        files["mu_x_curve.csv"] = partial(write_table, columns={
+            "p_mpa": grid, "mu_x": mu_x(grid, params)}, comments=header)
     if args.lateral_params:
         if not all(0 < f_z < np.inf for f_z in args.f_z):
             raise ConfigError(f"--f-z loads must be positive and finite, got {args.f_z}")
@@ -425,13 +413,34 @@ def cmd_friction_table(args) -> int:
         for f_z in args.f_z:
             columns[f"f_y_at_{int(f_z)}N"] = lat(f_z, alpha)
             columns[f"f_y_reference_at_{int(f_z)}N"] = force_y_braghin(f_z, alpha)
-        tables["lateral_curves.csv"] = (columns, header)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (columns, header) in tables.items():
-        write_table(out_dir / name, columns, header)
-    print(f"wrote {', '.join(tables)} in {out_dir}")
-    return 0
+        files["lateral_curves.csv"] = partial(write_table, columns=columns, comments=header)
+    return files, [f"wrote {', '.join(files)} in {args.out_dir}"]
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def _publish(out_dir: Path, files: dict) -> None:
+    """Write ``files`` (name -> writer taking the target path) into ``out_dir``, all or nothing.
+
+    The writers run into a hidden staging directory made in ``out_dir`` if
+    it exists, else in its nearest existing parent, so that ``os.replace``
+    never crosses a file system; only then is ``out_dir`` created and each
+    file moved in. The staging directory goes whether or not the writes succeed.
+    """
+    base = out_dir
+    while not base.is_dir() and base != base.parent:
+        base = base.parent
+    stage = Path(tempfile.mkdtemp(prefix=".sleddyn-", dir=base))
+    try:
+        for name, write in files.items():
+            write(stage / name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in files:
+            os.replace(stage / name, out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sleddyn", description="runner-ice friction and bobsled dynamics toolkit")
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--schema", help="telemetry schema JSON (overrides the config)")
-    parser.add_argument("--out-dir", default="out", help="output directory")
+    parser.add_argument("--out-dir", type=Path, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -492,13 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        files, lines = args.func(args)
+        _publish(args.out_dir, files)
     except SleddynError as exc:
         return _fail(exc.label, exc, exc.exit_code)
     except np.linalg.LinAlgError as exc:
         return _fail("numerical failure", exc, 3)
     except OSError as exc:
         return _fail("data error", exc, 2)
+    for line in lines:
+        print(line)
+    return 0
 
 
 def _fail(label: str, exc: Exception, code: int) -> int:

@@ -31,7 +31,11 @@ from .telemetry import TelemetryRun
 
 #: (lo, hi) of mu_zeta_y, c_y and k_y.
 DEFAULT_BOUNDS = ((0.1, 20.0), (0.001, 1.9), (100.0, 1e6))
+#: Samples whose roll acceleration exceeds this are left out of a fit: the
+#: rigid-body load transfer breaks down under strong roll-split action.
 DEFAULT_ROLL_THRESHOLD_DEG_S2 = 100.0
+#: The solver gives up after this many model evaluations.
+MAX_EVALUATIONS = 300
 #: Start point of (mu_zeta_y, c_y); k_y starts from robust_stiffness_guess.
 INITIAL_MU_ZETA_Y, INITIAL_C_Y = 3.0, 0.05
 # Stop rules: a step that lowers the cost by less than the fraction _FTOL.
@@ -41,24 +45,6 @@ INITIAL_MU_ZETA_Y, INITIAL_C_Y = 3.0, 0.05
 _FTOL = 1e-14
 _XTOL = 1e-10
 _GTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings for the lateral-friction fit.
-
-    ``roll_threshold_deg_s2`` excludes samples whose roll acceleration
-    exceeds it (the rigid-body transfer breaks down under strong
-    roll-split action). The solver gives up after ``max_iterations``
-    model evaluations.
-    """
-
-    roll_threshold_deg_s2: float = DEFAULT_ROLL_THRESHOLD_DEG_S2
-    max_iterations: int = 300
-
-    def __post_init__(self):
-        if self.roll_threshold_deg_s2 <= 0:
-            raise ValueError("roll threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,8 @@ class FitResult:
     cost: float
 
 
-def select_fit_samples(trace: AxleForceTrace, run: TelemetryRun, config: FitConfig,
+def select_fit_samples(trace: AxleForceTrace, run: TelemetryRun,
+                       roll_threshold_deg_s2: float = DEFAULT_ROLL_THRESHOLD_DEG_S2,
                        runner: str = "front") -> FitDataset:
     """Assemble the fitting dataset for one runner.
 
@@ -99,7 +86,7 @@ def select_fit_samples(trace: AxleForceTrace, run: TelemetryRun, config: FitConf
         raise DataError("run must carry derived channels")
     if len(trace) != len(run):
         raise DataError("trace and run are not aligned on the same grid")
-    threshold = np.deg2rad(config.roll_threshold_deg_s2)
+    threshold = np.deg2rad(roll_threshold_deg_s2)
     keep = trace.valid & (np.abs(run.derived.phi_ddot) <= threshold)
     if runner == "front":
         alpha, f_z, f_y = trace.alpha_f, trace.f_z_f0, trace.f_y_f
@@ -147,19 +134,18 @@ def robust_stiffness_guess(dataset: FitDataset) -> float:
     return float(np.clip(np.median(f_y[usable] / alpha[usable]), *DEFAULT_BOUNDS[2]))
 
 
-def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResult:
+def fit_lateral(dataset: FitDataset) -> FitResult:
     """Fit (mu_zeta_y, c_y, k_y) to the dataset with e_y held at E_Y.
 
     Raises DataError for too-small datasets or a non-finite sample, and
     NumericalError when the Jacobian is rank deficient at the start point
     (e.g. all slip angles zero). ``iterations`` counts model evaluations; running out of them
-    (``max_iterations``) returns the best iterate with ``converged=False``.
+    (``MAX_EVALUATIONS``) returns the best iterate with ``converged=False``.
     """
     # imported here, like scipy.signal in lowpass_filter, so that commands
     # that fit nothing do not pay for loading scipy.optimize
     from scipy.optimize import least_squares
 
-    config = config or FitConfig()
     if len(dataset) < 30:
         raise DataError(f"dataset of {len(dataset)} samples is too small (need >= 10x parameters)")
     for name in ("alpha", "f_z", "f_y"):
@@ -182,7 +168,7 @@ def fit_lateral(dataset: FitDataset, config: FitConfig | None = None) -> FitResu
         raise NumericalError("rank-deficient Jacobian in lateral fit")
     sol = least_squares(lambda x: model(x)[0] - f_y, theta, jac=lambda x: model(x)[1],
                         bounds=(lo, hi), method="trf", ftol=_FTOL,
-                        xtol=_XTOL, gtol=_GTOL, max_nfev=config.max_iterations)
+                        xtol=_XTOL, gtol=_GTOL, max_nfev=MAX_EVALUATIONS)
     residual, jf, cost = sol.fun, sol.jac, float(sol.cost)
 
     mz, cy, ky = np.exp(sol.x)

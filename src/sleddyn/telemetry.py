@@ -228,8 +228,6 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
     rate = run.native_rate()
     if cutoff >= rate / 2.0:
         raise ConfigError(f"cutoff {cutoff} Hz >= Nyquist ({rate / 2.0:.6g} Hz)")
-    if cutoff <= 0:
-        raise ConfigError("cutoff must be positive")
     # imported here: scipy.signal costs about a second, and only this function needs it
     from scipy.signal import butter, filtfilt
 

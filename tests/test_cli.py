@@ -162,6 +162,27 @@ class TestEvalCommand:
         assert angle_rows[0].startswith("driver,channel,")
         assert len(angle_rows) == 1 + 2 * 3  # header + 2 drivers x 3 channels
 
+    def test_files_with_one_name_keep_own_run_keys(self, workspace):
+        # laid out like runs/<track>_<driver>/telemetry.csv; a run without a
+        # driver line is labelled by its key as well
+        tmp_path, paths = workspace
+        same = []
+        for name, source in zip(("a", "b"), paths):
+            (tmp_path / name).mkdir()
+            same.append(str(tmp_path / name / "telemetry.csv"))
+            text = Path(source).read_text()
+            Path(same[-1]).write_text(text.replace("# meta driver = D0\n", ""))
+        lateral = tmp_path / "lateral.kv"
+        kvfile.dump_kv({"mu_zeta_y": LATERAL_REAR.mu_zeta_y, "c_y": LATERAL_REAR.c_y,
+                        "k_y": LATERAL_REAR.k_y}, lateral)
+        out = tmp_path / "eval_same_names"
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "eval", *same,
+                     "--front-params", str(lateral), "--rear-params", str(lateral)]) == 0
+        report = json.loads((out / "evaluation.json").read_text())
+        assert [row["run"] for row in report["runs"]] == same
+        assert [row["driver"] for row in report["runs"]] == [same[0], "D1"]
+        assert list(report["driver_summaries"]) == [same[0], "D1"]
+
     def test_missing_params_file(self, workspace):
         tmp_path, paths = workspace
         code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "x"),
@@ -419,7 +440,7 @@ class TestBadInputFiles:
                          '"v": "v", "alpha_sensor": "alpha_sensor", "delta": "delta", '
                          '"gamma": "delta"}}'},
          "several channels to one column: delta"),
-        (1, "icehouse --window 2", {}, "nothing to do"),
+        (1, "icehouse --window 0.5", {}, "nothing to do"),
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("initial", "v0", "fast")},
          "bad scenario value"),
@@ -507,6 +528,24 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[procesing]\ncutoff_hz = 5\n"},
          "config.ini: [procesing] cutoff_hz is not supported"),
+        (1, "fit run.csv --roll-threshold 0", {}, "roll_threshold_deg_s2 must be positive and finite"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nroll_threshold_deg_s2 = 0\n"},
+         "roll_threshold_deg_s2 must be positive and finite, got 0.0"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nroll_threshold_deg_s2 = nan\n"},
+         "roll_threshold_deg_s2 must be positive and finite, got nan"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nwindow_fraction = 2\n"},
+         "window_fraction must be in (0, 1], got 2.0"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nmu_x = -1\n"}, "mu_x must be in [0, 1], got -1.0"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\nv_min = -1\n"},
+         "v_min must be non-negative and finite, got -1.0"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": CONFIG + "[processing]\ncutoff_hz = inf\n"},
+         "cutoff_hz must be non-negative and finite"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
@@ -519,7 +558,9 @@ class TestBadInputFiles:
             "glide-m-zero-names-file", "bob-offset-inf", "schema-shared-column-names-file",
             "schema-bad-angle-unit", "argv-rate-not-number", "argv-unknown-option",
             "argv-unknown-command", "argv-missing-required", "glide-time-inf", "config-misspelled-key",
-            "config-misspelled-section"])
+            "config-misspelled-section", "argv-roll-threshold-zero", "config-roll-threshold-zero",
+            "config-roll-threshold-nan", "config-window-above-one", "config-mu-x-negative",
+            "config-v-min-negative", "config-cutoff-inf"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -1,16 +1,25 @@
-"""Property: a mutated input file ends in a documented exit code, never a traceback.
+"""Property: a mutated input file or a failed write ends in a documented exit code, never a traceback.
 
 Each case starts from a valid input set, mutates one file (a bit flip, a
 truncation, or a number replaced by a wrong-typed, negative or
 non-finite value) and runs ``main()`` on it. Whatever the mutation, the
 exit code is 0-3, stderr holds at most one line, and a failed command
-leaves nothing in its output directory.
+leaves no new file or directory behind.
+
+The write-failure cases run each command on valid inputs with the k-th
+output file failing to open, for every k up to the number of files the
+command writes: exit 2, one stderr line, and the output directory absent
+or exactly as it was.
 """
 
+import builtins
 import contextlib
+import errno
 import io
 import json
+import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -113,8 +122,79 @@ def test_mutated_input_fails_cleanly(inputs, target, argv, data):
         root = Path(tmp)
         for name, content in inputs.items():
             (root / name).write_bytes(data.draw(mutated(content)) if name == target else content)
+        before = set(root.rglob("*"))
         code, err = run_main(root, argv)
         assert code in (0, 1, 2, 3)
         assert len(err.splitlines()) <= 1
         if code:
-            assert not (root / "out").exists()
+            assert set(root.rglob("*")) == before
+
+
+class FailingWrites:
+    """Counts files opened for writing below ``root``; the ``fail_at``-th open raises OSError.
+
+    Both ``open`` and ``Path.open`` (behind ``Path.write_text``) are watched.
+    """
+
+    def __init__(self, monkeypatch, root: Path):
+        self.root, self.fail_at, self.opened = root, None, []
+        real_open, real_path_open = builtins.open, Path.open
+
+        def watched_open(file, mode="r", *args, **kwargs):
+            self.check(file, mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def watched_path_open(path, mode="r", *args, **kwargs):
+            self.check(path, mode)
+            return real_path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", watched_open)
+        monkeypatch.setattr(Path, "open", watched_path_open)
+
+    def check(self, file, mode: str) -> None:
+        if set(mode) & set("wax+") and isinstance(file, (str, os.PathLike)) \
+                and Path(file).resolve().is_relative_to(self.root):
+            self.opened.append(Path(file).name)
+            if len(self.opened) == self.fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+
+
+def snapshot(root: Path) -> dict:
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+# (command, command line, files written): options that make each command write every kind of file
+WRITING = [
+    ("simulate", "--config config.ini simulate scenario.json", 2),
+    ("fit", "--config config.ini fit --holdout HOLD telemetry.csv holdout.csv", 9),
+    ("eval", "--config config.ini eval telemetry.csv holdout.csv --front-params lat.kv --rear-params lat.kv",
+     3),
+    ("friction-table", "friction-table --long-params long.kv --lateral-params lat.kv", 2),
+    ("icehouse", "icehouse --points points.csv glide_up.csv glide_down.csv", 1),
+]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("argv, n_files", [case[1:] for case in WRITING], ids=[case[0] for case in WRITING])
+def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, argv, n_files, existing):
+    root = tmp_path.resolve()
+    for name, content in inputs.items():
+        (root / name).write_bytes(content)
+    (root / "holdout.csv").write_bytes(inputs["telemetry.csv"].replace(b"track = SYN", b"track = HOLD"))
+    writes = FailingWrites(monkeypatch, root)
+    assert run_main(root, argv) == (0, "")
+    out = root / "out"
+    written = sorted(path.name for path in out.iterdir())
+    assert len(written) == n_files and sorted(writes.opened) == written
+    if existing:
+        for path in out.iterdir():
+            path.write_text(f"old {path.name}\n")
+    else:
+        shutil.rmtree(out)
+    before = snapshot(root)
+    for k in range(1, n_files + 1):
+        writes.opened, writes.fail_at = [], k
+        code, err = run_main(root, argv)
+        assert (code, len(err.splitlines())) == (2, 1), (k, err)
+        assert "No space left on device" in err
+        assert snapshot(root) == before, k

@@ -9,7 +9,6 @@ from sleddyn import fitting
 from sleddyn.errors import DataError, NumericalError
 from sleddyn.fitting import (
     DEFAULT_BOUNDS,
-    FitConfig,
     FitDataset,
     fit_lateral,
     fit_report,
@@ -100,19 +99,19 @@ class TestFitRecovery:
         # the trust-region solver only ever accepts steps that lower the
         # cost, so the final cost is bounded by the initial-guess cost
         dataset = synthetic_dataset(FRONT, seed=6, noise=0.02)
-        config = FitConfig()
         initial = LateralFrictionParams(mu_zeta_y=3.0, c_y=0.05,
                                         k_y=robust_stiffness_guess(dataset))
         initial_cost = 0.5 * np.sum((force_y(dataset.f_z, dataset.alpha, initial) - dataset.f_y) ** 2)
-        result = fit_lateral(dataset, config)
+        result = fit_lateral(dataset)
         assert result.cost <= initial_cost
 
-    def test_iteration_cap_returns_best_iterate(self):
+    def test_iteration_cap_returns_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 3)
         dataset = synthetic_dataset(FRONT, seed=6, noise=0.02)
         initial = LateralFrictionParams(mu_zeta_y=3.0, c_y=0.05,
                                         k_y=robust_stiffness_guess(dataset))
         initial_cost = 0.5 * np.sum((force_y(dataset.f_z, dataset.alpha, initial) - dataset.f_y) ** 2)
-        result = fit_lateral(dataset, FitConfig(max_iterations=3))
+        result = fit_lateral(dataset)
         assert not result.converged
         assert result.iterations <= 3
         assert result.cost <= initial_cost
@@ -169,13 +168,13 @@ class TestSampleSelection:
     def test_all_quiet_samples_kept(self):
         run = run_with_roll_spike(spike_deg_s2=0.0)
         trace = self.make_trace(run)
-        dataset = select_fit_samples(trace, run, FitConfig(), runner="rear")
+        dataset = select_fit_samples(trace, run, runner="rear")
         assert len(dataset) == len(run)
 
     def test_roll_spike_dropped(self):
         run = run_with_roll_spike(spike_deg_s2=150.0)
         trace = self.make_trace(run)
-        dataset = select_fit_samples(trace, run, FitConfig(), runner="rear")
+        dataset = select_fit_samples(trace, run, runner="rear")
         above = np.abs(run.derived.phi_ddot) > np.deg2rad(100.0)
         assert above.any()
         assert len(dataset) == int((~above & trace.valid).sum())
@@ -183,7 +182,6 @@ class TestSampleSelection:
     def test_empty_selection_rejected(self):
         run = run_with_roll_spike(spike_deg_s2=0.0)
         trace = self.make_trace(run)
-        config = FitConfig(roll_threshold_deg_s2=1e-9)
         # constant nonzero phi_ddot everywhere -> everything excluded
         run2 = run_with_roll_spike(spike_deg_s2=0.0)
         channels = dict(run2.channels)
@@ -191,7 +189,7 @@ class TestSampleSelection:
         run2 = derive_channels(TelemetryRun(t=run2.t, channels=channels, meta=run2.meta))
         trace2 = self.make_trace(run2)
         with pytest.raises(DataError):
-            select_fit_samples(trace2, run2, config, runner="rear")
+            select_fit_samples(trace2, run2, 1e-9, runner="rear")
 
     def test_misaligned_inputs_rejected(self):
         run = run_with_roll_spike()
@@ -202,7 +200,7 @@ class TestSampleSelection:
             meta=run.meta,
         ))
         with pytest.raises(DataError):
-            select_fit_samples(trace, short, FitConfig(), runner="rear")
+            select_fit_samples(trace, short, runner="rear")
 
 
 class TestReportAndFiles:
