@@ -36,6 +36,7 @@ import shutil
 import sys
 import tempfile
 from collections import defaultdict
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -147,10 +148,24 @@ def _require_bob(config: Config):
     return config.bob
 
 
-def _prepare_run(path, config: Config):
+@contextmanager
+def _naming(path):
+    """Start an error raised while one telemetry file is handled with its path; the class stays."""
+    try:
+        yield
+    except SleddynError as exc:
+        if str(exc).startswith(f"{path}:"):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _traced_run(path, config: Config, bob, aero: AeroModel):
+    """The processed run of one telemetry file and its reconstructed axle forces."""
     run = telemetry.ingest_csv(path, config.schema)
     cutoff = config.options["cutoff_hz"] or None
-    return telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
+    run = telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
+    return run, build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
+                                 v_min=config.options["v_min"])
 
 
 def _run_keys(paths) -> list[str]:
@@ -205,22 +220,21 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
         "roll_threshold_deg_s2": args.roll_threshold,
     }, schema_path=args.schema)
     bob = _require_bob(config)
-    runs = [_prepare_run(p, config) for p in args.telemetry]
-
-    fit_runs, holdout_runs = [], []
-    for path, run in zip(args.telemetry, runs):
-        (holdout_runs if args.holdout and run.meta.track == args.holdout else fit_runs).append((path, run))
-    if not fit_runs:
-        raise DataError("holdout excluded every run")
-
     aero = config.aero_model()
     threshold = config.options["roll_threshold_deg_s2"]
+    fit_paths, holdout_runs = [], []
     datasets: dict[str, list] = {"front": [], "rear": []}
-    for path, run in fit_runs:
-        trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                 v_min=config.options["v_min"])
-        for runner in ("front", "rear"):
-            datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
+    for path in args.telemetry:
+        with _naming(path):
+            run, trace = _traced_run(path, config, bob, aero)
+            if args.holdout and run.meta.track == args.holdout:
+                holdout_runs.append((path, run, trace))
+                continue
+            fit_paths.append(path)
+            for runner in ("front", "rear"):
+                datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
+    if not fit_paths:
+        raise DataError("holdout excluded every run")
 
     results = {}
     for runner, parts in datasets.items():
@@ -231,15 +245,14 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     validation = {}
     laws = {"fitted": (results["front"][0].params, results["rear"][0].params),
             "reference": ("braghin", "braghin")}
-    for key, (_, run) in zip(_run_keys([path for path, _ in holdout_runs]), holdout_runs):
-        trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                 v_min=config.options["v_min"])
-        measured = evaluation.measured_lateral_cog(trace)
-        validation[key] = {name: evaluation.validate_rmse(
-            evaluation.model_lateral_cog(trace, front, rear, run, mu_x=config.options["mu_x"]),
-            measured, trace.valid) for name, (front, rear) in laws.items()}
+    for key, (path, run, trace) in zip(_run_keys([path for path, _, _ in holdout_runs]), holdout_runs):
+        with _naming(path):
+            measured = evaluation.measured_lateral_cog(trace)
+            validation[key] = {name: evaluation.validate_rmse(
+                evaluation.model_lateral_cog(trace, front, rear, run, mu_x=config.options["mu_x"]),
+                measured, trace.valid) for name, (front, rear) in laws.items()}
 
-    header = kvfile.provenance_lines([p for p, _ in fit_runs], {"roll_threshold": threshold})
+    header = kvfile.provenance_lines(fit_paths, {"roll_threshold": threshold})
     files, lines = {}, []
     for runner, (result, data) in results.items():
         files[f"lateral_{runner}.kv"] = partial(fitting.save_fit_result, result, header=header)
@@ -277,15 +290,14 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     # checked like any parameter file, though the evaluation reads neither law
     fitting.load_lateral_params(args.front_params)
     fitting.load_lateral_params(args.rear_params)
-    runs = [_prepare_run(p, config) for p in args.telemetry]
     aero = config.aero_model()
 
     rows = []
     labeled = []
-    for key, run in zip(_run_keys(args.telemetry), runs):
-        trace = build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                 v_min=config.options["v_min"])
-        parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
+    for key, path in zip(_run_keys(args.telemetry), args.telemetry):
+        with _naming(path):
+            run, trace = _traced_run(path, config, bob, aero)
+            parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
         loss = evaluation.combine_losses(parts)
         label = run.meta.driver or key
         labeled.append((label, run, trace))
@@ -406,13 +418,18 @@ def cmd_friction_table(args) -> tuple[dict, list[str]]:
     if args.lateral_params:
         if not all(0 < f_z < np.inf for f_z in args.f_z):
             raise ConfigError(f"--f-z loads must be positive and finite, got {args.f_z}")
+        loads = [f"{f_z:.15g}" for f_z in args.f_z]
+        if len(set(loads)) < len(loads):
+            raise ConfigError(f"--f-z loads must differ, got {args.f_z}")
+        if not 0 < args.alpha_max_deg < np.inf:
+            raise ConfigError(f"--alpha-max-deg must be positive and finite, got {args.alpha_max_deg}")
         lat = fitting.load_lateral_params(args.lateral_params)
         alpha = np.deg2rad(np.linspace(-args.alpha_max_deg, args.alpha_max_deg, 181))
         header = kvfile.provenance_lines([args.lateral_params], {"f_z": args.f_z})
         columns = {"alpha_deg": np.degrees(alpha)}
-        for f_z in args.f_z:
-            columns[f"f_y_at_{int(f_z)}N"] = lat(f_z, alpha)
-            columns[f"f_y_reference_at_{int(f_z)}N"] = force_y_braghin(f_z, alpha)
+        for f_z, load in zip(args.f_z, loads):
+            columns[f"f_y_at_{load}N"] = lat(f_z, alpha)
+            columns[f"f_y_reference_at_{load}N"] = force_y_braghin(f_z, alpha)
         files["lateral_curves.csv"] = partial(write_table, columns=columns, comments=header)
     return files, [f"wrote {', '.join(files)} in {args.out_dir}"]
 

@@ -44,54 +44,35 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Relative energy-loss increases over one contiguous window."""
+    """Relative energy-loss increases over one or more evaluated segments."""
 
     e_tot_loss: float
     de_ice_f: float
     de_ice_r: float
     de_aero: float
-    s_start: float
-    s_end: float
+    distance: float
     runtime: float
 
     @property
     def de_tot(self) -> float:
         return self.de_ice_f + self.de_ice_r + self.de_aero
 
-    @property
-    def distance(self) -> float:
-        return self.s_end - self.s_start
 
+def _segments(valid: np.ndarray, t: np.ndarray, max_gap: float) -> list[tuple[int, int]]:
+    """Index ranges ``[start, stop)`` left after cutting the trace at invalid runs.
 
-def _segments(valid: np.ndarray, t: np.ndarray, max_gap: float):
-    """Contiguous index ranges after bridging short invalid spans.
-
-    Invalid spans of duration <= max_gap are kept (their samples will be
-    interpolated); longer spans split the trace.
+    An invalid run ``[lo, hi)`` is cut when it touches either end of the
+    trace or when its valid neighbours lie more than ``max_gap`` apart,
+    ``t[hi] - t[lo - 1] > max_gap``; shorter runs stay in (their samples
+    are interpolated). The ranges between cut runs that hold samples are kept.
     """
     n = valid.size
-    splits = []
-    i = 0
-    while i < n:
-        if valid[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not valid[j]:
-            j += 1
-        gap = t[min(j, n - 1)] - t[max(i - 1, 0)]
-        if gap > max_gap or i == 0 or j == n:
-            splits.append((i, j))
-        i = j
-    segments = []
-    start = 0
-    for i, j in splits:
-        if i > start:
-            segments.append((start, i))
-        start = j
-    if start < n:
-        segments.append((start, n))
-    return segments
+    edges = np.diff(np.concatenate(([1], valid.astype(np.int8), [1])))
+    lo, hi = np.flatnonzero(edges < 0), np.flatnonzero(edges > 0)
+    cut = (lo == 0) | (hi == n) | (t[np.minimum(hi, n - 1)] - t[np.maximum(lo - 1, 0)] > max_gap)
+    starts, stops = np.append(0, hi[cut]), np.append(lo[cut], n)
+    keep = starts < stops
+    return list(zip(starts[keep].tolist(), stops[keep].tolist()))
 
 
 def _bridge(values: np.ndarray, valid: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -104,38 +85,25 @@ def _bridge(values: np.ndarray, valid: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def loss_energies(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
-                  window=None, mu_x: float = MU_X_DEFAULT) -> list[LossBreakdown]:
-    """Loss breakdowns over the window, one entry per contiguous segment.
+                  mu_x: float = MU_X_DEFAULT) -> list[LossBreakdown]:
+    """Loss breakdowns of the run, one entry per contiguous segment.
 
     Samples in invalid spans no longer than :data:`MAX_GAP_S` seconds are
-    bridged by interpolation over distance; longer gaps split the window
-    and each segment is reported with its own denominators.
+    bridged by interpolation over distance; longer gaps split the run,
+    and each segment of at least two samples is reported with its own
+    denominators.
     """
-    s = trace.s
-    if window is None:
-        window = (float(s[0]), float(s[-1]))
-    in_window = (s >= window[0]) & (s <= window[1])
-    if not in_window.any():
-        raise DataError("evaluation window contains no samples")
-
-    results = []
-    idx = np.nonzero(in_window)[0]
-    t_w = trace.t[idx]
-    valid_w = trace.valid[idx]
-    if not valid_w.any():
-        raise DataError("evaluation window contains no valid samples")
-    for lo, hi in _segments(valid_w, t_w, MAX_GAP_S):
-        seg = idx[lo:hi]
-        if seg.size < 2:
-            continue
-        results.append(_segment_losses(trace, run, aero, seg, mu_x))
+    if not trace.valid.any():
+        raise DataError("no valid samples to evaluate")
+    results = [_segment_losses(trace, run, aero, slice(lo, hi), mu_x)
+               for lo, hi in _segments(trace.valid, trace.t, MAX_GAP_S) if hi - lo >= 2]
     if not results:
-        raise DataError("no usable segments inside the evaluation window")
+        raise DataError("no segment of two or more samples to evaluate")
     return results
 
 
 def _segment_losses(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
-                    seg: np.ndarray, mu_x: float) -> LossBreakdown:
+                    seg: slice, mu_x: float) -> LossBreakdown:
     s = trace.s[seg]
     valid = trace.valid[seg]
     v = run.v[seg]
@@ -170,13 +138,17 @@ def _segment_losses(trace: AxleForceTrace, run: TelemetryRun, aero: AeroModel,
         de_ice_f=(integrate(actual_front) - integrate(ideal_front)) / e_tot,
         de_ice_r=(integrate(actual_rear) - integrate(ideal_rear)) / e_tot,
         de_aero=(integrate(actual_aero) - integrate(ideal_aero)) / e_tot,
-        s_start=float(s[0]), s_end=float(s[-1]),
+        distance=float(s[-1] - s[0]),
         runtime=float(trace.t[seg][-1] - trace.t[seg][0]),
     )
 
 
 def combine_losses(parts: list[LossBreakdown]) -> LossBreakdown:
-    """Energy-weighted combination of per-segment breakdowns."""
+    """Energy-weighted combination of per-segment breakdowns.
+
+    ``distance`` and ``runtime`` are the segments' sums: a gap that split
+    the run counts in neither.
+    """
     if not parts:
         raise DataError("nothing to combine")
     e_tot = sum(p.e_tot_loss for p in parts)
@@ -185,7 +157,7 @@ def combine_losses(parts: list[LossBreakdown]) -> LossBreakdown:
         de_ice_f=sum(p.de_ice_f * p.e_tot_loss for p in parts) / e_tot,
         de_ice_r=sum(p.de_ice_r * p.e_tot_loss for p in parts) / e_tot,
         de_aero=sum(p.de_aero * p.e_tot_loss for p in parts) / e_tot,
-        s_start=parts[0].s_start, s_end=parts[-1].s_end,
+        distance=sum(p.distance for p in parts),
         runtime=sum(p.runtime for p in parts),
     )
 

@@ -157,7 +157,7 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
     Leading ``#`` lines are treated as comments; ``# meta key = value``
     lines populate the run metadata (driver, track); the rate comes from
     the time column. Raises DataError naming the file line for unparsable
-    rows, non-finite values and non-monotonic time stamps.
+    rows, non-finite values, negative speeds and non-monotonic time stamps.
     """
     names = ["t", *CORE_CHANNELS]
     table = read_table(path, [schema.columns[n] for n in names])
@@ -170,6 +170,9 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
     bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
     if bad.size:
         raise DataError(f"{path}: non-finite value at line {data_line(path, table.header_line, bad[0])}")
+    bad = np.nonzero(data["v"] < 0)[0]
+    if bad.size:
+        raise DataError(f"{path}: negative speed at line {data_line(path, table.header_line, bad[0])}")
     t = data["t"]
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if bad.size:
@@ -223,7 +226,9 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
 
     The filter runs forward and backward (no phase shift) with the
     default odd-reflection padding at the ends. The cutoff must stay
-    below the Nyquist frequency of the run's grid.
+    below the Nyquist frequency of the run's grid. The filtered speed is
+    clipped at 0: it is a magnitude, and ringing after a standstill
+    would otherwise make it negative.
     """
     rate = run.native_rate()
     if cutoff >= rate / 2.0:
@@ -233,6 +238,7 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
 
     b, a = butter(2, cutoff, fs=rate)
     channels = {name: filtfilt(b, a, arr) for name, arr in run.channels.items()}
+    channels["v"] = np.where(channels["v"] < 0, 0.0, channels["v"])
     return TelemetryRun(t=run.t, channels=channels, meta=run.meta)
 
 

@@ -191,6 +191,32 @@ class TestEvalCommand:
         assert code != 0
 
 
+@pytest.mark.parametrize("command, message", [
+    ("fit", "no usable samples for the front runner fit"),
+    ("eval --front-params lat.kv --rear-params lat.kv", "no valid samples to evaluate"),
+], ids=["fit", "eval"])
+def test_per_run_error_names_the_file(workspace, capsys, command, message):
+    # the second file's speed never exceeds v_min (2 m/s), so none of its samples is valid
+    tmp_path, paths = workspace
+    run = telemetry.ingest_csv(paths[1], telemetry.identity_schema())
+    slow = tmp_path / "slow.csv"
+    channels = {**run.channels, "v": np.ones(len(run))}
+    telemetry.export_csv(telemetry.TelemetryRun(t=run.t, channels=channels, meta=run.meta), slow)
+    (tmp_path / "lat.kv").write_text("mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n")
+    argv = [str(tmp_path / arg) if arg == "lat.kv" else arg for arg in command.split()]
+    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                 argv[0], paths[0], str(slow), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"data error: {slow}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_per_run_config_error_names_the_file(workspace, capsys):
+    tmp_path, paths = workspace
+    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                 "fit", *paths, "--rate", "200"]) == 1
+    assert capsys.readouterr().err == f"error: {paths[0]}: cannot resample 100 Hz data up to 200.0 Hz\n"
+
+
 class TestSimulateCommand:
     def scenario(self, tmp_path):
         scenario = {
@@ -377,6 +403,16 @@ class TestFrictionTableCommand:
     def test_no_inputs_usage_error(self, tmp_path):
         assert main(["--out-dir", str(tmp_path / "x"), "friction-table"]) == 1
 
+    def test_fractional_loads_keep_own_columns(self, tmp_path):
+        lat_kv = tmp_path / "lat.kv"
+        kvfile.dump_kv({"mu_zeta_y": 2.577, "c_y": 0.024, "k_y": 10522.0}, lat_kv)
+        out = tmp_path / "curves"
+        assert main(["--out-dir", str(out), "friction-table", "--lateral-params", str(lat_kv),
+                     "--f-z", "2000.2", "2000.7", "5000", "0.5"]) == 0
+        header = read_table(out / "lateral_curves.csv").header
+        assert header[1:] == [f"f_y{kind}_at_{load}N" for load in ("2000.2", "2000.7", "5000", "0.5")
+                              for kind in ("", "_reference")]
+
 
 def scenario_text(section=None, key=None, value=None) -> str:
     """A valid simulate scenario, with ``raw[section][key] = value`` when a section is given."""
@@ -425,6 +461,14 @@ class TestBadInputFiles:
         (1, "friction-table --long-params long.kv --p-range 6:18:0", {"long.kv": LONG},
          "--p-range"),
         (1, "friction-table --lateral-params lat.kv --f-z 2000 0", {"lat.kv": LAT}, "--f-z"),
+        (1, "friction-table --lateral-params lat.kv --alpha-max-deg nan", {"lat.kv": LAT},
+         "--alpha-max-deg must be positive and finite, got nan"),
+        (1, "friction-table --lateral-params lat.kv --alpha-max-deg inf", {"lat.kv": LAT},
+         "--alpha-max-deg must be positive and finite, got inf"),
+        (1, "friction-table --lateral-params lat.kv --alpha-max-deg 0", {"lat.kv": LAT},
+         "--alpha-max-deg must be positive and finite, got 0.0"),
+        (1, "friction-table --lateral-params lat.kv --f-z 2000 5000 2000.0", {"lat.kv": LAT},
+         "--f-z loads must differ"),
         (2, "--config config.ini icehouse",
          {"config.ini": "[paths]\nbob_params = bob.kv\n", "bob.kv": BOB.replace("390", "-390")},
          "bob.kv: m must be positive"),
@@ -546,7 +590,8 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[processing]\ncutoff_hz = inf\n"},
          "cutoff_hz must be non-negative and finite"),
-    ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "bob-out-of-range", "long-out-of-range",
+    ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "alpha-max-nan", "alpha-max-inf",
+            "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
             "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "glide-m-text",

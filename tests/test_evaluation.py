@@ -7,6 +7,8 @@ from conftest import LATERAL_FRONT, LATERAL_REAR, downhill_track, weaving_contro
 
 from sleddyn.errors import DataError
 from sleddyn.evaluation import (
+    MAX_GAP_S,
+    _segments,
     angle_statistics,
     combine_losses,
     loss_energies,
@@ -94,6 +96,9 @@ class TestLossEnergies:
         assert len(parts) == 2
         combined = combine_losses(parts)
         assert combined.e_tot_loss == pytest.approx(sum(p.e_tot_loss for p in parts))
+        # the cut-out gap counts in neither sum
+        assert combined.distance == pytest.approx(sum(p.distance for p in parts))
+        assert combined.runtime == pytest.approx(sum(p.runtime for p in parts))
 
     def test_short_gap_bridged(self, bob, friction_setup, aero_model):
         run, trace, _ = run_and_trace(bob, friction_setup, aero_model, weaving_controls(20.0))
@@ -107,10 +112,37 @@ class TestLossEnergies:
         reference = loss_energies(trace, run, aero_model)[0]
         assert parts[0].de_tot == pytest.approx(reference.de_tot, rel=5e-3, abs=1e-8)
 
-    def test_empty_window_rejected(self, bob, friction_setup, aero_model):
+    def test_one_sample_segment_skipped(self, bob, friction_setup, aero_model):
         run, trace, _ = run_and_trace(bob, friction_setup, aero_model, zero_controls(10.0), t_max=10.0)
-        with pytest.raises(DataError):
-            loss_energies(trace, run, aero_model, window=(1e9, 2e9))
+        valid = trace.valid.copy()
+        valid[1:50] = False  # sample 0 alone before a 0.49 s gap
+        import dataclasses
+
+        broken = dataclasses.replace(trace, valid=valid)
+        assert _segments(valid, trace.t, MAX_GAP_S)[0] == (0, 1)
+        parts = loss_energies(broken, run, aero_model)
+        assert len(parts) == 1
+        assert parts[0].distance == pytest.approx(trace.s[-1] - trace.s[50])
+
+
+STEP = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+
+
+@pytest.mark.parametrize("mask, t, expected", [
+    ("1111", STEP[:4], [(0, 4)]),
+    ("0000", STEP[:4], []),
+    ("0011", STEP[:4], [(2, 4)]),
+    ("1100", STEP[:4], [(0, 2)]),
+    ("1011", STEP[:4], [(0, 4)]),                      # neighbours exactly MAX_GAP_S apart: bridged
+    ("1011", [0.0, 0.05, 0.11, 0.15], [(0, 1), (2, 4)]),  # just above it: cut
+    ("1000111", STEP, [(0, 1), (4, 7)]),               # a one-sample segment before a cut
+    ("0110101100", [0.0, 0.01, 0.02, 0.2, 0.21, 0.22, 0.23, 0.24, 0.25, 0.26],
+     [(1, 3), (4, 8)]),                                # uneven steps: one cut, one bridged
+], ids=["all-valid", "all-invalid", "leading", "trailing", "gap-at-limit", "gap-above-limit",
+        "one-sample", "uneven"])
+def test_segments(mask, t, expected):
+    valid = np.array([c == "1" for c in mask])
+    assert _segments(valid, np.array(t), MAX_GAP_S) == expected
 
 
 class TestDriverOrdering:

@@ -211,7 +211,9 @@ class TestReportAndFiles:
         assert len(report) == 3
         for entry in report:
             assert entry["n"] > 0
-            assert 0.5 not in entry["alpha_quantiles"] or True
+            quantiles = entry["alpha_quantiles"]
+            assert tuple(quantiles) == (0.05, 0.25, 0.5, 0.75, 0.95)
+            assert list(quantiles.values()) == sorted(quantiles.values())
             assert entry["curve_f_y"].shape == entry["curve_alpha"].shape
 
     def test_single_bin(self):

@@ -73,7 +73,8 @@ class TestIngest:
     @pytest.mark.parametrize("bad_row, message", [
         ("0.02,0,nan,0,0,0,0,1,0,0,0", "non-finite value at line 6$"),
         ("0.005,0,0,0,0,0,0,1,0,0,0", "time not strictly increasing at line 6$"),
-    ], ids=["non-finite", "time"])
+        ("0.02,0,0,0,0,0,0,-1,0,0,0", "bad.csv: negative speed at line 6$"),
+    ], ids=["non-finite", "time", "negative-speed"])
     def test_row_check_names_file_line_past_skipped_lines(self, tmp_path, bad_row, message):
         # the blank and comment lines are not data rows, but they are file lines
         path = tmp_path / "bad.csv"
@@ -183,6 +184,22 @@ class TestLowpass:
         run = make_run(rate=100.0)
         with pytest.raises(ConfigError):
             lowpass_filter(run, 50.0)
+
+    def test_speed_clipped_at_zero_after_standstill(self):
+        # 2 s at rest, then 5 m/s^2: the filter rings below zero before the start
+        from scipy.signal import butter, filtfilt
+
+        rate = 500.0
+        t = np.arange(2501) / rate
+        channels = {name: np.zeros(t.size) for name in CORE_CHANNELS}
+        channels["v"] = np.maximum(0.0, 5.0 * (t - 2.0))
+        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate))
+        raw = filtfilt(*butter(2, 20.0, fs=run.native_rate()), channels["v"])
+        assert raw.min() < 0
+        v = lowpass_filter(run, 20.0).v
+        assert np.array_equal(v[raw >= 0], raw[raw >= 0])
+        assert np.all(v[raw < 0] == 0.0)
+        assert process(run, cutoff=20.0).v.min() == 0.0
 
 
 class TestResample:
