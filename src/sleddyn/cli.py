@@ -150,7 +150,7 @@ def _require_bob(config: Config):
 
 @contextmanager
 def _naming(path):
-    """Start an error raised while one telemetry file is handled with its path; the class stays."""
+    """Start an error raised while one input file is handled with its path; the class stays."""
     try:
         yield
     except SleddynError as exc:
@@ -375,9 +375,10 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
                        v0=scenario["v0"], beta0=scenario["beta0"],
                        psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
                        t_max=scenario["t_max"])
-    run, truth = sim.export_synthetic_telemetry(
-        log, bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
-        seed=args.seed, meta=scenario["meta"])
+    with _naming(args.scenario):
+        run, truth = sim.export_synthetic_telemetry(
+            log, bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
+            seed=args.seed, meta=scenario["meta"])
     header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
     files = {
         "telemetry.csv": partial(telemetry.export_csv, run, schema=config.schema,
@@ -522,7 +523,7 @@ def main(argv=None) -> int:
         _publish(args.out_dir, files)
     except SleddynError as exc:
         return _fail(exc.label, exc, exc.exit_code)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, OverflowError) as exc:
         return _fail("numerical failure", exc, 3)
     except OSError as exc:
         return _fail("data error", exc, 2)

@@ -27,6 +27,16 @@ fixed-point pass over v_dot. The evaluation that logs an accepted
 state is the next step's k1 ("first same as last"), so a step costs
 four evaluations.
 
+The lookups are cheap by construction. ``TrackProfile`` keeps one row
+per segment (start, length, start values and differences, pitch-curvature
+slope), so ``at`` clamps, bisects once and interpolates. ``rhs``
+remembers its last control lookup: k2 and k3 share t0 + dt/2, and k4
+and the next logged state share t0 + dt, so a step looks the controls
+up twice. The step loop logs only the state and the ``rhs`` tuple; the
+accelerations, power terms and kinetic energy are computed per column
+after the loop, in the scalar operation order, and ``SimLog.stop`` says
+why the run ended.
+
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
 the tests audit. Every quantity needed to synthesize sensor channels
@@ -74,11 +84,20 @@ class TrackProfile:
             if arr.shape != s.shape or not np.isfinite(arr).all():
                 raise ValueError(f"track profile {name} needs one finite value per breakpoint")
             object.__setattr__(self, name, arr)
-            object.__setattr__(self, "_" + name, arr.tolist())  # plain lists for the scalar hot path
         if np.any(self.n < 1.0):
             raise ValueError("normal-load factor must be >= 1")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "_s", s.tolist())
+        # one row per segment for the scalar hot path: x0, ds, and start value and difference of
+        # kappa, 1/r_y and n, then the slope d(1/r_y)/ds; np.diff and / round as the scalar ops do
+        ds, dinv_r = np.diff(s), np.diff(self.inv_r_y)
+        slope = dinv_r / ds
+        table = (s[:-1], ds, self.kappa[:-1], np.diff(self.kappa), self.inv_r_y[:-1], dinv_r,
+                 self.n[:-1], np.diff(self.n), slope)
+        object.__setattr__(self, "_x0", s[:-1].tolist())
+        object.__setattr__(self, "_rows", list(zip(*(col.tolist() for col in table))))
+        object.__setattr__(self, "_ends", tuple(  # (s, at(s)) at the first and the last breakpoint
+            (s[i].item(), (self.kappa[i].item(), self.inv_r_y[i].item(), self.n[i].item(), slope[i].item()))
+            for i in (0, -1)))
 
     @property
     def length(self) -> float:
@@ -89,17 +108,14 @@ class TrackProfile:
 
         A NaN s reads the last breakpoint; the step's state check reports it.
         """
-        xs, kap, inv_r, n = self._s, self._kappa, self._inv_r_y, self._n
-        i = min(max(bisect_right(xs, s) - 1, 0), len(xs) - 2)
-        ds = xs[i + 1] - xs[i]
-        slope = (inv_r[i + 1] - inv_r[i]) / ds
-        if s <= xs[0]:
-            return kap[0], inv_r[0], n[0], slope
-        if not s < xs[-1]:
-            return kap[-1], inv_r[-1], n[-1], slope
-        frac = (s - xs[i]) / ds
-        return (kap[i] + frac * (kap[i + 1] - kap[i]), inv_r[i] + frac * (inv_r[i + 1] - inv_r[i]),
-                n[i] + frac * (n[i + 1] - n[i]), slope)
+        (first, at_first), (last, at_last) = self._ends
+        if s <= first:
+            return at_first
+        if not s < last:
+            return at_last
+        x0, ds, kappa0, dkappa, inv_r0, dinv_r, n0, dn, slope = self._rows[bisect_right(self._x0, s) - 1]
+        frac = (s - x0) / ds
+        return kappa0 + frac * dkappa, inv_r0 + frac * dinv_r, n0 + frac * dn, slope
 
 
 @dataclass(frozen=True)
@@ -172,6 +188,7 @@ class SimLog:
 
     data: dict[str, np.ndarray]
     dt: float
+    stop: str = "t_max"  # why the run ended: "t_max", "track_end" or "v_stop"
 
     def __getattr__(self, name):
         data = object.__getattribute__(self, "data")
@@ -204,7 +221,8 @@ def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup:
     sin, cos, atan, degrees = math.sin, math.cos, math.atan, math.degrees
     control_at, track_at = controls.at, track.at
     m, l_f, l_r, j_yy, j_zz, wheelbase = bob.m, bob.l_f, bob.l_r, bob.j_yy, bob.j_zz, bob.wheelbase
-    m_g = m * G
+    g = G
+    m_g = m * g
     front, rear = setup.lateral_front, setup.lateral_rear
     k_f, c_f, mu_f, e_f, cm_f = front.k_y, front.c_y, front.mu_zeta_y, front.e_y, front.c_y * front.mu_zeta_y
     k_r, c_r, mu_r, e_r, cm_r = rear.k_y, rear.c_y, rear.mu_zeta_y, rear.e_y, rear.c_y * rear.mu_zeta_y
@@ -212,8 +230,15 @@ def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup:
     if aero is not None:
         cx_ax, yaw_sensitivity, density = aero.cx_ax, aero.yaw_sensitivity, aero.air.density
 
+    # one-entry memo of the control lookup: k2 and k3 share t0 + dt/2, and k4 and the
+    # next logged state share t0 + dt, so each step looks the controls up twice, not four times
+    memo_t, memo_controls = math.nan, None
+
     def rhs(t, s, v, beta, psi_dot):
-        delta, gamma = control_at(t)
+        nonlocal memo_t, memo_controls
+        if t != memo_t:
+            memo_t, memo_controls = t, control_at(t)
+        delta, gamma = memo_controls
         kappa, inv_r, n_load, slope = track_at(s)
         if aero is not None:
             area = cx_ax * (1.0 + yaw_sensitivity * degrees(abs(beta)))
@@ -223,7 +248,7 @@ def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup:
         vv_slope = v * v * slope
         alpha_f = beta + delta - psi_dot * l_f / v
         alpha_r = beta + psi_dot * l_r / v
-        f_z_total = n_load * m * G
+        f_z_total = n_load * m * g
         gravity = m_g * sin(kappa)
         cb, sb, cg, sg, cd, sd = cos(beta), sin(beta), cos(gamma), sin(gamma), cos(delta), sin(delta)
         sg_sd, sg_cd, cg_sd, cg_cd = sg * sd, sg * cd, cg * sd, cg * cd
@@ -292,39 +317,58 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
         raise ConfigError("initial speed below the stop threshold")
     rhs = _rhs(bob, track, controls, setup, aero)
     state = SimState(t=0.0, s=float(track.s[0]), v=v0, beta=beta0, psi_dot=psi_dot0)
-    rows = []  # one tuple per accepted state, in _LOG_FIELDS order; grows with the run, not t_max
+    s_end = float(track.s[-1])
+    isfinite = math.isfinite
+    rows = []  # (t, s, v, beta, psi_dot) + the rhs terms per accepted state; grows with the run, not t_max
 
     def log_state(st: SimState):
         """Log the accepted state; its ``rhs`` value is the next step's k1."""
-        t, s, v, beta, psi_dot = st.t, st.s, st.v, st.beta, st.psi_dot
-        k = rhs(t, s, v, beta, psi_dot)
-        (_, _, _, psi_ddot, delta, gamma, kappa, theta_dot, theta_ddot, alpha_f, alpha_r, f_drag, gravity,
-         cb, sb, f_x_f, f_y_f, f_z_f, f_x_f0, f_y_f0, f_z_f0, f_x_r, f_y_r, f_z_r) = k
-        u, w = v * cb, -v * sb
-        rows.append((
-            t, s, v, beta, psi_dot, psi_ddot, theta_dot, theta_ddot, delta, gamma, kappa,
-            (f_x_f0 + f_x_r - f_drag * cb) / bob.m, (f_y_f0 + f_y_r + f_drag * sb) / bob.m,
-            (f_z_f0 + f_z_r) / bob.m,
-            f_x_f0, f_y_f0, f_z_f0, f_x_f, f_y_f, f_z_f, f_x_r, f_y_r, f_z_r, f_drag,
-            alpha_f, alpha_r, gravity * v, -f_drag * v,
-            f_x_f0 * u + f_y_f0 * (w + psi_dot * bob.l_f), f_x_r * u + f_y_r * (w - psi_dot * bob.l_r),
-            0.5 * bob.m * v ** 2 + 0.5 * bob.j_zz * psi_dot ** 2,
-        ))
+        head = (st.t, st.s, st.v, st.beta, st.psi_dot)
+        k = rhs(*head)
+        rows.append(head + k)
         return k
 
     n_steps = int(round(t_max / dt))
     k1 = log_state(state)
+    stop = "t_max"
     for _ in range(n_steps):
         new = step(state, rhs, dt, k1)
-        if not all(map(math.isfinite, (new.s, new.v, new.beta, new.psi_dot))):
+        if not (isfinite(new.s) and isfinite(new.v) and isfinite(new.beta) and isfinite(new.psi_dot)):
             raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
-        if new.v <= v_stop or new.s >= track.s[-1]:
+        if new.v <= v_stop or new.s >= s_end:
+            stop = "v_stop" if new.v <= v_stop else "track_end"
             break
         state = new
         k1 = log_state(state)
     table = np.array(rows, dtype=float)
     rows.clear()
-    return SimLog(data=dict(zip(_LOG_FIELDS, table.T.copy())), dt=dt)
+    return SimLog(data=_log_columns(table, bob), dt=dt, stop=stop)
+
+
+def _log_columns(table: np.ndarray, bob: BobParameters) -> dict[str, np.ndarray]:
+    """The ``_LOG_FIELDS`` columns, as rows of one block, from the logged rows: the state, then ``_TERMS``.
+
+    The accelerations and power terms are computed per column in the
+    order the scalar expressions used, so every value is bit-identical.
+    ``errstate`` keeps numpy as quiet as float arithmetic on a state
+    whose forces overflowed; ``e_kin`` stays scalar because float ``**``
+    is C ``pow``, which numpy's ``square`` does not reproduce bit for bit.
+    """
+    col = dict(zip(("t", "s", "v", "beta", "psi_dot") + _TERMS, table.T))
+    v, psi_dot, cb, sb, f_drag = col["v"], col["psi_dot"], col["cos_beta"], col["sin_beta"], col["f_drag"]
+    m = bob.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, w = v * cb, -v * sb
+        col["a_x"] = (col["f_x_f0"] + col["f_x_r"] - f_drag * cb) / m
+        col["a_y"] = (col["f_y_f0"] + col["f_y_r"] + f_drag * sb) / m
+        col["a_z"] = (col["f_z_f0"] + col["f_z_r"]) / m
+        col["p_gravity"] = col["gravity"] * v
+        col["p_aero"] = -f_drag * v
+        col["p_front"] = col["f_x_f0"] * u + col["f_y_f0"] * (w + psi_dot * bob.l_f)
+        col["p_rear"] = col["f_x_r"] * u + col["f_y_r"] * (w - psi_dot * bob.l_r)
+    col["e_kin"] = np.array([0.5 * m * v_i ** 2 + 0.5 * bob.j_zz * r_i ** 2
+                             for v_i, r_i in zip(v.tolist(), psi_dot.tolist())], dtype=float)
+    return dict(zip(_LOG_FIELDS, np.array([col[name] for name in _LOG_FIELDS])))
 
 
 def energy_audit(log: SimLog) -> float:
@@ -362,7 +406,8 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     """Sensor-frame telemetry plus ground-truth axle forces from a log.
 
     The log grid is decimated to the requested rate (its spacing must
-    divide the sample interval). Accelerations are moved from the COG to
+    divide the sample interval), and a log too short for two samples is a
+    ConfigError. Accelerations are moved from the COG to
     the configured sensor position with the inverse rigid-body transfer;
     the sensor slip angle is the chassis angle transferred to the speed
     sensor's mount point. Roll rate is the time derivative of the
@@ -374,6 +419,9 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     sl = slice(0, None, int(round(stride)))
 
     t = log.t[sl]
+    if t.size < 2:  # the derivative channels need two samples
+        raise ConfigError(f"the run stopped by {log.stop} at t = {log.t[-1]:.6g} s, which exports "
+                          f"{t.size} sample at {rate:g} Hz; at least 2 are needed")
     dec = {name: log.data[name][sl] for name in log.data}
     gamma = dec["gamma"]
     phi_dot = np.gradient(gamma, t)
@@ -419,8 +467,8 @@ def load_scenario(path):
     """Scenario JSON: track/control breakpoints, initial state, sim and noise settings.
 
     Raises ConfigError naming the file for a missing field, a value of the
-    wrong type or out of range, and a time step, duration or export rate
-    that is not positive and finite.
+    wrong type or out of range, a time step, duration or export rate that
+    is not positive and finite, and a non-finite initial state.
     """
     with reading(path, ConfigError, "invalid scenario JSON: "):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -458,4 +506,7 @@ def load_scenario(path):
                         ("meta.rate_hz", scenario["meta"].rate_hz)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{path}: {name} must be positive and finite, got {value}")
+    for name in ("v0", "beta0", "psi_dot0"):
+        if not math.isfinite(scenario[name]):
+            raise ConfigError(f"{path}: initial.{name} must be finite, got {scenario[name]}")
     return scenario

@@ -267,6 +267,20 @@ class TestSimulateCommand:
         assert "non-finite simulator state" in err and "Traceback" not in err
         assert set(tmp_path.rglob("*")) == before
 
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob):
+        def step(*args):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(sim, "step", step)
+        save_bob_params(bob, tmp_path / "bob.kv")
+        (tmp_path / "config.ini").write_text("[paths]\nbob_params = bob.kv\n")
+        scenario = self.scenario(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     "simulate", str(scenario)]) == 3
+        assert capsys.readouterr().err == "numerical failure: (34, 'Numerical result out of range')\n"
+        assert set(tmp_path.rglob("*")) == before
+
     def test_huge_t_max_ends_at_track_end(self, workspace, capsys):
         tmp_path, _ = workspace
         scenario = {"track": {"s": [0.0, 150.0], "kappa": [0.07, 0.07], "inv_r_y": [0.0, 0.0],
@@ -506,6 +520,24 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": "[1, 2]"},
          "a scenario is a JSON object"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", float("nan"))},
+         "scenario.json: initial.v0 must be finite, got nan"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "beta0", float("inf"))},
+         "scenario.json: initial.beta0 must be finite, got inf"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "psi_dot0", float("-inf"))},
+         "scenario.json: initial.psi_dot0 must be finite, got -inf"),
+        (3, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", 1e200)},
+         "numerical failure: non-finite simulator state"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("track", "s", [0.0, 0.01])},
+         "scenario.json: the run stopped by track_end at t = 0 s, which exports 1 sample at 100 Hz"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("sim", "t_max", 0.005)},
+         "scenario.json: the run stopped by t_max at t = 0.005 s, which exports 1 sample at 100 Hz"),
         (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("m = 100", "m = abc")},
          "glide.csv: bad glide metadata"),
         (2, "icehouse glide.csv", {"glide.csv": GLIDE.replace("94700", "-5")},
@@ -594,7 +626,9 @@ class TestBadInputFiles:
             "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
-            "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "glide-m-text",
+            "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "scenario-v0-nan",
+            "scenario-beta0-inf", "scenario-psi-dot0-minus-inf", "scenario-v0-overflow",
+            "scenario-track-1cm", "scenario-one-sample", "glide-m-text",
             "glide-p-air-negative", "glide-m-zero", "config-p-air-negative", "config-yaw-negative",
             "config-rate-zero", "config-rate-negative", "bob-non-utf8", "lateral-non-utf8",
             "long-non-utf8", "config-non-utf8", "scenario-non-utf8", "schema-non-utf8",

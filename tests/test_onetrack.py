@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import save_bob_params
+from conftest import corner_track, save_bob_params, weaving_controls
 
 from sleddyn.errors import DataError
 from sleddyn.friction import LateralFrictionParams
@@ -19,7 +19,8 @@ from sleddyn.onetrack import (
     reconstruct_lateral,
     reconstruct_vertical,
 )
-from sleddyn.telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun, derive_channels
+from sleddyn.sim import ControlTrace, export_synthetic_telemetry, simulate
+from sleddyn.telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun, derive_channels, process
 
 G = 9.81
 
@@ -174,6 +175,24 @@ class TestBuildAxleTrace:
         assert np.allclose(lhs, rhs, rtol=1e-9)
         moment = params.l_f * trace.f_y_f0 - params.l_r * trace.f_y_r
         assert np.allclose(moment, params.j_zz * run.derived.psi_ddot, rtol=1e-9, atol=1e-6)
+
+    def test_mirrored_run_mirrors_axle_forces(self, bob, friction_setup, aero_model):
+        # ``bob`` is the conftest fixture here; negated controls give the mirror image, bit for bit
+        controls = weaving_controls(15.0, gamma_amp_deg=3.0)
+        traces = []
+        for sign in (1.0, -1.0):
+            line = ControlTrace(t=controls.t, delta=sign * controls.delta, gamma=sign * controls.gamma)
+            log = simulate(bob, corner_track(), line, friction_setup, aero_model, v0=25.0, dt=0.0025,
+                           t_max=15.0)
+            run, _ = export_synthetic_telemetry(log, bob, rate=100.0)
+            traces.append(build_axle_trace(process(run), bob, aero=aero_model))
+        trace, mirror = traces
+        assert trace.valid.all() and np.array_equal(mirror.valid, trace.valid)
+        for name in ("f_z_f0", "f_z_f", "f_z_r", "f_x_f0", "f_x_f"):
+            assert np.array_equal(getattr(mirror, name), getattr(trace, name)), name
+        for name in ("f_y_f0", "f_y_f", "f_y_r", "alpha_f", "alpha_r"):
+            assert np.array_equal(getattr(mirror, name), -getattr(trace, name)), name
+        assert np.abs(trace.f_y_r).max() > 100.0
 
     def test_trace_csv_round_trip(self, tmp_path):
         run = synthetic_run(n=50)

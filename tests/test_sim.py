@@ -102,7 +102,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("length, kappa_deg, v0, dt, t_max, v_stop, ends", [
         (300.0, 4.0, 25.0, 0.0025, 3.0, 0.1, "t_max"),
-        (150.0, 4.0, 25.0, 0.002, 10.0, 0.1, "track end"),
+        (150.0, 4.0, 25.0, 0.002, 10.0, 0.1, "track_end"),
         (150.0, -4.0, 12.0, 0.005, 30.0, 2.0, "v_stop"),
     ], ids=["t-max", "track-end", "v-stop"])
     def test_log_matches_reference(self, bob, friction_setup, aero_model, length, kappa_deg, v0,
@@ -112,14 +112,70 @@ class TestBitIdentity:
         kwargs = dict(v0=v0, dt=dt, t_max=t_max, v_stop=v_stop)
         log = simulate(bob, track, controls, friction_setup, aero_model, **kwargs)
         ref = reference_simulate(bob, track, controls, friction_setup, aero_model, **kwargs)
+        self.assert_identical(log, ref)
+        assert np.abs(log.gamma).max() > 0.01 and log.f_drag.min() > 0.0
+        reached = {"t_max": log.t[-1] > t_max - dt, "track_end": log.s[-1] > length - v0 * dt,
+                   "v_stop": log.v[-1] < v_stop + 0.1}
+        assert [k for k, hit in reached.items() if hit] == [ends]
+        assert log.stop == ends
+
+    @staticmethod
+    def assert_identical(log, ref):
         assert len(log) == len(ref)
         for name in _LOG_FIELDS:
             assert np.array_equal(log.data[name], ref.data[name]), name
             assert log.data[name].tobytes() == ref.data[name].tobytes(), name  # signed zeros too
-        assert np.abs(log.gamma).max() > 0.01 and log.f_drag.min() > 0.0
-        reached = {"t_max": log.t[-1] > t_max - dt, "track end": log.s[-1] > length - v0 * dt,
-                   "v_stop": log.v[-1] < v_stop + 0.1}
-        assert [k for k, hit in reached.items() if hit] == [ends]
+
+    def run_both(self, bob, setup, aero, track, controls, **kwargs):
+        log = simulate(bob, track, controls, setup, aero, **kwargs)
+        self.assert_identical(log, reference_simulate(bob, track, controls, setup, aero, **kwargs))
+        assert log.t[-1] == pytest.approx(kwargs["t_max"])
+        return log
+
+    def test_no_aero_matches_reference(self, bob, friction_setup):
+        log = self.run_both(bob, friction_setup, None, bumped_track(300.0, 4.0),
+                            weaving_controls(3.0, gamma_amp_deg=3.0), v0=25.0, dt=0.0025, t_max=3.0)
+        assert not log.f_drag.any() and not log.p_aero.any()
+
+    def test_dense_track_matches_reference(self, bob, friction_setup, aero_model):
+        # breakpoints every 0.02 m, closer than the 0.05 m one step travels, from s = 5 m
+        s = 5.0 + 0.02 * np.arange(5001)
+        bump = np.exp(-0.5 * ((s - 40.0) / 10.0) ** 2)
+        track = TrackProfile(s=s, kappa=np.deg2rad(4.0 + np.sin(s)), inv_r_y=0.02 * bump, n=1.0 + 2.5 * bump)
+        log = self.run_both(bob, friction_setup, aero_model, track, weaving_controls(2.0, gamma_amp_deg=3.0),
+                            v0=25.0, dt=0.002, t_max=2.0)
+        assert log.s[0] == 5.0 and log.s[-1] > 50.0
+
+    def test_controls_on_stage_times_match_reference(self, bob, friction_setup, aero_model):
+        # a control breakpoint on every RK stage time, as ``step`` computes them
+        dt, t, stage_times = 0.004, 0.0, []
+        while t < 2.0:
+            stage_times += [t, t + dt / 2.0]
+            t = t + dt
+        ts = np.array(stage_times)
+        controls = ControlTrace(t=ts, delta=np.deg2rad(1.5) * np.sin(2 * np.pi * ts / 1.3),
+                                gamma=np.deg2rad(3.0) * np.sin(2 * np.pi * ts / 2.1))
+        log = self.run_both(bob, friction_setup, aero_model, bumped_track(300.0, 4.0), controls,
+                            v0=25.0, dt=dt, t_max=2.0)
+        assert np.isin(log.t, ts).sum() == len(log) - 1
+
+
+class TestMirrorSymmetry:
+    # a steering and roll-split line and its mirror image drive mirrored runs, bit for bit
+    ODD = ("beta", "psi_dot", "psi_ddot", "delta", "gamma", "a_y", "f_y_f0", "f_y_f", "f_y_r",
+           "alpha_f", "alpha_r")
+
+    def test_negated_controls_mirror_every_column(self, bob, friction_setup, aero_model):
+        controls = weaving_controls(15.0, gamma_amp_deg=3.0)
+        mirrored = ControlTrace(t=controls.t, delta=-controls.delta, gamma=-controls.gamma)
+        kwargs = dict(v0=25.0, dt=0.0025, t_max=15.0)
+        log = simulate(bob, corner_track(), controls, friction_setup, aero_model, **kwargs)
+        mirror = simulate(bob, corner_track(), mirrored, friction_setup, aero_model, **kwargs)
+        assert len(self.ODD) == 11 and len(log) == len(mirror) == 6001
+        for name in _LOG_FIELDS:
+            expected = -log.data[name] if name in self.ODD else log.data[name]
+            assert np.array_equal(mirror.data[name], expected), name
+        assert np.abs(log.psi_dot).max() > 0.01 and np.abs(log.gamma).max() > 0.04
 
 
 class TestDynamics:
@@ -169,6 +225,13 @@ class TestDynamics:
         assert log.s[-1] < 150.0 and log.t[-1] < 10.0
         assert len(log) == round(log.t[-1] / 0.002) + 1
         assert all(log.data[name].size == len(log) for name in _LOG_FIELDS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_log_stays_quiet(self, bob, friction_setup, aero_model):
+        # as scalar float arithmetic does, the logged columns overflow to inf without a warning
+        log = simulate(bob, straight_track(100.0), zero_controls(1.0), friction_setup, aero_model,
+                       v0=1.2e154, dt=0.002, t_max=0.0009)
+        assert len(log) == 1 and log.p_aero[0] == -np.inf and log.e_kin[0] == np.inf
 
     def test_dt_bound_enforced(self, bob, friction_setup):
         with pytest.raises(ConfigError):
