@@ -1,7 +1,9 @@
 """End-to-end CLI workflows on synthetic data."""
 
 import dataclasses
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from conftest import (
     LATERAL_FRONT,
     LATERAL_REAR,
+    corner_track,
     downhill_track,
     save_bob_params,
     straight_track,
@@ -21,9 +24,10 @@ from conftest import (
 )
 
 import sleddyn
-from sleddyn import fitting, icehouse, kvfile, sim, telemetry
+from sleddyn import cli, fitting, icehouse, kvfile, sim, telemetry
 from sleddyn.cli import main
 from sleddyn.errors import NumericalError
+from sleddyn.sim import ControlTrace
 from sleddyn.tables import read_table
 
 
@@ -215,6 +219,145 @@ def test_per_run_config_error_names_the_file(workspace, capsys):
     assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                  "fit", *paths, "--rate", "200"]) == 1
     assert capsys.readouterr().err == f"error: {paths[0]}: cannot resample 100 Hz data up to 200.0 Hz\n"
+
+
+class TestParallelPreparation:
+    # fit and eval prepare their runs on up to os.cpu_count() processes; 2 here
+    # makes them fork on any machine. The parent takes files 0 and 2, a worker file 1
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def lateral_kv(self, tmp_path) -> str:
+        path = tmp_path / "lat.kv"
+        path.write_text("mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("case", ["nan-last-row-then-missing", "good-slow-missing"])
+    def test_first_bad_file_in_input_order_is_reported(self, workspace, capsys, command, case):
+        # the later file fails sooner, in another process; the error stays the serial one
+        tmp_path, paths = workspace
+        missing = str(tmp_path / "missing.csv")
+        if case == "nan-last-row-then-missing":
+            bad = paths[0]
+            lines = Path(bad).read_text().splitlines()
+            cells = lines[-1].split(",")
+            Path(bad).write_text("\n".join(lines[:-1] + [",".join(cells[:-1] + ["nan"])]) + "\n")
+            files = [bad, missing]
+            message = f"data error: {bad}: non-finite value at line {len(lines)}\n"
+        else:
+            run = telemetry.ingest_csv(paths[1], telemetry.identity_schema())
+            bad = str(tmp_path / "slow.csv")
+            channels = {**run.channels, "v": np.ones(len(run))}
+            telemetry.export_csv(telemetry.TelemetryRun(t=run.t, channels=channels, meta=run.meta), bad)
+            files = [paths[0], bad, missing]
+            message = f"data error: {bad}: " + (
+                "no usable samples for the front runner fit" if command == "fit" else
+                "no valid samples to evaluate") + "\n"
+        lateral = self.lateral_kv(tmp_path)
+        extra = [] if command == "fit" else ["--front-params", lateral, "--rear-params", lateral]
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     command, *files, *extra]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_outputs_match_the_serial_run(self, workspace, capsys, monkeypatch, bob, friction_setup,
+                                          aero_model):
+        tmp_path, paths = workspace
+        log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
+                           friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
+        run, _ = sim.export_synthetic_telemetry(
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+        telemetry.export_csv(run, tmp_path / "other.csv")
+        files = [*paths, str(tmp_path / "other.csv")]
+        lateral = self.lateral_kv(tmp_path)
+        commands = {"fit": ["fit", *files, "--holdout", "OTHER"],
+                    "eval": ["eval", *files, "--front-params", lateral, "--rear-params", lateral]}
+
+        def outputs(tag):
+            found = {}
+            for name, argv in commands.items():
+                out = tmp_path / tag / name
+                assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), *argv]) == 0
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                found[name] = (stdout, {p.name: p.read_bytes() for p in out.iterdir()})
+            return found
+
+        parallel = outputs("parallel")
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert parallel == outputs("serial")
+        assert "validation_rmse.json" in parallel["fit"][1] and len(parallel["eval"][1]) == 3
+
+    @pytest.mark.parametrize("fault", ["fork-fails", "worker-sends-nothing"])
+    def test_files_of_a_lost_worker_run_in_the_parent(self, workspace, monkeypatch, fault):
+        tmp_path, paths = workspace
+        parent, real = os.getpid(), cli._traced_run
+
+        def start(process):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def traced_run(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        if fault == "fork-fails":
+            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+        else:
+            monkeypatch.setattr(cli, "_traced_run", traced_run)
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 0
+        assert (out / "lateral_rear.kv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_the_workers(self, workspace, monkeypatch):
+        tmp_path, paths = workspace
+        parent, real = os.getpid(), cli._traced_run
+
+        def traced_run(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_traced_run", traced_run)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                  "fit", *paths])
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+
+def test_mirrored_runs_lose_the_same_energy(workspace, bob, friction_setup, aero_model):
+    # a weave and its mirror image (delta and gamma negated) with l_y = 0: every
+    # loss number of the two eval rows is equal, bit for bit
+    tmp_path, _ = workspace
+    assert bob.offset.l_y == 0.0
+    controls = weaving_controls(15.0, gamma_amp_deg=3.0)
+    files = []
+    for name, sign in (("weave", 1.0), ("mirror", -1.0)):
+        lines = ControlTrace(t=controls.t, delta=sign * controls.delta, gamma=sign * controls.gamma)
+        log = sim.simulate(bob, corner_track(), lines, friction_setup, aero_model,
+                           v0=25.0, dt=0.0025, t_max=15.0)
+        run, _ = sim.export_synthetic_telemetry(
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver=name, track="SYN", rate_hz=100.0))
+        files.append(str(tmp_path / f"{name}.csv"))
+        telemetry.export_csv(run, files[-1])
+    (tmp_path / "lat.kv").write_text("mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "eval", *files,
+                 "--front-params", str(tmp_path / "lat.kv"), "--rear-params", str(tmp_path / "lat.kv")]) == 0
+    weave, mirror = json.loads((out / "evaluation.json").read_text())["runs"]
+    assert (weave["driver"], mirror["driver"]) == ("weave", "mirror")
+    numbers = ("e_tot_loss", "de_ice_f", "de_ice_r", "de_aero", "de_tot", "runtime", "distance",
+               "segments")
+    assert [weave[k] for k in numbers] == [mirror[k] for k in numbers]
+    assert weave["de_ice_f"] > 0 and weave["de_ice_r"] > 0
+    rows = read_table(out / "losses.csv").data
+    assert rows.shape == (2, 4) and rows[0].tobytes() == rows[1].tobytes()
 
 
 class TestSimulateCommand:
@@ -533,6 +676,12 @@ class TestBadInputFiles:
          {**SIMULATE, "scenario.json": scenario_text("initial", "v0", 1e200)},
          "numerical failure: non-finite simulator state"),
         (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", -3)},
+         "scenario.json: initial speed below the stop threshold"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("sim", "dt", 0.02)},
+         "scenario.json: dt = 0.02 exceeds the 0.01 s stability bound"),
+        (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("track", "s", [0.0, 0.01])},
          "scenario.json: the run stopped by track_end at t = 0 s, which exports 1 sample at 100 Hz"),
         (1, "--config config.ini simulate scenario.json",
@@ -628,7 +777,7 @@ class TestBadInputFiles:
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
             "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "scenario-v0-nan",
             "scenario-beta0-inf", "scenario-psi-dot0-minus-inf", "scenario-v0-overflow",
-            "scenario-track-1cm", "scenario-one-sample", "glide-m-text",
+            "scenario-v0-negative", "scenario-dt-above-bound", "scenario-track-1cm", "scenario-one-sample", "glide-m-text",
             "glide-p-air-negative", "glide-m-zero", "config-p-air-negative", "config-yaw-negative",
             "config-rate-zero", "config-rate-negative", "bob-non-utf8", "lateral-non-utf8",
             "long-non-utf8", "config-non-utf8", "scenario-non-utf8", "schema-non-utf8",
