@@ -21,6 +21,11 @@ and moves them into ``--out-dir`` after the last write succeeds, then
 prints the lines. A failure, a failed write included, leaves no partial
 artifacts.
 
+On Linux, ``fit`` and ``eval`` prepare their telemetry files (read,
+filter, resample, reconstruct the axle forces) on every CPU the process
+may use, through ``forked.shares``, as ``tables.write_table`` formats a
+large table; outputs and errors are those of one process.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure.
 """
@@ -35,7 +40,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import partial
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, fitting, icehouse, kvfile, sim, telemetry
+from . import evaluation, fitting, forked, icehouse, kvfile, sim, telemetry
 from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, AirState
 from .errors import ConfigError, DataError, SleddynError, reading
 from .friction import MU_X_DEFAULT, force_y_braghin, mu_x
@@ -169,84 +173,24 @@ def _traced_run(path, config: Config, bob, aero: AeroModel):
                                  v_min=config.options["v_min"])
 
 
-def _prepare_share(send, paths, config: Config, bob, aero: AeroModel) -> None:
-    """Worker body: ``_traced_run`` of each path up to the first that fails, sent as one list."""
-    import signal
-
-    # an interrupt is the parent's to handle; it terminates the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    prepared = []
-    try:
-        for path in paths:
-            prepared.append(_traced_run(path, config, bob, aero))
-    except Exception:  # the parent runs this file again and reports its error
-        pass
-    send.send(prepared)
-    send.close()
+# telemetry bytes per process below which fit and eval prepare in-process: on a
+# 2-vCPU VM, while two processes really ran at once, eval of two 360 kB runs took
+# 12.5 ms in-process and 12.8 ms forked, of two 720 kB runs 20 ms and 17 ms
+PREPARED_BYTES_PER_PROCESS = 500_000
 
 
-def _prepared_runs(paths, config: Config, bob, aero: AeroModel) -> list:
-    """``_traced_run`` of each path, in input order, prepared on up to ``os.cpu_count()`` processes.
+def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
+    """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU.
 
-    An entry is None where a file failed or its worker could not start or
-    sent nothing; the caller runs that file again in-process, so its
-    error is the serial one. Each process takes every ``n``-th file; the parent takes a share
-    too. One file, one CPU, another live Python thread or a platform
-    other than Linux prepares nothing here.
+    A result is None where ``forked.shares`` leaves the file to the caller,
+    who runs it in-process, so an error is the serial one.
     """
-    workers = min(len(paths), os.cpu_count() or 1)
-    if workers < 2 or not sys.platform.startswith("linux") or threading.active_count() > 1:
-        return [None] * len(paths)
-    import multiprocessing
-
     if config.options["cutoff_hz"]:
         import scipy.signal  # loaded once here rather than in every worker
 
-    # fork, not spawn: preparing the 8 runs of the season benchmark (seed 1) on
-    # a 2-vCPU VM took 0.40 s serially and 0.30 s forked (median of 9), but
-    # 1.81 s with spawn and 1.63 s with forkserver (median of 5), because each
-    # such worker imports numpy, scipy.signal and sleddyn again. Forking is
-    # safe here: no other Python thread is alive (checked above), and the
-    # atfork handler of OpenBLAS stops its pool, so the parent has 3 native
-    # threads before os.fork() and 1 right after it.
-    context = multiprocessing.get_context("fork")
-    results: list = [None] * len(paths)
-    children = []
-    try:
-        for k in range(1, workers):
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_prepare_share, daemon=True,
-                                    args=(send, paths[k::workers], config, bob, aero))
-            try:
-                child.start()
-            except OSError:  # no process to be had: the files left run in-process
-                receive.close()
-                break
-            finally:
-                send.close()
-            children.append((k, child, receive))
-        for i in range(0, len(paths), workers):
-            try:
-                results[i] = _traced_run(paths[i], config, bob, aero)
-            except Exception:
-                # the caller runs this file again and stops there, so no later
-                # file is needed; the workers' earlier files run in-process
-                return results
-        for k, child, receive in children:
-            try:
-                prepared = receive.recv()
-            except EOFError:  # the worker exited without sending
-                prepared = []
-            for i, ready in zip(range(k, len(paths), workers), prepared):
-                results[i] = ready
-            child.join()
-    finally:
-        for _, child, receive in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
-            receive.close()
-    return results
+    size = sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
+    return forked.shares(lambda path: _traced_run(path, config, bob, aero), paths,
+                         max(1, size // PREPARED_BYTES_PER_PROCESS))
 
 
 def _run_keys(paths) -> list[str]:
@@ -305,16 +249,16 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     threshold = config.options["roll_threshold_deg_s2"]
     fit_paths, holdout_runs = [], []
     datasets: dict[str, list] = {"front": [], "rear": []}
-    prepared = _prepared_runs(args.telemetry, config, bob, aero)
-    for path, ready in zip(args.telemetry, prepared):
-        with _naming(path):
-            run, trace = ready or _traced_run(path, config, bob, aero)
-            if args.holdout and run.meta.track == args.holdout:
-                holdout_runs.append((path, run, trace))
-                continue
-            fit_paths.append(path)
-            for runner in ("front", "rear"):
-                datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
+    with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
+        for path, ready in zip(args.telemetry, prepared):
+            with _naming(path):
+                run, trace = ready or _traced_run(path, config, bob, aero)
+                if args.holdout and run.meta.track == args.holdout:
+                    holdout_runs.append((path, run, trace))
+                    continue
+                fit_paths.append(path)
+                for runner in ("front", "rear"):
+                    datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
     if not fit_paths:
         raise DataError("holdout excluded every run")
 
@@ -376,18 +320,18 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
 
     rows = []
     labeled = []
-    prepared = _prepared_runs(args.telemetry, config, bob, aero)
-    for key, path, ready in zip(_run_keys(args.telemetry), args.telemetry, prepared):
-        with _naming(path):
-            run, trace = ready or _traced_run(path, config, bob, aero)
-            parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
-        loss = evaluation.combine_losses(parts)
-        label = run.meta.driver or key
-        labeled.append((label, run, trace))
-        rows.append({"run": key, "driver": label, "track": run.meta.track or "unknown", **{
-            name: getattr(loss, name) for name in ("e_tot_loss", "de_ice_f", "de_ice_r", "de_aero",
-                                                   "de_tot", "runtime", "distance")
-        }, "segments": len(parts)})
+    with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
+        for key, path, ready in zip(_run_keys(args.telemetry), args.telemetry, prepared):
+            with _naming(path):
+                run, trace = ready or _traced_run(path, config, bob, aero)
+                parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
+            loss = evaluation.combine_losses(parts)
+            label = run.meta.driver or key
+            labeled.append((label, run, trace))
+            rows.append({"run": key, "driver": label, "track": run.meta.track or "unknown", **{
+                name: getattr(loss, name) for name in ("e_tot_loss", "de_ice_f", "de_ice_r", "de_aero",
+                                                       "de_tot", "runtime", "distance")
+            }, "segments": len(parts)})
     angle_report = evaluation.angle_statistics(labeled)
 
     losses = ("de_ice_f", "de_ice_r", "de_aero", "de_tot")

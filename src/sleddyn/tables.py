@@ -9,6 +9,11 @@ memory as text.
 
 When ``loadtxt`` rejects the body, the file is scanned once more only to
 name the first bad line in the ``DataError``; that scan returns no data.
+
+Every cell is written as ``repr(float)``. The rows of a large table are
+formatted in chunks shared out over forked processes (``forked.shares``);
+only the calling process opens and writes the file, so the bytes are
+those of one process.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from itertools import islice
 
 import numpy as np
 
+from . import forked
 from .errors import DataError, reading
+
+# a table with at least this many cells per process is formatted on several CPUs:
+# on a 2-vCPU VM (Python 3.11) 20,000 cells take 17-20 ms to format, and a fork
+# round trip from a 50 MB process takes about 4 ms
+CELLS_PER_PROCESS = 20_000
 
 
 @dataclass(frozen=True)
@@ -97,15 +108,30 @@ def write_table(path, columns: dict, comments=()) -> None:
     through ``csv.writer``, so a name with a comma or a quote reads back.
     Rows end in a bare newline and every cell is ``repr(float)``, so
     ``read_table`` returns the columns bit for bit.
+
+    The rows are formatted in chunks of at most 1024, which bounds the
+    extra memory. A table of at least ``CELLS_PER_PROCESS`` cells per
+    usable CPU has its chunks shared out by ``forked.shares``, whose
+    workers are forked before the file is opened; this process formats
+    its own chunks, and any a worker left undone, as it writes. Only this
+    process opens and writes the file.
     """
     data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    processes = max(1, min(forked.cpus(), data.size // CELLS_PER_PROCESS, len(data)))
+    # a multiple of the process count, so that each process gets as many rows
+    chunks = np.array_split(data, processes * max(1, -(-len(data) // (1024 * processes))))
+    with forked.shares(_rows_text, chunks, processes) as texts, \
+            open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         csv.writer(fh, lineterminator="\n").writerow(columns)
-        # converting 1024 rows at a time to Python floats bounds the extra memory
-        for start in range(0, len(data), 1024):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in data[start:start + 1024].tolist())
+        for chunk, text in zip(chunks, texts):
+            fh.write(_rows_text(chunk) if text is None else text)
+
+
+def _rows_text(rows: np.ndarray) -> str:
+    """Each row of ``rows`` as ``repr`` cells joined by commas, one line per row."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()])
 
 
 def data_line(path, header_line: int, row: int) -> int:

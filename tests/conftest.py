@@ -1,5 +1,7 @@
 """Shared synthetic scenarios used across sim, evaluation, and acceptance tests."""
 
+import multiprocessing.context
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,19 @@ def friction_setup():
 @pytest.fixture
 def aero_model():
     return AeroModel(cx_ax=0.2, air=AirState(p_air=94700.0, temperature=275.15))
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Every worker process started from now on, in start order."""
+    started, real = [], multiprocessing.context.ForkProcess.start
+
+    def start(process):
+        real(process)
+        started.append(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
 
 
 def save_bob_params(bob: BobParameters, path) -> None:

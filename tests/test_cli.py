@@ -24,7 +24,7 @@ from conftest import (
 )
 
 import sleddyn
-from sleddyn import cli, fitting, icehouse, kvfile, sim, telemetry
+from sleddyn import cli, fitting, forked, icehouse, kvfile, sim, tables, telemetry
 from sleddyn.cli import main
 from sleddyn.errors import NumericalError
 from sleddyn.sim import ControlTrace
@@ -222,12 +222,14 @@ def test_per_run_config_error_names_the_file(workspace, capsys):
 
 
 class TestParallelPreparation:
-    # fit and eval prepare their runs on up to os.cpu_count() processes; 2 here
-    # makes them fork on any machine. The parent takes files 0 and 2, a worker file 1
+    # fit and eval prepare their runs on up to forked.cpus() processes; 2 here, and
+    # no floor on the input size, make them fork on any machine. The parent takes
+    # files 0 and 2, a worker file 1
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forked, "cpus", lambda: 2)
+        monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", 1)
 
     def lateral_kv(self, tmp_path) -> str:
         path = tmp_path / "lat.kv"
@@ -288,9 +290,20 @@ class TestParallelPreparation:
 
         parallel = outputs("parallel")
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(forked, "cpus", lambda: 1)
         assert parallel == outputs("serial")
         assert "validation_rmse.json" in parallel["fit"][1] and len(parallel["eval"][1]) == 3
+
+    @pytest.mark.parametrize("above, workers", [(0, 1), (1, 0)])
+    def test_inputs_below_the_size_floor_prepare_in_process(self, workspace, monkeypatch, forks,
+                                                            above, workers):
+        # two files fork only with at least PREPARED_BYTES_PER_PROCESS bytes per process
+        tmp_path, paths = workspace
+        size = sum(os.path.getsize(path) for path in paths)
+        monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", size // 2 + above)
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     "fit", *paths]) == 0
+        assert len(forks) == workers
 
     @pytest.mark.parametrize("fault", ["fork-fails", "worker-sends-nothing"])
     def test_files_of_a_lost_worker_run_in_the_parent(self, workspace, monkeypatch, fault):
@@ -329,6 +342,19 @@ class TestParallelPreparation:
                   "fit", *paths])
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out").exists()
+
+
+def test_one_cpu_affinity_starts_no_worker(workspace, monkeypatch, forks):
+    # as under `taskset -c 0` on a 2-CPU machine: the affinity set counts, not the machine
+    tmp_path, paths = workspace
+    monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert forked.cpus() == 1
+    out = tmp_path / "out"
+    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 0
+    assert (out / "lateral_rear.kv").exists()
+    assert forks == []
 
 
 def test_mirrored_runs_lose_the_same_energy(workspace, bob, friction_setup, aero_model):
@@ -386,6 +412,30 @@ class TestSimulateCommand:
         first = (out / "telemetry.csv").read_text().splitlines()[0]
         assert first.startswith("# sleddyn")  # provenance header
         assert (out / "truth.csv").exists()
+
+    def test_interrupted_split_write_leaves_no_worker_and_no_file(self, tmp_path, monkeypatch, bob,
+                                                                  forks):
+        # telemetry.csv is shared out over two processes; the parent is interrupted formatting its first chunk
+        monkeypatch.setattr(forked, "cpus", lambda: 2)
+        monkeypatch.setattr(tables, "CELLS_PER_PROCESS", 1000)
+        parent, real = os.getpid(), tables._rows_text
+
+        def rows_text(rows):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(rows)
+
+        monkeypatch.setattr(tables, "_rows_text", rows_text)
+        save_bob_params(bob, tmp_path / "bob.kv")
+        (tmp_path / "config.ini").write_text("[paths]\nbob_params = bob.kv\n")
+        scenario = self.scenario(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                  "simulate", str(scenario)])
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+        assert set(tmp_path.rglob("*")) == before  # no out/, no staging directory
 
     def test_non_finite_state_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob,
                                                    friction_setup):

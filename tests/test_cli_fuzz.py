@@ -9,7 +9,8 @@ leaves no new file or directory behind.
 The write-failure cases run each command on valid inputs with the k-th
 output file failing to open, for every k up to the number of files the
 command writes: exit 2, one stderr line, and the output directory absent
-or exactly as it was.
+or exactly as it was. The ``simulate`` case formats part of each table in
+a forked worker, and every output file is still opened in the parent.
 """
 
 import builtins
@@ -17,6 +18,7 @@ import contextlib
 import errno
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleddyn import icehouse
+from sleddyn import forked, icehouse, tables
 from sleddyn.cli import main
 
 BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\nl_x = 0.5\nl_s_f = 1.2\nl_s_r = -1.8\n"
@@ -176,13 +178,21 @@ WRITING = [
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
 @pytest.mark.parametrize("argv, n_files", [case[1:] for case in WRITING], ids=[case[0] for case in WRITING])
-def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, argv, n_files, existing):
+def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, forks, argv, n_files, existing):
     root = tmp_path.resolve()
     for name, content in inputs.items():
         (root / name).write_bytes(content)
     (root / "holdout.csv").write_bytes(inputs["telemetry.csv"].replace(b"track = SYN", b"track = HOLD"))
+    split = "simulate" in argv.split()
+    if split:
+        # both tables are cut into two row blocks, one formatted by a worker;
+        # every output file must still be opened here
+        monkeypatch.setattr(forked, "cpus", lambda: 2)
+        monkeypatch.setattr(tables, "CELLS_PER_PROCESS", 100)
     writes = FailingWrites(monkeypatch, root)
     assert run_main(root, argv) == (0, "")
+    if split:
+        assert len(forks) == n_files
     out = root / "out"
     written = sorted(path.name for path in out.iterdir())
     assert len(written) == n_files and sorted(writes.opened) == written
@@ -198,3 +208,4 @@ def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, argv, n_fi
         assert (code, len(err.splitlines())) == (2, 1), (k, err)
         assert "No space left on device" in err
         assert snapshot(root) == before, k
+        assert multiprocessing.active_children() == []

@@ -1,6 +1,8 @@
 """The shared table reader and writer and the loaders and exporters built on them."""
 
 import dataclasses
+import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sleddyn import forked, tables
 from sleddyn.errors import DataError
 from sleddyn.icehouse import load_glide_csv, save_glide_csv
 from sleddyn.onetrack import AxleForceTrace, export_trace_csv, load_trace_csv
@@ -77,6 +80,54 @@ class TestWriteTable:
         assert table.comments == ["note", "k = v"]
         assert table.header == list(columns)
         assert table.data.tobytes() == np.column_stack([columns["a,b"], columns['say "hi"']]).tobytes()
+
+
+class TestSplitWriter:
+    """A large table is formatted on several processes, with the bytes of one process."""
+
+    @staticmethod
+    def columns(rows: int, width: int) -> dict:
+        rng = np.random.default_rng([rows, width])
+        return {f"c{j}": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                for j in range(width)}
+
+    @staticmethod
+    def written(path, columns, monkeypatch, cpus: int) -> bytes:
+        monkeypatch.setattr(forked, "cpus", lambda: cpus)
+        write_table(path, columns, ["note", "k = v"])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cpus, rows, width, per_process, workers", [
+        (3, 10, 3, 10, 2),          # chunks of 4, 3 and 3 rows, one per process
+        (2, 5000, 8, None, 1),      # exactly CELLS_PER_PROCESS cells per process
+        (2, 4999, 8, None, 0),      # one row fewer: formatted in-process
+        (4, 1, 3, 1, 0),            # one row cannot be split
+    ])
+    def test_bytes_match_the_in_process_writer(self, tmp_path, monkeypatch, forks, cpus, rows, width,
+                                                per_process, workers):
+        if per_process is not None:
+            monkeypatch.setattr(tables, "CELLS_PER_PROCESS", per_process)
+        columns = self.columns(rows, width)
+        split = self.written(tmp_path / "split.csv", columns, monkeypatch, cpus)
+        assert len(forks) == workers
+        assert split == self.written(tmp_path / "one.csv", columns, monkeypatch, 1)
+        assert len(forks) == workers and multiprocessing.active_children() == []
+        assert read_table(tmp_path / "split.csv").data.shape == (rows, width)
+
+    def test_chunks_of_a_lost_worker_are_formatted_here(self, tmp_path, monkeypatch, forks):
+        parent, real = os.getpid(), tables._rows_text
+
+        def rows_text(rows):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(rows)
+
+        columns = self.columns(3001, 15)
+        expected = self.written(tmp_path / "one.csv", columns, monkeypatch, 1)
+        monkeypatch.setattr(tables, "_rows_text", rows_text)
+        assert self.written(tmp_path / "split.csv", columns, monkeypatch, 2) == expected
+        assert len(forks) == 1 and forks[0].exitcode == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestTelemetryReader:
