@@ -173,12 +173,6 @@ def _traced_run(path, config: Config, bob, aero: AeroModel):
                                  v_min=config.options["v_min"])
 
 
-# telemetry bytes per process below which fit and eval prepare in-process: on a
-# 2-vCPU VM, while two processes really ran at once, eval of two 360 kB runs took
-# 12.5 ms in-process and 12.8 ms forked, of two 720 kB runs 20 ms and 17 ms
-PREPARED_BYTES_PER_PROCESS = 500_000
-
-
 def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
     """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU.
 
@@ -188,9 +182,7 @@ def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
     if config.options["cutoff_hz"]:
         import scipy.signal  # loaded once here rather than in every worker
 
-    size = sum(os.path.getsize(path) for path in paths if os.path.isfile(path))
-    return forked.shares(lambda path: _traced_run(path, config, bob, aero), paths,
-                         max(1, size // PREPARED_BYTES_PER_PROCESS))
+    return forked.shares(lambda path: _traced_run(path, config, bob, aero), paths, len(paths))
 
 
 def _run_keys(paths) -> list[str]:

@@ -1,20 +1,32 @@
 """Work shared out over every CPU the process may use, in forked processes.
 
-``shares(fn, items)`` is the one fork path of the package: ``fit`` and
-``eval`` prepare their telemetry files through it, and
+``shares(fn, items, processes)`` is the one fork path of the package:
+``fit`` and ``eval`` prepare their telemetry files through it, and
 ``tables.write_table`` formats the row chunks of a large table. Each
 result it gives back as None is the caller's to compute in-process, so
 an error is raised there exactly as in serial code.
 
-``multiprocessing`` is imported only when a fork happens.
+Workers are made with ``os.fork``. Each writes its results, pickled, to
+an unnamed temporary file of its own (its spool) and sends the offset and
+size of each through a pipe. So a worker never waits for the caller to
+read a result and goes through its whole share while the caller does its
+own; through a pipe alone, a result larger than the pipe's buffer would
+hold the worker until the caller reached it. A spool holds at most one
+worker's share of results. ``multiprocessing`` is not used: its first
+fork loads some 20 more modules (``subprocess``, ``socket``, ...), about
+0.7 MB of resident memory.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
+import tempfile
 import threading
 from contextlib import contextmanager
+
+_LENGTH = 8  # bytes of each of the offset and the size of a result in its spool file
 
 
 def cpus() -> int:
@@ -38,13 +50,13 @@ def shares(fn, items, processes: int):
     (every result is None) for one item, one CPU, another live Python
     thread or a platform other than Linux. A worker's result is received
     when the iterator reaches it, on the calling thread; on leaving the
-    block the workers still alive are terminated, and all are joined.
+    block every worker is terminated if it still runs, and waited for.
     """
     n = min(len(items), cpus(), processes)
-    workers: dict = {}  # k -> (process, receiving end of its pipe)
+    workers: dict = {}  # k -> (pid, receiving end of its pipe, its spool file)
     try:
         if n > 1 and sys.platform.startswith("linux") and threading.active_count() == 1:
-            import multiprocessing
+            import signal  # loaded only when a fork happens
 
             # fork, not spawn: preparing the 8 runs of the season benchmark (seed 1)
             # on a 2-vCPU VM took 0.40 s serially and 0.30 s forked (median of 9),
@@ -53,51 +65,62 @@ def shares(fn, items, processes: int):
             # again. Forking is safe here: no other Python thread is alive (checked
             # above), and the atfork handler of OpenBLAS stops its pool, so the
             # parent has 3 native threads before os.fork() and 1 right after it.
-            context = multiprocessing.get_context("fork")
             for k in range(1, n):
-                receive, send = context.Pipe(duplex=False)
-                child = context.Process(target=_share, args=(send, fn, items[k::n]), daemon=True)
                 try:
-                    child.start()
-                except OSError:  # no process to be had: the items left are the caller's
-                    receive.close()
+                    spool = tempfile.TemporaryFile()
+                except OSError:  # no file to be had: the items left are the caller's
                     break
-                finally:
-                    send.close()
-                workers[k] = (child, receive)
+                receive, send = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to be had: the items left are the caller's
+                    os.close(receive)
+                    os.close(send)
+                    spool.close()
+                    break
+                if pid == 0:
+                    os.close(receive)
+                    _share(send, spool.fileno(), fn, items[k::n])
+                os.close(send)
+                workers[k] = (pid, open(receive, "rb"), spool)
         yield _results(len(items), n, workers)
     finally:
-        for child, receive in workers.values():
-            if child.is_alive():
-                child.terminate()
-            child.join()
+        for pid, receive, spool in workers.values():
             receive.close()
+            spool.close()
+            os.kill(pid, signal.SIGTERM)  # no effect on a worker that has exited
+            os.waitpid(pid, 0)
 
 
 def _results(count: int, n: int, workers: dict):
     """Each item's result from its worker, in input order; None where there is none."""
     for i in range(count):
-        result = None
-        if i % n in workers:
-            child, receive = workers[i % n]
-            try:
-                result = receive.recv()
-            except EOFError:  # the worker stopped at a failure or was lost
-                pass
-            if i + n >= count:  # its last item: let it exit
-                child.join()
-        yield result
+        yield _received(*workers[i % n][1:]) if i % n in workers else None
 
 
-def _share(send, fn, items) -> None:
-    """Worker body: sends ``fn`` of each item as it is done, up to the first that fails."""
-    import signal
+def _received(pipe, spool):
+    """The next result in ``spool``, once ``pipe`` tells where it lies; None if the worker stopped first."""
+    place = pipe.read(2 * _LENGTH)
+    if len(place) < 2 * _LENGTH:  # the worker stopped at a failure or was lost
+        return None
+    offset, size = int.from_bytes(place[:_LENGTH], "little"), int.from_bytes(place[_LENGTH:], "little")
+    data = os.pread(spool.fileno(), size, offset)
+    return pickle.loads(data) if len(data) == size else None
 
-    # an interrupt is the parent's to handle; it terminates the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+def _share(send: int, spool: int, fn, items) -> None:
+    """Worker body: ``fn`` of each item up to the first that fails, each sent as it is done; never returns."""
     try:
+        import signal
+
+        # an interrupt is the caller's to handle; it terminates the workers
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        offset = 0
         for item in items:
-            send.send(fn(item))
-    except Exception:  # the caller computes this item again and reports its error
-        pass
-    send.close()
+            data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+            if os.pwrite(spool, data, offset) != len(data):
+                break
+            os.write(send, offset.to_bytes(_LENGTH, "little") + len(data).to_bytes(_LENGTH, "little"))
+            offset += len(data)
+    finally:  # a failure leaves the item to the caller, who reports its error
+        os._exit(0)

@@ -1,6 +1,6 @@
 """Shared synthetic scenarios used across sim, evaluation, and acceptance tests."""
 
-import multiprocessing.context
+import os
 
 import numpy as np
 import pytest
@@ -44,15 +44,28 @@ def aero_model():
 
 @pytest.fixture
 def forks(monkeypatch) -> list:
-    """Every worker process started from now on, in start order."""
-    started, real = [], multiprocessing.context.ForkProcess.start
+    """The pid of every worker process forked from now on, in fork order."""
+    started, real = [], os.fork
 
-    def start(process):
-        real(process)
-        started.append(process)
+    def fork():
+        pid = real()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    monkeypatch.setattr(os, "fork", fork)
     return started
+
+
+def reaped(pids) -> bool:
+    """Whether every process of ``pids`` has exited and been waited for."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
 
 
 def save_bob_params(bob: BobParameters, path) -> None:

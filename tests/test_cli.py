@@ -3,7 +3,6 @@
 import dataclasses
 import errno
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from conftest import (
     LATERAL_REAR,
     corner_track,
     downhill_track,
+    reaped,
     save_bob_params,
     straight_track,
     weaving_controls,
@@ -222,14 +222,12 @@ def test_per_run_config_error_names_the_file(workspace, capsys):
 
 
 class TestParallelPreparation:
-    # fit and eval prepare their runs on up to forked.cpus() processes; 2 here, and
-    # no floor on the input size, make them fork on any machine. The parent takes
-    # files 0 and 2, a worker file 1
+    # fit and eval prepare their runs on up to forked.cpus() processes; 2 here makes
+    # them fork on any machine. The parent takes files 0 and 2, a worker file 1
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(forked, "cpus", lambda: 2)
-        monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", 1)
 
     def lateral_kv(self, tmp_path) -> str:
         path = tmp_path / "lat.kv"
@@ -238,7 +236,7 @@ class TestParallelPreparation:
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     @pytest.mark.parametrize("case", ["nan-last-row-then-missing", "good-slow-missing"])
-    def test_first_bad_file_in_input_order_is_reported(self, workspace, capsys, command, case):
+    def test_first_bad_file_in_input_order_is_reported(self, workspace, capsys, forks, command, case):
         # the later file fails sooner, in another process; the error stays the serial one
         tmp_path, paths = workspace
         missing = str(tmp_path / "missing.csv")
@@ -264,10 +262,10 @@ class TestParallelPreparation:
                      command, *files, *extra]) == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1 and reaped(forks)
 
-    def test_outputs_match_the_serial_run(self, workspace, capsys, monkeypatch, bob, friction_setup,
-                                          aero_model):
+    def test_outputs_match_the_serial_run(self, workspace, capsys, monkeypatch, forks, bob,
+                                          friction_setup, aero_model):
         tmp_path, paths = workspace
         log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
                            friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
@@ -289,29 +287,21 @@ class TestParallelPreparation:
             return found
 
         parallel = outputs("parallel")
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2 and reaped(forks)
         monkeypatch.setattr(forked, "cpus", lambda: 1)
         assert parallel == outputs("serial")
         assert "validation_rmse.json" in parallel["fit"][1] and len(parallel["eval"][1]) == 3
 
-    @pytest.mark.parametrize("above, workers", [(0, 1), (1, 0)])
-    def test_inputs_below_the_size_floor_prepare_in_process(self, workspace, monkeypatch, forks,
-                                                            above, workers):
-        # two files fork only with at least PREPARED_BYTES_PER_PROCESS bytes per process
-        tmp_path, paths = workspace
-        size = sum(os.path.getsize(path) for path in paths)
-        monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", size // 2 + above)
-        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
-                     "fit", *paths]) == 0
-        assert len(forks) == workers
-
-    @pytest.mark.parametrize("fault", ["fork-fails", "worker-sends-nothing"])
-    def test_files_of_a_lost_worker_run_in_the_parent(self, workspace, monkeypatch, fault):
+    @pytest.mark.parametrize("fault", ["fork-fails", "no-spool-file", "worker-sends-nothing"])
+    def test_files_of_a_lost_worker_run_in_the_parent(self, workspace, monkeypatch, forks, fault):
         tmp_path, paths = workspace
         parent, real = os.getpid(), cli._traced_run
 
-        def start(process):
+        def fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def temporary_file():
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         def traced_run(*args):
             if os.getpid() != parent:
@@ -319,15 +309,17 @@ class TestParallelPreparation:
             return real(*args)
 
         if fault == "fork-fails":
-            monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+            monkeypatch.setattr(os, "fork", fork)
+        elif fault == "no-spool-file":
+            monkeypatch.setattr(forked.tempfile, "TemporaryFile", temporary_file)
         else:
             monkeypatch.setattr(cli, "_traced_run", traced_run)
         out = tmp_path / "out"
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 0
         assert (out / "lateral_rear.kv").exists()
-        assert multiprocessing.active_children() == []
+        assert len(forks) == (fault == "worker-sends-nothing") and reaped(forks)
 
-    def test_interrupt_stops_the_workers(self, workspace, monkeypatch):
+    def test_interrupt_stops_the_workers(self, workspace, monkeypatch, forks):
         tmp_path, paths = workspace
         parent, real = os.getpid(), cli._traced_run
 
@@ -340,14 +332,13 @@ class TestParallelPreparation:
         with pytest.raises(KeyboardInterrupt):
             main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                   "fit", *paths])
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1 and reaped(forks)
         assert not (tmp_path / "out").exists()
 
 
 def test_one_cpu_affinity_starts_no_worker(workspace, monkeypatch, forks):
     # as under `taskset -c 0` on a 2-CPU machine: the affinity set counts, not the machine
     tmp_path, paths = workspace
-    monkeypatch.setattr(cli, "PREPARED_BYTES_PER_PROCESS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert forked.cpus() == 1
@@ -433,8 +424,7 @@ class TestSimulateCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                   "simulate", str(scenario)])
-        assert len(forks) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1 and reaped(forks)
         assert set(tmp_path.rglob("*")) == before  # no out/, no staging directory
 
     def test_non_finite_state_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob,

@@ -18,7 +18,6 @@ import contextlib
 import errno
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -29,6 +28,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import reaped
 
 from sleddyn import forked, icehouse, tables
 from sleddyn.cli import main
@@ -208,4 +209,4 @@ def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, forks, arg
         assert (code, len(err.splitlines())) == (2, 1), (k, err)
         assert "No space left on device" in err
         assert snapshot(root) == before, k
-        assert multiprocessing.active_children() == []
+        assert reaped(forks)

@@ -1,7 +1,6 @@
 """The shared table reader and writer and the loaders and exporters built on them."""
 
 import dataclasses
-import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -11,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from conftest import reaped
 
 from sleddyn import forked, tables
 from sleddyn.errors import DataError
@@ -111,7 +112,7 @@ class TestSplitWriter:
         split = self.written(tmp_path / "split.csv", columns, monkeypatch, cpus)
         assert len(forks) == workers
         assert split == self.written(tmp_path / "one.csv", columns, monkeypatch, 1)
-        assert len(forks) == workers and multiprocessing.active_children() == []
+        assert len(forks) == workers and reaped(forks)
         assert read_table(tmp_path / "split.csv").data.shape == (rows, width)
 
     def test_chunks_of_a_lost_worker_are_formatted_here(self, tmp_path, monkeypatch, forks):
@@ -126,8 +127,7 @@ class TestSplitWriter:
         expected = self.written(tmp_path / "one.csv", columns, monkeypatch, 1)
         monkeypatch.setattr(tables, "_rows_text", rows_text)
         assert self.written(tmp_path / "split.csv", columns, monkeypatch, 2) == expected
-        assert len(forks) == 1 and forks[0].exitcode == 1
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 1 and reaped(forks)
 
 
 class TestTelemetryReader:
