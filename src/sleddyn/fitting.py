@@ -103,22 +103,25 @@ def select_fit_samples(trace: AxleForceTrace, run: TelemetryRun,
 def _model_and_jacobian(log_theta, alpha, f_z):
     """Lateral-law prediction and its Jacobian w.r.t. log-parameters."""
     mz, cy, ky = np.exp(log_theta)
+    mz_fz = mz * f_z
     b = ky / (cy * mz * f_z)
     b_a = b * alpha
     at = np.arctan(b_a)
     g = b_a - E_Y * (b_a - at)
     ag = np.arctan(g)
-    s = np.sin(cy * ag)
-    pred = mz * f_z * s
-    # chain rule: dF/dB, then dB/dlog(param) = +-B
+    cy_ag = cy * ag
+    pred = mz_fz * np.sin(cy_ag)
+    # chain rule: dF/d(atan g), dF/dB, then dB/dlog(param) = +-B; each
+    # product keeps the order of the written-out formula, so the bits too
     dg_db = alpha * (1.0 - E_Y) + E_Y * alpha / (1.0 + b_a * b_a)
-    df_db = mz * f_z * np.cos(cy * ag) * cy * dg_db / (1.0 + g * g)
+    df_dag = mz_fz * np.cos(cy_ag) * cy
+    df_db_b = df_dag * dg_db / (1.0 + g * g) * b
     # Fortran order on purpose: the memory layout sets the BLAS summation
     # order inside the solver, and a C-ordered copy moves the last digits
     jac = np.array([
-        pred - df_db * b,                                 # d/dlog mu_zeta_y
-        mz * f_z * np.cos(cy * ag) * cy * ag - df_db * b,  # d/dlog c_y
-        df_db * b,                                         # d/dlog k_y
+        pred - df_db_b,            # d/dlog mu_zeta_y
+        df_dag * ag - df_db_b,     # d/dlog c_y
+        df_db_b,                   # d/dlog k_y
     ]).T
     return pred, jac
 

@@ -15,6 +15,14 @@ hold the worker until the caller reached it. A spool holds at most one
 worker's share of results. ``multiprocessing`` is not used: its first
 fork loads some 20 more modules (``subprocess``, ``socket``, ...), about
 0.7 MB of resident memory.
+
+Before its first fork, a process sets every OpenBLAS mapped into it to one
+thread, and it keeps one thread from then on. OpenBLAS stops its thread
+pool at each fork, and the next BLAS or LAPACK call in the caller or a
+worker starts a new pool thread that busy-waits, for about 0.1 s of CPU
+after one SVD, before it sleeps. One thread gives the same bytes, and the
+package's largest matrix, the 8,004 x 3 Jacobian of a ``fit``, gains no
+wall time from more.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ import threading
 from contextlib import contextmanager
 
 _LENGTH = 8  # bytes of each of the offset and the size of a result in its spool file
+# the thread-count setters of numpy's and scipy's OpenBLAS builds and of a plain one
+_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
+_modules_seen = 0  # len(sys.modules) when /proc/self/maps was last read
 
 
 def cpus() -> int:
@@ -65,6 +77,12 @@ def shares(fn, items, processes: int):
             # again. Forking is safe here: no other Python thread is alive (checked
             # above), and the atfork handler of OpenBLAS stops its pool, so the
             # parent has 3 native threads before os.fork() and 1 right after it.
+            # That pool is not gone for good: left at its default count, OpenBLAS
+            # starts a pool thread again at the next BLAS call of either process,
+            # and that thread busy-waits. After this fork in the season
+            # benchmark's fit (2-vCPU VM), each fit_lateral used 110-158 ms of CPU
+            # for 58-85 ms of wall; with one BLAS thread, CPU equals wall.
+            _one_blas_thread()
             for k in range(1, n):
                 try:
                     spool = tempfile.TemporaryFile()
@@ -90,6 +108,38 @@ def shares(fn, items, processes: int):
             spool.close()
             os.kill(pid, signal.SIGTERM)  # no effect on a worker that has exited
             os.waitpid(pid, 0)
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    Reads ``/proc/self/maps`` only when ``sys.modules`` has changed since
+    the last read (about 1 ms a read), since a library is loaded by an
+    import. The count is never restored: a pool started again would spin
+    after the next fork. Does nothing where no OpenBLAS is found.
+    """
+    global _modules_seen
+    if len(sys.modules) == _modules_seen:
+        return
+    import ctypes
+
+    _modules_seen = len(sys.modules)
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _SET_THREADS:
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
 
 
 def _results(count: int, n: int, workers: dict):

@@ -143,6 +143,36 @@ class TestFitRecovery:
         guess = robust_stiffness_guess(dataset)
         assert guess == pytest.approx(FRONT.k_y, rel=0.15)
 
+    @pytest.mark.parametrize("params", [FRONT, REAR], ids=["front", "rear"])
+    @pytest.mark.parametrize("at_truth", [True, False], ids=["truth", "start"])
+    def test_jacobian_matches_central_differences(self, params, at_truth):
+        dataset = synthetic_dataset(params, n=500, seed=8)
+        if at_truth:
+            theta = np.log([params.mu_zeta_y, params.c_y, params.k_y])
+        else:
+            theta = np.log([fitting.INITIAL_MU_ZETA_Y, fitting.INITIAL_C_Y, params.k_y])
+        jac = fitting._model_and_jacobian(theta, dataset.alpha, dataset.f_z)[1]
+        h = 1e-6
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = h
+            up = fitting._model_and_jacobian(theta + step, dataset.alpha, dataset.f_z)[0]
+            down = fitting._model_and_jacobian(theta - step, dataset.alpha, dataset.f_z)[0]
+            scale = np.abs(jac[:, k]).max()
+            assert scale > 0
+            np.testing.assert_allclose(jac[:, k], (up - down) / (2 * h), rtol=0, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("params", [FRONT, REAR], ids=["front", "rear"])
+    def test_mirrored_dataset_gives_the_same_parameters(self, params):
+        # the law is odd in alpha, so negating every slip angle and lateral
+        # force leaves the fit unchanged up to rounding
+        dataset = synthetic_dataset(params, seed=9, noise=0.02)
+        mirrored = dataclasses.replace(dataset, alpha=-dataset.alpha, f_y=-dataset.f_y)
+        result, mirrored_result = fit_lateral(dataset), fit_lateral(mirrored)
+        assert result.converged and mirrored_result.converged
+        np.testing.assert_allclose(dataclasses.astuple(mirrored_result.params),
+                                   dataclasses.astuple(result.params), rtol=1e-9)
+
 
 def run_with_roll_spike(n=600, rate=100.0, spike_deg_s2=150.0):
     t = np.arange(n) / rate

@@ -1,7 +1,11 @@
 """The one fork path: results in input order, the caller's share and failed items left to it."""
 
+import builtins
+import os
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import reaped
@@ -47,3 +51,43 @@ def test_a_worker_runs_through_its_share_before_the_caller_reads(tmp_path, monke
         assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "3", "5"]
         assert list(results) == [None, "1" * 1_000_000, None, "3" * 1_000_000, None, "5" * 1_000_000]
     assert len(forks) == 1 and reaped(forks)
+
+
+def native_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+def openblas_mapped() -> bool:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return any("openblas" in line and ".so" in line for line in fh)
+
+
+def test_a_fork_leaves_one_blas_thread(monkeypatch, forks):
+    # OpenBLAS stops its pool at a fork and, left at its default count, starts
+    # a pool thread at the next LAPACK call, which busy-waits before it sleeps
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    if not (sys.platform.startswith("linux") and openblas_mapped()):
+        pytest.skip("no OpenBLAS mapped into this process")
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    matrix = np.random.default_rng(0).standard_normal((8007, 3))
+    scipy_linalg.svd(matrix, full_matrices=False)
+    with forked.shares(square_unless_seven, [1, 2], 2) as results:
+        assert list(results) == [None, 4]
+    threads = native_threads()
+    for _ in range(20):
+        scipy_linalg.svd(matrix, full_matrices=False)
+    assert native_threads() <= threads
+    assert len(forks) == 1 and reaped(forks)
+
+    # nothing was imported since: a second fork reads no /proc file
+    opened, real_open = [], builtins.open
+
+    def recorded_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recorded_open)
+    with forked.shares(square_unless_seven, [1, 2], 2) as results:
+        assert list(results) == [None, 4]
+    assert len(forks) == 2 and reaped(forks)
+    assert opened and not [f for f in opened if str(f).startswith("/proc")]
