@@ -166,19 +166,16 @@ def _naming(path):
 
 def _traced_run(path, config: Config, bob, aero: AeroModel):
     """The processed run of one telemetry file and its reconstructed axle forces."""
-    run = telemetry.ingest_csv(path, config.schema)
-    cutoff = config.options["cutoff_hz"] or None
-    run = telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
-    return run, build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                 v_min=config.options["v_min"])
+    with _naming(path):
+        run = telemetry.ingest_csv(path, config.schema)
+        cutoff = config.options["cutoff_hz"] or None
+        run = telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
+        return run, build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
+                                     v_min=config.options["v_min"])
 
 
 def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
-    """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU.
-
-    A result is None where ``forked.shares`` leaves the file to the caller,
-    who runs it in-process, so an error is the serial one.
-    """
+    """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU."""
     if config.options["cutoff_hz"]:
         import scipy.signal  # loaded once here rather than in every worker
 
@@ -242,9 +239,8 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     fit_paths, holdout_runs = [], []
     datasets: dict[str, list] = {"front": [], "rear": []}
     with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
-        for path, ready in zip(args.telemetry, prepared):
+        for path, (run, trace) in zip(args.telemetry, prepared):
             with _naming(path):
-                run, trace = ready or _traced_run(path, config, bob, aero)
                 if args.holdout and run.meta.track == args.holdout:
                     holdout_runs.append((path, run, trace))
                     continue
@@ -313,9 +309,8 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     rows = []
     labeled = []
     with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
-        for key, path, ready in zip(_run_keys(args.telemetry), args.telemetry, prepared):
+        for key, path, (run, trace) in zip(_run_keys(args.telemetry), args.telemetry, prepared):
             with _naming(path):
-                run, trace = ready or _traced_run(path, config, bob, aero)
                 parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
             loss = evaluation.combine_losses(parts)
             label = run.meta.driver or key

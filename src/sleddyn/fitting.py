@@ -65,7 +65,6 @@ class FitResult:
     params: LateralFrictionParams
     residual_rms: float
     n_samples: int
-    covariance: np.ndarray
     converged: bool
     iterations: int
     cost: float
@@ -172,20 +171,14 @@ def fit_lateral(dataset: FitDataset) -> FitResult:
     sol = least_squares(lambda x: model(x)[0] - f_y, theta, jac=lambda x: model(x)[1],
                         bounds=(lo, hi), method="trf", ftol=_FTOL,
                         xtol=_XTOL, gtol=_GTOL, max_nfev=MAX_EVALUATIONS)
-    residual, jf, cost = sol.fun, sol.jac, float(sol.cost)
+    residual, cost = sol.fun, float(sol.cost)
 
     mz, cy, ky = np.exp(sol.x)
     params = LateralFrictionParams(mu_zeta_y=float(mz), c_y=float(cy), k_y=float(ky), e_y=E_Y)
-    sigma2 = 2.0 * cost / max(len(dataset) - 3, 1)
-    try:
-        covariance = sigma2 * np.linalg.inv(jf.T @ jf)
-    except np.linalg.LinAlgError:
-        covariance = np.full((3, 3), np.nan)
     return FitResult(
         params=params,
         residual_rms=float(np.sqrt(np.mean(residual ** 2))),
         n_samples=len(dataset),
-        covariance=covariance,
         converged=bool(sol.status > 0),
         iterations=int(sol.nfev),
         cost=cost,

@@ -2,9 +2,10 @@
 
 ``shares(fn, items, processes)`` is the one fork path of the package:
 ``fit`` and ``eval`` prepare their telemetry files through it, and
-``tables.write_table`` formats the row chunks of a large table. Each
-result it gives back as None is the caller's to compute in-process, so
-an error is raised there exactly as in serial code.
+``tables.write_table`` formats the row chunks of a large table. Inside
+its ``with`` block it acts as ``map(fn, items)``: an item that no worker
+delivered is computed in-process when the iterator reaches it, so an
+error is raised on the calling thread exactly as in serial code.
 
 Workers are made with ``os.fork``. Each writes its results, pickled, to
 an unnamed temporary file of its own (its spool) and sends the offset and
@@ -35,6 +36,7 @@ import threading
 from contextlib import contextmanager
 
 _LENGTH = 8  # bytes of each of the offset and the size of a result in its spool file
+_MISSING = object()  # a result no worker delivered; None is a result like any other
 # the thread-count setters of numpy's and scipy's OpenBLAS builds and of a plain one
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                 "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -51,18 +53,20 @@ def cpus() -> int:
 
 @contextmanager
 def shares(fn, items, processes: int):
-    """Context manager: an iterator over ``fn(item)`` of ``items``, in input order.
+    """Context manager: an iterator over ``fn(item)`` of ``items``, in input order, as ``map``.
 
     ``n``, the process count, is the smallest of ``cpus()``, the item count
     and ``processes``. Process k of n computes items k, k + n, k + 2n, ...
-    and stops at its first failure. Process 0 is the caller: the iterator
-    gives None for its items, and for an item that failed or whose worker
-    could not start or was lost, and the caller computes those in-process,
-    stopping at its first failure as serial code would. Nothing is forked
-    (every result is None) for one item, one CPU, another live Python
-    thread or a platform other than Linux. A worker's result is received
-    when the iterator reaches it, on the calling thread; on leaving the
-    block every worker is terminated if it still runs, and waited for.
+    and stops at its first failure. Process 0 is the caller. The iterator
+    computes in-process, when it reaches them, the caller's items, the item
+    a worker failed on and the rest of that worker's share, and the share
+    of a worker that could not start or was lost; so the first failing item
+    raises its error on the calling thread, after every earlier result, as
+    in a serial loop. Nothing is forked (every item is computed in-process)
+    for one item, one CPU, another live Python thread or a platform other
+    than Linux. A worker's result is received when the iterator reaches it;
+    on leaving the block every worker is terminated if it still runs, and
+    waited for.
     """
     n = min(len(items), cpus(), processes)
     workers: dict = {}  # k -> (pid, receiving end of its pipe, its spool file)
@@ -84,24 +88,23 @@ def shares(fn, items, processes: int):
             # for 58-85 ms of wall; with one BLAS thread, CPU equals wall.
             _one_blas_thread()
             for k in range(1, n):
+                spool, pipe = None, ()
                 try:
                     spool = tempfile.TemporaryFile()
-                except OSError:  # no file to be had: the items left are the caller's
-                    break
-                receive, send = os.pipe()
-                try:
+                    pipe = receive, send = os.pipe()
                     pid = os.fork()
-                except OSError:  # no process to be had: the items left are the caller's
-                    os.close(receive)
-                    os.close(send)
-                    spool.close()
+                except OSError:  # no file, pipe or process to be had: the items left are the caller's
+                    for fd in pipe:
+                        os.close(fd)
+                    if spool is not None:
+                        spool.close()
                     break
                 if pid == 0:
                     os.close(receive)
                     _share(send, spool.fileno(), fn, items[k::n])
                 os.close(send)
                 workers[k] = (pid, open(receive, "rb"), spool)
-        yield _results(len(items), n, workers)
+        yield _results(fn, items, n, workers)
     finally:
         for pid, receive, spool in workers.values():
             receive.close()
@@ -142,20 +145,21 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _results(count: int, n: int, workers: dict):
-    """Each item's result from its worker, in input order; None where there is none."""
-    for i in range(count):
-        yield _received(*workers[i % n][1:]) if i % n in workers else None
+def _results(fn, items, n: int, workers: dict):
+    """``fn`` of each item, in input order: received from its worker, else computed here."""
+    for i, item in enumerate(items):
+        result = _received(*workers[i % n][1:]) if i % n in workers else _MISSING
+        yield fn(item) if result is _MISSING else result
 
 
 def _received(pipe, spool):
-    """The next result in ``spool``, once ``pipe`` tells where it lies; None if the worker stopped first."""
+    """The next result in ``spool``, once ``pipe`` tells where it lies; ``_MISSING`` if the worker stopped."""
     place = pipe.read(2 * _LENGTH)
     if len(place) < 2 * _LENGTH:  # the worker stopped at a failure or was lost
-        return None
+        return _MISSING
     offset, size = int.from_bytes(place[:_LENGTH], "little"), int.from_bytes(place[_LENGTH:], "little")
     data = os.pread(spool.fileno(), size, offset)
-    return pickle.loads(data) if len(data) == size else None
+    return pickle.loads(data) if len(data) == size else _MISSING
 
 
 def _share(send: int, spool: int, fn, items) -> None:
@@ -172,5 +176,5 @@ def _share(send: int, spool: int, fn, items) -> None:
                 break
             os.write(send, offset.to_bytes(_LENGTH, "little") + len(data).to_bytes(_LENGTH, "little"))
             offset += len(data)
-    finally:  # a failure leaves the item to the caller, who reports its error
+    finally:  # a failure leaves the item to the caller, who raises its error
         os._exit(0)

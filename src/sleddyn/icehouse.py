@@ -26,6 +26,7 @@ from .aero import R_SPECIFIC_AIR, AirState, drag_force
 from .errors import DataError, NumericalError, reading
 from .friction import LongitudinalFrictionParams
 from .tables import data_line, read_table, write_table
+from .telemetry import cumulative_trapezoid
 
 G = 9.81
 
@@ -88,8 +89,7 @@ def energy_series(run: GlideRun):
         e_pot = run.m * G * np.sin(run.kappa) * (s - s[0])
     e_kin = 0.5 * run.m * (run.v ** 2 - run.v[0] ** 2)
     f_aero = drag_force(run.v, run.cx_ax, run.air)
-    e_aero = np.concatenate([[0.0], np.cumsum(0.5 * (f_aero[1:] + f_aero[:-1]) * np.diff(s))])
-    return e_pot + e_kin + e_aero
+    return e_pot + e_kin + cumulative_trapezoid(f_aero, s)
 
 
 def middle_window(s, fraction: float = DEFAULT_WINDOW_FRACTION):
@@ -143,7 +143,6 @@ class GlideResult:
     specimen: str
     direction: str
     f_ice: float
-    f_ice_stderr: float
     mu: float
     mu_stderr: float
 
@@ -154,7 +153,7 @@ def evaluate_glide(run: GlideRun, window_fraction: float = DEFAULT_WINDOW_FRACTI
     scale = run.m * G * np.cos(run.kappa)
     return GlideResult(
         specimen=run.specimen, direction=run.direction,
-        f_ice=force, f_ice_stderr=stderr,
+        f_ice=force,
         mu=mu_from_force(force, run.m, run.kappa), mu_stderr=stderr / scale,
     )
 
@@ -225,7 +224,7 @@ def load_glide_csv(path) -> GlideRun:
     t, v = table.data[:, 0], table.data[:, 1]
     with reading(path):
         return GlideRun(
-            s=np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))]), v=v,
+            s=cumulative_trapezoid(v, t), v=v,
             h=table.data[:, 2] if header[2:3] == ["h"] else None,
             m=m, air=air, cx_ax=cx_ax, direction=direction, kappa=kappa,
             specimen=meta.get("specimen", Path(path).stem),

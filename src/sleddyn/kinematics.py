@@ -93,18 +93,18 @@ def accel_to_cog(a_sensor, rates, angular_accels, offset: MountingOffset):
     (phi_ddot, theta_ddot, psi_ddot)). Returns the COG acceleration
     triple with the lever-arm contribution removed.
     """
-    m = rate_transfer_matrix(*rates, *angular_accels)
-    shift = m @ offset.lever_arm
-    a_x, a_y, a_z = (np.asarray(c, dtype=float) for c in a_sensor)
-    return (a_x - shift[..., 0], a_y - shift[..., 1], a_z - shift[..., 2])
+    return tuple(a - shift for a, shift in _with_shift(a_sensor, rates, angular_accels, offset))
 
 
 def cog_to_sensor(a_cog, rates, angular_accels, offset: MountingOffset):
     """Inverse of :func:`accel_to_cog`; used when synthesizing telemetry."""
-    m = rate_transfer_matrix(*rates, *angular_accels)
-    shift = m @ offset.lever_arm
-    a_x, a_y, a_z = (np.asarray(c, dtype=float) for c in a_cog)
-    return (a_x + shift[..., 0], a_y + shift[..., 1], a_z + shift[..., 2])
+    return tuple(a + shift for a, shift in _with_shift(a_cog, rates, angular_accels, offset))
+
+
+def _with_shift(accel, rates, angular_accels, offset: MountingOffset):
+    """Each component of ``accel`` as an array, paired with its lever-arm term ``(M @ l)[i]``."""
+    shift = rate_transfer_matrix(*rates, *angular_accels) @ offset.lever_arm
+    return [(np.asarray(c, dtype=float), shift[..., i]) for i, c in enumerate(accel)]
 
 
 def slip_angle_at(alpha_sensor, psi_dot, v, l_s, v_min: float = V_MIN):

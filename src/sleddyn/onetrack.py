@@ -68,19 +68,18 @@ class BobParameters:
 def reconstruct_lateral(a_y_cog, psi_ddot, f_y_ext, params: BobParameters):
     """Solve the lateral/yaw pair for (F_y_f0, F_y_r)."""
     rhs = params.m * np.asarray(a_y_cog, dtype=float) - np.asarray(f_y_ext, dtype=float)
-    moment = params.j_zz * np.asarray(psi_ddot, dtype=float)
-    f_front = (moment + params.l_r * rhs) / params.wheelbase
-    f_rear = (params.l_f * rhs - moment) / params.wheelbase
-    return f_front, f_rear
+    return _axle_pair(rhs, params.j_zz * np.asarray(psi_ddot, dtype=float), params)
 
 
 def reconstruct_vertical(a_z_cog, theta_ddot, params: BobParameters):
     """Solve the vertical/pitch pair for (F_z_f0, F_z_r)."""
-    rhs = params.m * np.asarray(a_z_cog, dtype=float)
-    moment = params.j_yy * np.asarray(theta_ddot, dtype=float)
-    f_front = (moment + params.l_r * rhs) / params.wheelbase
-    f_rear = (params.l_f * rhs - moment) / params.wheelbase
-    return f_front, f_rear
+    return _axle_pair(params.m * np.asarray(a_z_cog, dtype=float),
+                      params.j_yy * np.asarray(theta_ddot, dtype=float), params)
+
+
+def _axle_pair(rhs, moment, params: BobParameters):
+    """(front, rear) axle forces whose sum is ``rhs`` and whose moment about the COG is ``moment``."""
+    return (moment + params.l_r * rhs) / params.wheelbase, (params.l_f * rhs - moment) / params.wheelbase
 
 
 def recover_f_x_f0(f_x_f, f_y_f0, f_z_f0, a_matrix):

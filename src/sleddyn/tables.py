@@ -112,9 +112,8 @@ def write_table(path, columns: dict, comments=()) -> None:
     The rows are formatted in chunks of at most 1024, which bounds the
     extra memory. A table of at least ``CELLS_PER_PROCESS`` cells per
     usable CPU has its chunks shared out by ``forked.shares``, whose
-    workers are forked before the file is opened; this process formats
-    its own chunks, and any a worker left undone, as it writes. Only this
-    process opens and writes the file.
+    workers are forked before the file is opened. Only this process
+    opens and writes the file.
     """
     data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
     processes = max(1, min(forked.cpus(), data.size // CELLS_PER_PROCESS, len(data)))
@@ -125,8 +124,7 @@ def write_table(path, columns: dict, comments=()) -> None:
         for line in comments:
             fh.write(f"# {line}\n")
         csv.writer(fh, lineterminator="\n").writerow(columns)
-        for chunk, text in zip(chunks, texts):
-            fh.write(_rows_text(chunk) if text is None else text)
+        fh.writelines(texts)
 
 
 def _rows_text(rows: np.ndarray) -> str:

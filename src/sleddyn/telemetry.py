@@ -271,9 +271,14 @@ def derive_channels(run: TelemetryRun) -> TelemetryRun:
         phi_ddot=_freeze(np.gradient(run.phi_dot, t)),
         theta_ddot=_freeze(np.gradient(run.theta_dot, t)),
         psi_ddot=_freeze(np.gradient(run.psi_dot, t)),
-        s=_freeze(np.concatenate([[0.0], np.cumsum(0.5 * (run.v[1:] + run.v[:-1]) * np.diff(t))])),
+        s=_freeze(cumulative_trapezoid(run.v, t)),
     )
     return TelemetryRun(t=run.t, channels=dict(run.channels), meta=run.meta, derived=derived)
+
+
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Trapezoidal integral of ``y`` over ``x`` from ``x[0]`` to each sample, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 def process(run: TelemetryRun, cutoff: float | None = DEFAULT_CUTOFF_HZ,

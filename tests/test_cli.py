@@ -292,7 +292,7 @@ class TestParallelPreparation:
         assert parallel == outputs("serial")
         assert "validation_rmse.json" in parallel["fit"][1] and len(parallel["eval"][1]) == 3
 
-    @pytest.mark.parametrize("fault", ["fork-fails", "no-spool-file", "worker-sends-nothing"])
+    @pytest.mark.parametrize("fault", ["fork-fails", "no-spool-file", "no-pipe", "worker-sends-nothing"])
     def test_files_of_a_lost_worker_run_in_the_parent(self, workspace, monkeypatch, forks, fault):
         tmp_path, paths = workspace
         parent, real = os.getpid(), cli._traced_run
@@ -303,6 +303,9 @@ class TestParallelPreparation:
         def temporary_file():
             raise OSError(errno.ENOSPC, "No space left on device")
 
+        def pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
         def traced_run(*args):
             if os.getpid() != parent:
                 os._exit(1)
@@ -312,6 +315,8 @@ class TestParallelPreparation:
             monkeypatch.setattr(os, "fork", fork)
         elif fault == "no-spool-file":
             monkeypatch.setattr(forked.tempfile, "TemporaryFile", temporary_file)
+        elif fault == "no-pipe":
+            monkeypatch.setattr(os, "pipe", pipe)
         else:
             monkeypatch.setattr(cli, "_traced_run", traced_run)
         out = tmp_path / "out"
