@@ -22,9 +22,12 @@ prints the lines. A failure, a failed write included, leaves no partial
 artifacts.
 
 On Linux, ``fit`` and ``eval`` prepare their telemetry files (read,
-filter, resample, reconstruct the axle forces) on every CPU the process
-may use, through ``forked.shares``, as ``tables.write_table`` formats a
-large table; outputs and errors are those of one process.
+filter, resample, reconstruct the axle forces, take the digest for the
+provenance header) on every CPU the process may use, through
+``forked.shares``, as ``tables.write_table`` formats a large table;
+``fit`` then fits the front and the rear runner, each with its
+diagnostics, on two CPUs at once. Outputs and errors are those of one
+process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure.
@@ -165,13 +168,18 @@ def _naming(path):
 
 
 def _traced_run(path, config: Config, bob, aero: AeroModel):
-    """The processed run of one telemetry file and its reconstructed axle forces."""
+    """The processed run of one telemetry file, its reconstructed axle forces and its digest.
+
+    The digest (``kvfile.file_digest``) is taken right after the read, for
+    the provenance header, so that no file is read a second time later.
+    """
     with _naming(path):
         run = telemetry.ingest_csv(path, config.schema)
+        digest = kvfile.file_digest(path)
         cutoff = config.options["cutoff_hz"] or None
         run = telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
         return run, build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                     v_min=config.options["v_min"])
+                                     v_min=config.options["v_min"]), digest
 
 
 def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
@@ -236,25 +244,34 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     bob = _require_bob(config)
     aero = config.aero_model()
     threshold = config.options["roll_threshold_deg_s2"]
-    fit_paths, holdout_runs = [], []
+    fit_paths, digests, holdout_runs = [], [], []
     datasets: dict[str, list] = {"front": [], "rear": []}
     with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
-        for path, (run, trace) in zip(args.telemetry, prepared):
+        for path, (run, trace, digest) in zip(args.telemetry, prepared):
             with _naming(path):
                 if args.holdout and run.meta.track == args.holdout:
                     holdout_runs.append((path, run, trace))
                     continue
                 fit_paths.append(path)
+                digests.append(digest)
                 for runner in ("front", "rear"):
                     datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
     if not fit_paths:
         raise DataError("holdout excluded every run")
 
-    results = {}
-    for runner, parts in datasets.items():
+    def fit(runner):
+        """The runner's fit and its diagnostics, both made in the process that fits it."""
+        parts = datasets[runner]
         data = fitting.FitDataset(runner=runner, **{name: np.concatenate([getattr(d, name) for d in parts])
                                                     for name in ("alpha", "f_z", "f_y")})
-        results[runner] = (fitting.fit_lateral(data), data)
+        result = fitting.fit_lateral(data)
+        return result, fitting.fit_report(result, data)
+
+    import scipy.optimize  # loaded once here rather than in the worker
+
+    # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code
+    with forked.shares(fit, tuple(datasets), 2) as fitted:
+        results = dict(zip(datasets, fitted))
 
     validation = {}
     laws = {"fitted": (results["front"][0].params, results["rear"][0].params),
@@ -266,11 +283,11 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
                 evaluation.model_lateral_cog(trace, front, rear, run, mu_x=config.options["mu_x"]),
                 measured, trace.valid) for name, (front, rear) in laws.items()}
 
-    header = kvfile.provenance_lines(fit_paths, {"roll_threshold": threshold})
+    header = kvfile.provenance_lines(fit_paths, {"roll_threshold": threshold}, digests)
     files, lines = {}, []
-    for runner, (result, data) in results.items():
+    for runner, (result, report) in results.items():
         files[f"lateral_{runner}.kv"] = partial(fitting.save_fit_result, result, header=header)
-        for i, entry in enumerate(fitting.fit_report(result, data)):
+        for i, entry in enumerate(report):
             files[f"diagnostics_{runner}_bin{i}.csv"] = partial(write_table, columns={
                 "alpha": entry["curve_alpha"], "f_y_model": entry["curve_f_y"],
             }, comments=header)
@@ -306,10 +323,10 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     fitting.load_lateral_params(args.rear_params)
     aero = config.aero_model()
 
-    rows = []
-    labeled = []
+    rows, labeled, digests = [], [], []
     with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
-        for key, path, (run, trace) in zip(_run_keys(args.telemetry), args.telemetry, prepared):
+        for key, path, (run, trace, digest) in zip(_run_keys(args.telemetry), args.telemetry, prepared):
+            digests.append(digest)
             with _naming(path):
                 parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
             loss = evaluation.combine_losses(parts)
@@ -330,7 +347,7 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
         return {label: {key: float(np.median([r[key] for r in rws])) for key in losses}
                 for label, rws in groups.items()}
 
-    header = kvfile.provenance_lines(args.telemetry, {"mu_x": config.options["mu_x"]})
+    header = kvfile.provenance_lines(args.telemetry, {"mu_x": config.options["mu_x"]}, digests)
     files = {
         "evaluation.json": partial(_write_json, data={
             "provenance": header,

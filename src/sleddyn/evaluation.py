@@ -30,6 +30,7 @@ import numpy as np
 
 from .aero import AeroModel, aero_forces
 from .errors import DataError
+from .fitting import QUANTILES
 from .friction import MU_X_DEFAULT, force_x_mu, force_y_braghin
 from .kinematics import to_driving_frame
 from .onetrack import AxleForceTrace, front_runner_forces
@@ -39,7 +40,6 @@ from .telemetry import TelemetryRun
 MAX_GAP_S = 0.1
 
 EXCEEDANCE_THRESHOLDS_DEG = (2.0, 4.0)
-QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def angle_statistics(labeled_runs) -> dict:
         for name, chunks in pool.items():
             values = np.degrees(np.abs(np.concatenate(chunks)))
             entry[name] = {
-                "quantiles_deg": {q: float(np.quantile(values, q)) for q in QUANTILES},
+                "quantiles_deg": dict(zip(QUANTILES, np.quantile(values, QUANTILES).tolist())),
                 "exceedance": {
                     thr: float(np.mean(values > thr)) for thr in EXCEEDANCE_THRESHOLDS_DEG
                 },

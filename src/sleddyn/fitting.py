@@ -45,6 +45,8 @@ INITIAL_MU_ZETA_Y, INITIAL_C_Y = 3.0, 0.05
 _FTOL = 1e-14
 _XTOL = 1e-10
 _GTOL = 1e-10
+#: Levels of the quantile summaries of ``fit_report`` and ``evaluation.angle_statistics``.
+QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,8 @@ def fit_report(result: FitResult, dataset: FitDataset, n_bins: int = 3) -> list[
             "f_z_range": (float(edges[i]), float(edges[i + 1])),
             "f_z_median": f_z_med,
             "n": int(mask.sum()),
-            "alpha_quantiles": {q: float(np.quantile(alpha, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)},
-            "f_y_quantiles": {q: float(np.quantile(f_y, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)},
+            "alpha_quantiles": dict(zip(QUANTILES, np.quantile(alpha, QUANTILES).tolist())),
+            "f_y_quantiles": dict(zip(QUANTILES, np.quantile(f_y, QUANTILES).tolist())),
             "curve_alpha": grid,
             "curve_f_y": force_y(f_z_med, grid, result.params),
         })

@@ -1,11 +1,12 @@
 """Work shared out over every CPU the process may use, in forked processes.
 
 ``shares(fn, items, processes)`` is the one fork path of the package:
-``fit`` and ``eval`` prepare their telemetry files through it, and
-``tables.write_table`` formats the row chunks of a large table. Inside
-its ``with`` block it acts as ``map(fn, items)``: an item that no worker
-delivered is computed in-process when the iterator reaches it, so an
-error is raised on the calling thread exactly as in serial code.
+``fit`` and ``eval`` prepare their telemetry files through it, ``fit``
+fits its front and rear runners through it, and ``tables.write_table``
+formats the row chunks of a large table. Inside its ``with`` block it
+acts as ``map(fn, items)``: an item that no worker delivered is computed
+in-process when the iterator reaches it, so an error is raised on the
+calling thread exactly as in serial code.
 
 Workers are made with ``os.fork``. Each writes its results, pickled, to
 an unnamed temporary file of its own (its spool) and sends the offset and

@@ -159,7 +159,11 @@ def evaluate_glide(run: GlideRun, window_fraction: float = DEFAULT_WINDOW_FRACTI
 
 
 def load_points(path) -> list[tuple[float, float]]:
-    """(pressure [MPa], mu) pairs: the last two comma- or space-separated cells of each line."""
+    """(pressure [MPa], mu) pairs: the last two comma- or space-separated cells of each line.
+
+    Raises DataError naming the file line for a line without such a pair
+    and for a non-finite pressure or mu.
+    """
     pts = []
     with reading(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -168,7 +172,10 @@ def load_points(path) -> list[tuple[float, float]]:
                 continue
             cells = line.replace(",", " ").split()
             with reading(f"{path}:{lineno}", what=f"expected a (pressure, mu) pair, got {line!r}: "):
-                pts.append((float(cells[-2]), float(cells[-1])))
+                pair = float(cells[-2]), float(cells[-1])
+            if not np.isfinite(pair).all():
+                raise DataError(f"{path}:{lineno}: non-finite value in the (pressure, mu) pair {line!r}")
+            pts.append(pair)
     return pts
 
 

@@ -67,11 +67,15 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def provenance_lines(inputs: list, params: dict | None = None) -> list[str]:
-    """Comment lines recording tool version, input hashes and parameters."""
+def provenance_lines(inputs: list, params: dict | None = None, digests: list | None = None) -> list[str]:
+    """Comment lines recording tool version, input hashes and parameters.
+
+    ``digests`` holds the ``file_digest`` of each input, when the caller
+    took them as it read the files; otherwise each file is hashed here.
+    """
     lines = [f"sleddyn {TOOL_VERSION}"]
-    for p in inputs:
-        lines.append(f"input {Path(p).name} sha256:{file_digest(p)}")
+    for p, digest in zip(inputs, map(file_digest, inputs) if digests is None else digests, strict=True):
+        lines.append(f"input {Path(p).name} sha256:{digest}")
     for k, v in (params or {}).items():
         lines.append(f"param {k} = {format_value(v)}")
     return lines

@@ -26,7 +26,8 @@ from conftest import (
 import sleddyn
 from sleddyn import cli, fitting, forked, icehouse, kvfile, sim, tables, telemetry
 from sleddyn.cli import main
-from sleddyn.errors import NumericalError
+from sleddyn.errors import DataError, NumericalError
+from sleddyn.friction import MU_X_DEFAULT
 from sleddyn.sim import ControlTrace
 from sleddyn.tables import read_table
 
@@ -287,7 +288,8 @@ class TestParallelPreparation:
             return found
 
         parallel = outputs("parallel")
-        assert len(forks) == 2 and reaped(forks)
+        # one worker each: fit's preparation, fit's rear runner, eval's preparation
+        assert len(forks) == 3 and reaped(forks)
         monkeypatch.setattr(forked, "cpus", lambda: 1)
         assert parallel == outputs("serial")
         assert "validation_rmse.json" in parallel["fit"][1] and len(parallel["eval"][1]) == 3
@@ -322,7 +324,8 @@ class TestParallelPreparation:
         out = tmp_path / "out"
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 0
         assert (out / "lateral_rear.kv").exists()
-        assert len(forks) == (fault == "worker-sends-nothing") and reaped(forks)
+        # a worker that sends nothing still leaves the rear runner's fit to a second one
+        assert len(forks) == 2 * (fault == "worker-sends-nothing") and reaped(forks)
 
     def test_interrupt_stops_the_workers(self, workspace, monkeypatch, forks):
         tmp_path, paths = workspace
@@ -351,6 +354,99 @@ def test_one_cpu_affinity_starts_no_worker(workspace, monkeypatch, forks):
     assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 0
     assert (out / "lateral_rear.kv").exists()
     assert forks == []
+
+
+class TestParallelRunnerFits:
+    # with forked.cpus() at 2, fit fits the front runner in the parent and the
+    # rear runner in a worker, after a first worker has prepared file 1
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(forked, "cpus", lambda: 2)
+
+    @pytest.fixture
+    def files(self, workspace, bob, friction_setup, aero_model):
+        """The workspace runs and a third run on another track, held out as OTHER."""
+        tmp_path, paths = workspace
+        log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
+                           friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
+        run, _ = sim.export_synthetic_telemetry(
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+        telemetry.export_csv(run, tmp_path / "other.csv")
+        return tmp_path, [*paths, str(tmp_path / "other.csv")]
+
+    @staticmethod
+    def fit_lateral_logged(monkeypatch, log: Path, fail_rear: bool = False) -> None:
+        """Have fitting.fit_lateral append "runner pid" to ``log``, and fail the rear runner if asked."""
+        real = fitting.fit_lateral
+
+        def fit_lateral(dataset):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{dataset.runner} {os.getpid()}\n")
+            if fail_rear and dataset.runner == "rear":
+                raise DataError("no rear fit here")
+            return real(dataset)
+
+        monkeypatch.setattr(fitting, "fit_lateral", fit_lateral)
+
+    def test_holdout_fit_matches_one_cpu(self, files, capsys, monkeypatch, forks):
+        tmp_path, paths = files
+        log = tmp_path / "fitted_by.txt"
+        self.fit_lateral_logged(monkeypatch, log)
+
+        def outputs(out):
+            assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
+                         "fit", *paths, "--holdout", "OTHER"]) == 0
+            stdout = capsys.readouterr().out
+            fitted_by = log.read_text().splitlines()
+            log.unlink()
+            return stdout, {p.name: p.read_bytes() for p in out.iterdir()}, fitted_by
+
+        stdout, written, fitted_by = outputs(tmp_path / "two")
+        assert len(forks) == 2 and reaped(forks)
+        assert sorted(fitted_by) == [f"front {os.getpid()}", f"rear {forks[1]}"]
+        monkeypatch.setattr(forked, "cpus", lambda: 1)
+        assert outputs(tmp_path / "one") == (stdout, written, [f"front {os.getpid()}", f"rear {os.getpid()}"])
+        assert {"validation_rmse.json", "diagnostics_front_bin0.csv", "diagnostics_rear_bin0.csv"} <= set(written)
+
+    def test_a_failing_rear_fit_fails_as_in_one_process(self, workspace, capsys, monkeypatch, forks):
+        # the worker's rear fit fails; the parent fits the rear runner again and raises
+        tmp_path, paths = workspace
+        log = tmp_path / "fitted_by.txt"
+        self.fit_lateral_logged(monkeypatch, log, fail_rear=True)
+        errors = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(forked, "cpus", lambda n=cpus: n)
+            out = tmp_path / f"out{cpus}"
+            assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *paths]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors == ["data error: no rear fit here\n"] * 2
+        assert len(forks) == 2 and reaped(forks)
+        # with two CPUs the first two lines may come in either order
+        parent, lines = os.getpid(), log.read_text().splitlines()
+        assert sorted(lines[:2]) == [f"front {parent}", f"rear {forks[1]}"]
+        assert lines[2:] == [f"rear {parent}", f"front {parent}", f"rear {parent}"]
+
+    def test_provenance_headers_hash_the_inputs(self, files):
+        tmp_path, paths = files
+        fits, report = tmp_path / "fits", tmp_path / "report"
+        config = ["--config", str(tmp_path / "config.ini")]
+        assert main([*config, "--out-dir", str(fits), "fit", *paths, "--holdout", "OTHER"]) == 0
+        assert main([*config, "--out-dir", str(report), "eval", *paths,
+                     "--front-params", str(fits / "lateral_front.kv"),
+                     "--rear-params", str(fits / "lateral_rear.kv")]) == 0
+        fit_header = kvfile.provenance_lines(paths[:2], {"roll_threshold": 100.0})
+        eval_header = kvfile.provenance_lines(paths, {"mu_x": MU_X_DEFAULT})
+
+        def comments(path):
+            return [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+
+        assert comments(fits / "lateral_front.kv") == comments(fits / "lateral_rear.kv") == fit_header
+        assert comments(fits / "diagnostics_rear_bin0.csv") == fit_header
+        assert json.loads((fits / "validation_rmse.json").read_text())["provenance"] == fit_header
+        assert json.loads((report / "evaluation.json").read_text())["provenance"] == eval_header
+        assert comments(report / "losses.csv") == comments(report / "angles.csv") == eval_header
 
 
 def test_mirrored_runs_lose_the_same_energy(workspace, bob, friction_setup, aero_model):
@@ -521,6 +617,16 @@ class TestIcehouseCommand:
         assert main(["--out-dir", str(out), "icehouse", "--points", str(points)]) == 2
         err = capsys.readouterr().err
         assert "points.csv:3:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["nan,4.2e-3", "12.5 inf"], ids=["nan-pressure", "inf-mu"])
+    def test_non_finite_points_cell_is_data_error(self, tmp_path, capsys, line):
+        points = tmp_path / "points.csv"
+        points.write_text(f"# p, mu\n7.7,4.5e-3\n{line}\n8.6,3.8e-3\n13.6,4.2e-3\n")
+        out = tmp_path / "ice"
+        assert main(["--out-dir", str(out), "icehouse", "--points", str(points)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {points}:3: non-finite value in the (pressure, mu) pair {line!r}\n")
         assert not out.exists()
 
     def test_bidirectional_glides(self, tmp_path):
