@@ -96,11 +96,13 @@ LIMITS = {
 class Config:
     """Resolved configuration: bob parameters, aero model, processing options.
 
-    Raises ValueError for an air state or aero model out of range.
+    ``path`` is the INI file read, if any. Raises ValueError for an air
+    state or aero model out of range.
     """
 
-    def __init__(self, options: dict, bob=None, schema=None):
+    def __init__(self, options: dict, bob=None, schema=None, path=None):
         self.options = options
+        self.path = path
         self.bob = bob
         self.schema = schema or identity_schema()
         air = AirState(p_air=options["p_air"], temperature=options["temperature"],
@@ -110,15 +112,16 @@ class Config:
 
     def aero_model(self) -> AeroModel:
         if self._aero is None:
-            raise ConfigError("aero model needs bob parameters (cx_ax)")
+            where = f"{self.path}: " if self.path is not None else ""
+            raise ConfigError(f"{where}this command needs bob parameters ([paths] bob_params in the config)")
         return self._aero
 
 
-def load_config(path, overrides: dict | None = None, schema_path=None) -> Config:
-    """Defaults < INI file < non-None ``overrides``.
+def load_config(path) -> Config:
+    """The defaults, with each value the INI file at ``path`` (if any) sets.
 
     An INI key the program does not read, and a ``[processing]`` value
-    outside its ``LIMITS``, are ConfigErrors.
+    outside its ``LIMITS``, are ConfigErrors naming the file.
     """
     options = {key: value for section in DEFAULTS.values() for key, value in section.items()}
     paths: dict[str, Path] = {}
@@ -133,27 +136,16 @@ def load_config(path, overrides: dict | None = None, schema_path=None) -> Config
                         paths[key] = Path(path).parent / parser.get(section, key)
                     elif key in DEFAULTS.get(section, ()):
                         with reading(path, ConfigError, f"bad value for {key}: "):
-                            options[key] = parser.getfloat(section, key)
+                            options[key] = value = parser.getfloat(section, key)
+                        if key in LIMITS and not LIMITS[key][0](value):
+                            raise ConfigError(f"{path}: [{section}] {key} must be {LIMITS[key][1]}, "
+                                              f"got {value}")
                     else:
                         raise ConfigError(f"{path}: [{section}] {key} is not supported")
     bob = load_bob_params(paths["bob_params"]) if "bob_params" in paths else None
     schema = load_schema(paths["schema"]) if "schema" in paths else None
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            options[key] = value
-    if schema_path is not None:
-        schema = load_schema(schema_path)
-    for key, (test, wording) in LIMITS.items():
-        if not test(options[key]):
-            raise ConfigError(f"{key} must be {wording}, got {options[key]}")
     with reading(path, ConfigError):
-        return Config(options, bob=bob, schema=schema)
-
-
-def _require_bob(config: Config):
-    if config.bob is None:
-        raise ConfigError("this command needs bob parameters ([paths] bob_params in the config)")
-    return config.bob
+        return Config(options, bob=bob, schema=schema, path=path)
 
 
 @contextmanager
@@ -167,7 +159,7 @@ def _naming(path):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _traced_run(path, config: Config, bob, aero: AeroModel):
+def _traced_run(path, config: Config):
     """The processed run of one telemetry file, its reconstructed axle forces and its digest.
 
     The digest (``kvfile.file_digest``) is taken right after the read, for
@@ -178,16 +170,23 @@ def _traced_run(path, config: Config, bob, aero: AeroModel):
         digest = kvfile.file_digest(path)
         cutoff = config.options["cutoff_hz"] or None
         run = telemetry.process(run, cutoff=cutoff, rate=config.options["rate_hz"])
-        return run, build_axle_trace(run, bob, aero=aero, mu_x_fixed=config.options["mu_x"],
-                                     v_min=config.options["v_min"]), digest
+        return run, build_axle_trace(run, config.bob, aero=config.aero_model(),
+                                     mu_x_fixed=config.options["mu_x"], v_min=config.options["v_min"]), digest
 
 
-def _prepared_runs(paths, config: Config, bob, aero: AeroModel):
+def _prepared_runs(paths, config: Config):
     """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU."""
     if config.options["cutoff_hz"]:
         import scipy.signal  # loaded once here rather than in every worker
 
-    return forked.shares(lambda path: _traced_run(path, config, bob, aero), paths, len(paths))
+    return forked.shares(lambda path: _traced_run(path, config), paths, len(paths))
+
+
+def _once(seen: dict, path, digest: str) -> None:
+    """Record ``path`` under its digest; a file whose data came before is a ConfigError naming it."""
+    if digest in seen:
+        raise ConfigError(f"{path}: the same data as {seen[digest]}; give each run once")
+    seen[digest] = path
 
 
 def _run_keys(paths) -> list[str]:
@@ -201,21 +200,25 @@ def _run_keys(paths) -> list[str]:
 
 
 def cmd_icehouse(args) -> tuple[dict, list[str]]:
-    config = load_config(args.config, {"window_fraction": args.window})
+    config = load_config(args.config)
     if not (args.glides or args.points):
         raise ConfigError("nothing to do: give glide files and/or --points")
-    quadratic = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points)) if args.points else None
+    with _naming(args.points):
+        quadratic = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points)) if args.points else None
     report: dict = {}
-    specimens: dict[str, dict[str, list]] = defaultdict(lambda: {"up": [], "down": []})
+    specimens: dict[str, dict] = {}  # name -> its runs in each direction and its first file
     for key, path in zip(_run_keys(args.glides), args.glides):
-        run = icehouse.load_glide_csv(path)
-        outcome = icehouse.evaluate_glide(run, window_fraction=config.options["window_fraction"])
-        specimens[run.specimen][run.direction].append(outcome)
+        with _naming(path):
+            run = icehouse.load_glide_csv(path)
+            outcome = icehouse.evaluate_glide(run, window_fraction=config.options["window_fraction"])
+        sides = specimens.setdefault(run.specimen, {"up": [], "down": [], "file": path})
+        sides[run.direction].append(outcome)
         for field in ("mu", "mu_stderr", "f_ice"):
             report[f"run.{key}.{field}"] = getattr(outcome, field)
     for name, sides in specimens.items():
         if not sides["up"] or not sides["down"]:
-            raise DataError(f"specimen {name!r} needs runs in both directions for averaging")
+            raise DataError(f"{sides['file']}: specimen {name!r} needs runs in both directions "
+                            "for averaging")
         mu_up = float(np.mean([r.mu for r in sides["up"]]))
         mu_down = float(np.mean([r.mu for r in sides["down"]]))
         report[f"specimen.{name}.mu"] = icehouse.average_bidirectional(mu_up, mu_down)
@@ -237,17 +240,14 @@ def cmd_icehouse(args) -> tuple[dict, list[str]]:
 def cmd_fit(args) -> tuple[dict, list[str]]:
     if not args.telemetry:
         raise ConfigError("no telemetry files given")
-    config = load_config(args.config, {
-        "cutoff_hz": args.cutoff, "rate_hz": args.rate,
-        "roll_threshold_deg_s2": args.roll_threshold,
-    }, schema_path=args.schema)
-    bob = _require_bob(config)
+    config = load_config(args.config)
     aero = config.aero_model()
     threshold = config.options["roll_threshold_deg_s2"]
-    fit_paths, digests, holdout_runs = [], [], []
+    fit_paths, digests, holdout_runs, seen = [], [], [], {}
     datasets: dict[str, list] = {"front": [], "rear": []}
-    with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
+    with _prepared_runs(args.telemetry, config) as prepared:
         for path, (run, trace, digest) in zip(args.telemetry, prepared):
+            _once(seen, path, digest)
             with _naming(path):
                 if args.holdout and run.meta.track == args.holdout:
                     holdout_runs.append((path, run, trace))
@@ -316,17 +316,16 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
 def cmd_eval(args) -> tuple[dict, list[str]]:
     if not args.telemetry:
         raise ConfigError("no telemetry files given")
-    config = load_config(args.config, schema_path=args.schema)
-    bob = _require_bob(config)
+    config = load_config(args.config)
+    aero = config.aero_model()
     # checked like any parameter file, though the evaluation reads neither law
     fitting.load_lateral_params(args.front_params)
     fitting.load_lateral_params(args.rear_params)
-    aero = config.aero_model()
 
-    rows, labeled, digests = [], [], []
-    with _prepared_runs(args.telemetry, config, bob, aero) as prepared:
+    rows, labeled, seen = [], [], {}
+    with _prepared_runs(args.telemetry, config) as prepared:
         for key, path, (run, trace, digest) in zip(_run_keys(args.telemetry), args.telemetry, prepared):
-            digests.append(digest)
+            _once(seen, path, digest)
             with _naming(path):
                 parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
             loss = evaluation.combine_losses(parts)
@@ -347,7 +346,7 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
         return {label: {key: float(np.median([r[key] for r in rws])) for key in losses}
                 for label, rws in groups.items()}
 
-    header = kvfile.provenance_lines(args.telemetry, {"mu_x": config.options["mu_x"]}, digests)
+    header = kvfile.provenance_lines(args.telemetry, {"mu_x": config.options["mu_x"]}, list(seen))
     files = {
         "evaluation.json": partial(_write_json, data={
             "provenance": header,
@@ -390,8 +389,8 @@ def _write_json(path, data) -> None:
 
 
 def cmd_simulate(args) -> tuple[dict, list[str]]:
-    config = load_config(args.config, schema_path=args.schema)
-    bob = _require_bob(config)
+    config = load_config(args.config)
+    aero = config.aero_model()
     scenario = sim.load_scenario(args.scenario)
     from .friction import LateralFrictionParams
 
@@ -401,9 +400,8 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0)
     setup = sim.FrictionSetup(lateral_front=front, lateral_rear=rear,
                               mu_x=config.options["mu_x"])
-    aero = config.aero_model()
     try:
-        log = sim.simulate(bob, scenario["track"], scenario["controls"], setup, aero,
+        log = sim.simulate(config.bob, scenario["track"], scenario["controls"], setup, aero,
                            v0=scenario["v0"], beta0=scenario["beta0"],
                            psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
                            t_max=scenario["t_max"])
@@ -411,7 +409,7 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         raise ConfigError(f"{args.scenario}: {exc}") from None
     with _naming(args.scenario):
         run, truth = sim.export_synthetic_telemetry(
-            log, bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
+            log, config.bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
             seed=args.seed, meta=scenario["meta"])
     header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
     files = {
@@ -509,7 +507,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sleddyn", description="runner-ice friction and bobsled dynamics toolkit")
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--schema", help="telemetry schema JSON (overrides the config)")
     parser.add_argument("--out-dir", type=Path, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -517,14 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("icehouse", help="friction from gliding runs or (p, mu) points")
     p.add_argument("glides", nargs="*", help="glide-run CSV files")
     p.add_argument("--points", help="CSV/whitespace file of (p, mu) pairs")
-    p.add_argument("--window", type=float, default=None, help="gliding window fraction")
     p.set_defaults(func=cmd_icehouse)
 
     p = sub.add_parser("fit", help="fit lateral friction parameters from telemetry")
     p.add_argument("telemetry", nargs="*", help="telemetry CSV files")
-    p.add_argument("--cutoff", type=float, default=None, help="low-pass cutoff [Hz]")
-    p.add_argument("--rate", type=float, default=None, help="analysis rate [Hz]")
-    p.add_argument("--roll-threshold", type=float, default=None, help="exclusion threshold [deg/s^2]")
     p.add_argument("--holdout", default=None, help="track id to hold out for validation")
     p.set_defaults(func=cmd_fit)
 

@@ -120,14 +120,15 @@ class TestFitCommand:
         tmp_path, paths = workspace
         log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
                            friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
-        run, _ = sim.export_synthetic_telemetry(
-            log, bob, rate=100.0,
-            meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+        run, _ = sim.export_synthetic_telemetry(log, bob, rate=100.0)
         holdouts = []
         for name in ("a", "b", "c", "d"):
+            # one driver each: a file whose data came before would be refused
             (tmp_path / name).mkdir()
             holdouts.append(str(tmp_path / name / "telemetry.csv"))
-            telemetry.export_csv(run, holdouts[-1])
+            meta = telemetry.TelemetryMeta(driver=f"D9{name}", track="OTHER", rate_hz=100.0)
+            telemetry.export_csv(telemetry.TelemetryRun(t=run.t, channels=run.channels, meta=meta),
+                                 holdouts[-1])
         out = tmp_path / "out_same_names"
         code = main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
                      "fit", *paths, *holdouts, "--holdout", "OTHER"])
@@ -217,9 +218,26 @@ def test_per_run_error_names_the_file(workspace, capsys, command, message):
 
 def test_per_run_config_error_names_the_file(workspace, capsys):
     tmp_path, paths = workspace
-    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
-                 "fit", *paths, "--rate", "200"]) == 1
+    config = tmp_path / "config.ini"
+    config.write_text(config.read_text().replace("rate_hz = 100", "rate_hz = 200"))
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "out"), "fit", *paths]) == 1
     assert capsys.readouterr().err == f"error: {paths[0]}: cannot resample 100 Hz data up to 200.0 Hz\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "eval --front-params lat.kv --rear-params lat.kv"],
+                         ids=["fit", "eval"])
+def test_telemetry_given_twice_is_config_error(workspace, capsys, command):
+    # the same file under another spelling of its path, and a byte-identical copy
+    tmp_path, paths = workspace
+    (tmp_path / "lat.kv").write_text("mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n")
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(Path(paths[0]).read_bytes())
+    argv = [str(tmp_path / arg) if arg == "lat.kv" else arg for arg in command.split()]
+    for again in (str(tmp_path / "." / Path(paths[0]).name), str(copy)):
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                     argv[0], *paths, again, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {again}: the same data as {paths[0]}; give each run once\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestParallelPreparation:
@@ -738,6 +756,7 @@ class TestBadInputFiles:
     CONFIG = "[paths]\nbob_params = bob.kv\n"
     SIMULATE = {"config.ini": CONFIG, "bob.kv": BOB, "scenario.json": scenario_text()}
     SCHEMA = {"columns": telemetry.identity_schema().columns}
+    SCHEMA_CONFIG = {"schema.ini": "[paths]\nschema = schema.json\n"}
     GLIDE = "# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n# direction = up\nt,v\n0,2\n"
 
     @pytest.mark.parametrize("argv, name, text, where", [
@@ -786,13 +805,14 @@ class TestBadInputFiles:
          "lat.kv: shape factor c_y"),
         (2, "friction-table --long-params long.kv --lateral-params lat.kv",
          {"long.kv": LONG, "lat.kv": LAT.replace("0.024", "3")}, "lat.kv: shape factor c_y"),
-        (1, "--schema schema.json simulate scenario.json",
-         {"schema.json": '{"columns": {"t": "t", "a_x": "a_x", "a_y": "a_y", "a_z": "a_z", '
+        (1, "--config schema.ini simulate scenario.json",
+         {**SCHEMA_CONFIG,
+          "schema.json": '{"columns": {"t": "t", "a_x": "a_x", "a_y": "a_y", "a_z": "a_z", '
                          '"phi_dot": "phi_dot", "theta_dot": "theta_dot", "psi_dot": "psi_dot", '
                          '"v": "v", "alpha_sensor": "alpha_sensor", "delta": "delta", '
                          '"gamma": "delta"}}'},
          "several channels to one column: delta"),
-        (1, "icehouse --window 0.5", {}, "nothing to do"),
+        (1, "icehouse", {}, "nothing to do"),
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("initial", "v0", "fast")},
          "bad scenario value"),
@@ -867,7 +887,8 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text().encode() + b"\xff"},
          "scenario.json: not UTF-8 text"),
-        (1, "--schema schema.json simulate scenario.json", {"schema.json": b'{"columns": {"t": "\xb0"}}'},
+        (1, "--config schema.ini simulate scenario.json",
+         {**SCHEMA_CONFIG, "schema.json": b'{"columns": {"t": "\xb0"}}'},
          "schema.json: not UTF-8 text"),
         (2, "icehouse --points points.csv", {"points.csv": b"7.7,4.5e-3\n8.6,3.8e-3\xff\n"},
          "points.csv: not UTF-8 text"),
@@ -876,9 +897,10 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[paths]\nschema = schema.json\n"},
          "config.ini' [line  3]: section 'paths' already exists"),
-        (1, "--schema schema.json simulate scenario.json", {"schema.json": '{"columns": ["t", "v"]}'},
+        (1, "--config schema.ini simulate scenario.json",
+         {**SCHEMA_CONFIG, "schema.json": '{"columns": ["t", "v"]}'},
          "schema.json: dictionary update sequence"),
-        (1, "--schema schema.json simulate scenario.json", {"schema.json": '{"columns": 3}'},
+        (1, "--config schema.ini simulate scenario.json", {**SCHEMA_CONFIG, "schema.json": '{"columns": 3}'},
          "schema.json: 'int' object is not iterable"),
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("track", "s", [1000.0, 0.0])},
@@ -887,13 +909,14 @@ class TestBadInputFiles:
          "glide.csv: mass m must be positive"),
         (2, "--config config.ini simulate scenario.json",
          {**SIMULATE, "bob.kv": BOB + "l_x = inf\n"}, "bob.kv: sensor offset l_x must be finite"),
-        (1, "--schema schema.json simulate scenario.json",
-         {"schema.json": json.dumps({"columns": {**SCHEMA["columns"], "gamma": "delta"}})},
+        (1, "--config schema.ini simulate scenario.json",
+         {**SCHEMA_CONFIG, "schema.json": json.dumps({"columns": {**SCHEMA["columns"], "gamma": "delta"}})},
          "schema.json: schema maps several channels to one column: delta"),
-        (1, "--schema schema.json simulate scenario.json",
-         {"schema.json": json.dumps({**SCHEMA, "angle_unit": "grad"})},
+        (1, "--config schema.ini simulate scenario.json",
+         {**SCHEMA_CONFIG, "schema.json": json.dumps({**SCHEMA, "angle_unit": "grad"})},
          "schema.json: angle_unit must be 'rad' or 'deg'"),
-        (1, "fit run.csv --rate abc", {}, "error: sleddyn fit: argument --rate: invalid float value"),
+        (1, "friction-table --alpha-max-deg abc", {},
+         "error: sleddyn friction-table: argument --alpha-max-deg: invalid float value"),
         (1, "fit run.csv --bogus", {}, "error: sleddyn: unrecognized arguments: --bogus"),
         (1, "nosuch", {}, "error: sleddyn: argument command: invalid choice: 'nosuch'"),
         (1, "eval run.csv", {}, "error: sleddyn eval: the following arguments are required"),
@@ -904,7 +927,12 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[procesing]\ncutoff_hz = 5\n"},
          "config.ini: [procesing] cutoff_hz is not supported"),
-        (1, "fit run.csv --roll-threshold 0", {}, "roll_threshold_deg_s2 must be positive and finite"),
+        (1, "fit run.csv --rate 200", {}, "error: sleddyn: unrecognized arguments: --rate 200"),
+        (1, "simulate scenario.json --schema schema.json", {},
+         "error: sleddyn: unrecognized arguments: --schema schema.json"),
+        (1, "fit run.csv --cutoff 5", {}, "error: sleddyn: unrecognized arguments: --cutoff 5"),
+        (1, "fit run.csv --roll-threshold 50", {}, "error: sleddyn: unrecognized arguments: --roll-threshold 50"),
+        (1, "icehouse --window 0.5", {}, "error: sleddyn: unrecognized arguments: --window"),
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[processing]\nroll_threshold_deg_s2 = 0\n"},
          "roll_threshold_deg_s2 must be positive and finite, got 0.0"),
@@ -922,6 +950,20 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "config.ini": CONFIG + "[processing]\ncutoff_hz = inf\n"},
          "cutoff_hz must be non-negative and finite"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": "[paths]\nbob_params = bob.kv\n[processing]\nrate_hz = 0\n"},
+         "config.ini: [processing] rate_hz must be positive and finite, got 0.0"),
+        (1, "--config config.ini simulate scenario.json", {**SIMULATE, "config.ini": "[processing]\nmu_x = 0\n"},
+         "config.ini: this command needs bob parameters"),
+        (2, "icehouse --points points.csv", {"points.csv": "7.7,4.5e-3\n8.6,3.8e-3\n"},
+         "points.csv: need at least 3 (p, mu) pairs"),
+        (2, "icehouse --points points.csv", {"points.csv": "7,1e-3\n10,5e-3\n13,1e-3\n"},
+         "points.csv: the points give no convex quadratic"),
+        (2, "icehouse glide.csv", {"glide.csv": GLIDE + "0.1,1.9\n0.2,1.8\n"},
+         "glide.csv: only 1 samples inside the fit window, need 20"),
+        (2, "icehouse glide.csv",
+         {"glide.csv": GLIDE + "".join(f"{0.1 * i:.1f},{2 - 0.01 * i:.2f}\n" for i in range(1, 50))},
+         "glide.csv: specimen 'glide' needs runs in both directions"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "alpha-max-nan", "alpha-max-inf",
             "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
@@ -937,9 +979,12 @@ class TestBadInputFiles:
             "glide-m-zero-names-file", "bob-offset-inf", "schema-shared-column-names-file",
             "schema-bad-angle-unit", "argv-rate-not-number", "argv-unknown-option",
             "argv-unknown-command", "argv-missing-required", "glide-time-inf", "config-misspelled-key",
-            "config-misspelled-section", "argv-roll-threshold-zero", "config-roll-threshold-zero",
+            "config-misspelled-section", "argv-roll-threshold-zero", "argv-schema-removed",
+            "argv-cutoff-removed", "argv-roll-threshold-removed", "argv-window-removed", "config-roll-threshold-zero",
             "config-roll-threshold-nan", "config-window-above-one", "config-mu-x-negative",
-            "config-v-min-negative", "config-cutoff-inf"])
+            "config-v-min-negative", "config-cutoff-inf", "config-range-names-file-and-section",
+            "config-without-bob-names-file", "points-too-few", "points-not-convex", "glide-window-too-short",
+            "glide-one-direction"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -964,7 +1009,7 @@ class TestBadInputFiles:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--help"])
         assert exc.value.code == 0
-        assert "--rate" in capsys.readouterr().out
+        assert "--holdout" in capsys.readouterr().out
 
     def test_pressure_table_key_is_config_error(self, tmp_path, capsys):
         (tmp_path / "config.ini").write_text("[paths]\npressure_front = pressure.txt\n")

@@ -4,7 +4,11 @@ Each case starts from a valid input set, mutates one file (a bit flip, a
 truncation, or a number replaced by a wrong-typed, negative or
 non-finite value) and runs ``main()`` on it. Whatever the mutation, the
 exit code is 0-3, stderr holds at most one line, and a failed command
-leaves no new file or directory behind.
+leaves no new file or directory behind. A failure is the mutated file's:
+the message after the label starts with its path and the exit code is
+its class (1 for a config, schema or scenario file, 2 for the others).
+The one exception is a config whose ``[paths]`` entry names no file: the
+``OSError`` of opening it, naming that path, exits 2.
 
 The write-failure cases run each command on valid inputs with the k-th
 output file failing to open, for every k up to the number of files the
@@ -37,6 +41,8 @@ from sleddyn.cli import main
 BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\nl_x = 0.5\nl_s_f = 1.2\nl_s_r = -1.8\n"
 CONFIG = ("[paths]\nbob_params = bob.kv\n[processing]\ncutoff_hz = 0\nrate_hz = 100\n"
           "[aero]\np_air = 94700\ntemperature = 275.15\n")
+# the config.ini of the schema.json case, which names the schema
+SCHEMA_CONFIG = CONFIG.replace("bob.kv\n", "bob.kv\nschema = schema.json\n")
 CHANNELS = ("t", "a_x", "a_y", "a_z", "phi_dot", "theta_dot", "psi_dot", "v", "alpha_sensor", "delta", "gamma")
 
 
@@ -57,12 +63,15 @@ CASES = [
     ("bob.kv", "--config config.ini simulate scenario.json"),
     ("config.ini", "--config config.ini simulate scenario.json"),
     ("scenario.json", "--config config.ini simulate scenario.json"),
-    ("schema.json", "--config config.ini --schema schema.json simulate scenario.json"),
+    ("schema.json", "--config schema.ini simulate scenario.json"),
     ("glide_up.csv", "icehouse glide_up.csv glide_down.csv"),
     ("points.csv", "icehouse --points points.csv"),
     ("telemetry.csv", "--config config.ini fit telemetry.csv"),
 ]
 
+# files whose faults are config errors (exit 1); a fault in any other input is a data error (exit 2)
+CONFIG_FILES = ("config.ini", "schema.ini", "schema.json", "scenario.json")
+OS_ERROR = re.compile(r"\[Errno \d+\] [^:]+: '(.+)'")
 NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:e-?\d+)?")
 BAD_VALUES = ("abc", "-1", "0", "nan", "inf", "-inf", "1e400", '"abc"', "null", "[]", "")
 
@@ -93,7 +102,7 @@ def inputs(tmp_path_factory) -> dict[str, bytes]:
     """One valid input set: every command in CASES exits 0 on it."""
     root = tmp_path_factory.mktemp("inputs")
     files = {
-        "bob.kv": BOB, "config.ini": CONFIG, "scenario.json": scenario(0.2),
+        "bob.kv": BOB, "config.ini": CONFIG, "schema.ini": SCHEMA_CONFIG, "scenario.json": scenario(0.2),
         "schema.json": json.dumps({"columns": {c: c.upper() for c in CHANNELS}, "angle_unit": "deg"}),
         "long.kv": "b_x = 0.088\nc_x = 2.01\nd_x = 14.66\n",
         "lat.kv": "mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n",
@@ -131,6 +140,13 @@ def test_mutated_input_fails_cleanly(inputs, target, argv, data):
         assert len(err.splitlines()) <= 1
         if code:
             assert set(root.rglob("*")) == before
+            message = err.split(": ", 1)[1]
+            unopened = OS_ERROR.fullmatch(message.rstrip("\n"))
+            if target.endswith(".ini") and unopened and not Path(unopened[1]).is_file():
+                assert code == 2, err
+            else:
+                assert message.startswith(f"{root / target}:"), err
+                assert code == (1 if target in CONFIG_FILES else 2), err
 
 
 class FailingWrites:
