@@ -120,8 +120,9 @@ class Config:
 def load_config(path) -> Config:
     """The defaults, with each value the INI file at ``path`` (if any) sets.
 
-    An INI key the program does not read, and a ``[processing]`` value
-    outside its ``LIMITS``, are ConfigErrors naming the file.
+    An INI key the program does not read, a ``[paths]`` value that names
+    no file, and a ``[processing]`` value outside its ``LIMITS``, are
+    ConfigErrors naming the file.
     """
     options = {key: value for section in DEFAULTS.values() for key, value in section.items()}
     paths: dict[str, Path] = {}
@@ -129,11 +130,14 @@ def load_config(path) -> Config:
         parser = configparser.ConfigParser()
         with reading(path, ConfigError):
             if not parser.read(path, encoding="utf-8"):
-                raise ConfigError(f"config file not found: {path}")
+                raise ConfigError(f"{path}: config file not found")
             for section in (parser.default_section, *parser.sections()):
                 for key in parser[section]:
                     if section == "paths" and key in PATH_KEYS:
-                        paths[key] = Path(path).parent / parser.get(section, key)
+                        value = parser.get(section, key)
+                        paths[key] = Path(path).parent / value
+                        if not paths[key].is_file():
+                            raise ConfigError(f"{path}: [paths] {key} names no file: {value!r}")
                     elif key in DEFAULTS.get(section, ()):
                         with reading(path, ConfigError, f"bad value for {key}: "):
                             options[key] = value = parser.getfloat(section, key)
@@ -370,13 +374,14 @@ def _write_angles(path, angle_report: dict, header: list[str]) -> None:
         for line in header:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["driver", "channel", "q05", "q25", "q50", "q75", "q95",
-                         "over_2deg", "over_4deg", "n"])
+        writer.writerow(["driver", "channel", *(f"q{round(100 * p):02d}" for p in fitting.QUANTILES),
+                         *(f"over_{thr:g}deg" for thr in evaluation.EXCEEDANCE_THRESHOLDS_DEG), "n"])
         for driver, channels in angle_report.items():
             for channel, stats in channels.items():
                 q, over = stats["quantiles_deg"], stats["exceedance"]
-                writer.writerow([driver, channel, *(repr(q[p]) for p in (0.05, 0.25, 0.5, 0.75, 0.95)),
-                                 repr(over[2.0]), repr(over[4.0]), stats["n"]])
+                writer.writerow([driver, channel, *(repr(q[p]) for p in fitting.QUANTILES),
+                                 *(repr(over[thr]) for thr in evaluation.EXCEEDANCE_THRESHOLDS_DEG),
+                                 stats["n"]])
 
 
 def _write_json(path, data) -> None:
@@ -552,14 +557,14 @@ def main(argv=None) -> int:
         return _fail(exc.label, exc, exc.exit_code)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         return _fail("numerical failure", exc, 3)
-    except OSError as exc:
-        return _fail("data error", exc, 2)
+    except OSError as exc:  # a file that cannot be opened, read or written starts the message
+        return _fail("data error", exc if exc.filename is None else f"{exc.filename}: {exc.strerror}", 2)
     for line in lines:
         print(line)
     return 0
 
 
-def _fail(label: str, exc: Exception, code: int) -> int:
+def _fail(label: str, exc: Exception | str, code: int) -> int:
     # some messages (configparser's) span lines; stderr gets exactly one
     print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
     return code

@@ -140,6 +140,31 @@ class TestFitCommand:
         assert main(["--out-dir", str(tmp_path / "o"), "fit"]) == 1
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: "".join(line + "\n" if line.startswith("#") else ",".join(reversed(line.split(","))) + "\n"
+                         for line in text.splitlines()),
+    lambda text: text + "# end of run\n#\n",
+], ids=["crlf", "reversed-columns", "trailing-comments"])
+def test_fit_outputs_do_not_depend_on_the_file_layout(workspace, capsys, rewrite):
+    # the same samples laid out otherwise fit to the same bytes; only the input digests differ
+    tmp_path, paths = workspace
+    (tmp_path / "rewritten").mkdir()
+    rewritten = [str(tmp_path / "rewritten" / Path(path).name) for path in paths]
+    for path, copy in zip(paths, rewritten):
+        Path(copy).write_bytes(rewrite(Path(path).read_text()).encode())
+
+    def outputs(files, out):
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out), "fit", *files]) == 0
+        return capsys.readouterr().out, {p.name: [line for line in p.read_bytes().splitlines(keepends=True)
+                                                  if b"sha256:" not in line] for p in out.iterdir()}
+
+    original = outputs(paths, tmp_path / "original")
+    assert outputs(rewritten, tmp_path / "out") == original
+    assert kvfile.file_digest(rewritten[0]) != kvfile.file_digest(paths[0])
+    assert {"lateral_front.kv", "lateral_rear.kv", "diagnostics_rear_bin0.csv"} <= set(original[1])
+
+
 class TestEvalCommand:
     def test_eval_orders_drivers(self, workspace):
         tmp_path, paths = workspace
@@ -964,6 +989,14 @@ class TestBadInputFiles:
         (2, "icehouse glide.csv",
          {"glide.csv": GLIDE + "".join(f"{0.1 * i:.1f},{2 - 0.01 * i:.2f}\n" for i in range(1, 50))},
          "glide.csv: specimen 'glide' needs runs in both directions"),
+        (1, "--config config.ini simulate scenario.json", {**SIMULATE, "config.ini": "[paths]\nbob_params =\n"},
+         "config.ini: [paths] bob_params names no file: ''"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "config.ini": "[paths]\nbob_params = bob.kx\n"},
+         "config.ini: [paths] bob_params names no file: 'bob.kx'"),
+        (2, "--config config.ini fit missing/telemetry.csv", SIMULATE,
+         "data error: missing/telemetry.csv: No such file or directory"),
+        (1, "--config nope.ini icehouse", {}, "error: nope.ini: config file not found"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "alpha-max-nan", "alpha-max-inf",
             "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
@@ -984,7 +1017,8 @@ class TestBadInputFiles:
             "config-roll-threshold-nan", "config-window-above-one", "config-mu-x-negative",
             "config-v-min-negative", "config-cutoff-inf", "config-range-names-file-and-section",
             "config-without-bob-names-file", "points-too-few", "points-not-convex", "glide-window-too-short",
-            "glide-one-direction"])
+            "glide-one-direction", "config-path-empty", "config-path-missing", "argv-file-missing",
+            "config-file-missing"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
