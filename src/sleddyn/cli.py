@@ -289,12 +289,11 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
 
     header = kvfile.provenance_lines(fit_paths, {"roll_threshold": threshold}, digests)
     files, lines = {}, []
-    for runner, (result, report) in results.items():
+    for runner, (result, curves) in results.items():
         files[f"lateral_{runner}.kv"] = partial(fitting.save_fit_result, result, header=header)
-        for i, entry in enumerate(report):
-            files[f"diagnostics_{runner}_bin{i}.csv"] = partial(write_table, columns={
-                "alpha": entry["curve_alpha"], "f_y_model": entry["curve_f_y"],
-            }, comments=header)
+        for i, (alpha, f_y) in enumerate(curves):
+            files[f"diagnostics_{runner}_bin{i}.csv"] = partial(
+                write_table, columns={"alpha": alpha, "f_y_model": f_y}, comments=header)
         p = result.params
         notes = "".join(f" [{name} at bound]" for name, value, (lo, hi) in zip(
             ("mu_zeta_y", "c_y", "k_y"), (p.mu_zeta_y, p.c_y, p.k_y), fitting.DEFAULT_BOUNDS)
@@ -374,12 +373,12 @@ def _write_angles(path, angle_report: dict, header: list[str]) -> None:
         for line in header:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["driver", "channel", *(f"q{round(100 * p):02d}" for p in fitting.QUANTILES),
+        writer.writerow(["driver", "channel", *(f"q{round(100 * p):02d}" for p in evaluation.QUANTILES),
                          *(f"over_{thr:g}deg" for thr in evaluation.EXCEEDANCE_THRESHOLDS_DEG), "n"])
         for driver, channels in angle_report.items():
             for channel, stats in channels.items():
                 q, over = stats["quantiles_deg"], stats["exceedance"]
-                writer.writerow([driver, channel, *(repr(q[p]) for p in fitting.QUANTILES),
+                writer.writerow([driver, channel, *(repr(q[p]) for p in evaluation.QUANTILES),
                                  *(repr(over[thr]) for thr in evaluation.EXCEEDANCE_THRESHOLDS_DEG),
                                  stats["n"]])
 
@@ -414,7 +413,7 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         raise ConfigError(f"{args.scenario}: {exc}") from None
     with _naming(args.scenario):
         run, truth = sim.export_synthetic_telemetry(
-            log, config.bob, rate=scenario["meta"].rate_hz, noise=scenario["noise"],
+            log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
             seed=args.seed, meta=scenario["meta"])
     header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
     files = {
@@ -428,6 +427,9 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 # friction-table
 
+#: Most steps a ``--p-range`` grid may take; the default grid takes 120 (121 points).
+MAX_PRESSURE_STEPS = 1_000_000
+
 
 def _pressure_grid(p_range: str) -> np.ndarray:
     """Pressure grid [MPa] from ``lo:hi:step``; a single point when hi <= lo."""
@@ -435,9 +437,10 @@ def _pressure_grid(p_range: str) -> np.ndarray:
         lo, hi, step_w = (float(x) for x in p_range.split(":"))
     except ValueError:
         lo = hi = step_w = np.nan
-    if not (np.isfinite([lo, hi, step_w]).all() and lo > 0 and step_w > 0):
-        raise ConfigError(f"--p-range must be lo:hi:step in MPa with lo > 0 and step > 0, "
-                          f"got {p_range!r}")
+    if not (np.isfinite([lo, hi, step_w]).all() and lo > 0 and step_w > 0
+            and (hi - lo) / step_w <= MAX_PRESSURE_STEPS):
+        raise ConfigError(f"--p-range must be lo:hi:step in MPa with lo > 0, step > 0 and at most "
+                          f"{MAX_PRESSURE_STEPS} steps from lo to hi, got {p_range!r}")
     return np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
 
 

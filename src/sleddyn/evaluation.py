@@ -30,7 +30,6 @@ import numpy as np
 
 from .aero import AeroModel, aero_forces
 from .errors import DataError
-from .fitting import QUANTILES
 from .friction import MU_X_DEFAULT, force_x_mu, force_y_braghin
 from .kinematics import to_driving_frame
 from .onetrack import AxleForceTrace, front_runner_forces
@@ -39,6 +38,8 @@ from .telemetry import TelemetryRun
 #: Invalid spans no longer than this are bridged by interpolation [s].
 MAX_GAP_S = 0.1
 
+#: Levels of the quantile summaries of ``angle_statistics``.
+QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 EXCEEDANCE_THRESHOLDS_DEG = (2.0, 4.0)
 
 

@@ -45,8 +45,8 @@ INITIAL_MU_ZETA_Y, INITIAL_C_Y = 3.0, 0.05
 _FTOL = 1e-14
 _XTOL = 1e-10
 _GTOL = 1e-10
-#: Levels of the quantile summaries of ``fit_report`` and ``evaluation.angle_statistics``.
-QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+#: ``fit_report`` splits the normal-force range into this many equal bins.
+REPORT_BINS = 3
 
 
 @dataclass(frozen=True)
@@ -187,35 +187,25 @@ def fit_lateral(dataset: FitDataset) -> FitResult:
     )
 
 
-def fit_report(result: FitResult, dataset: FitDataset, n_bins: int = 3) -> list[dict]:
-    """Per-F_z-bin diagnostics mirroring scatter-plus-model-curve figures.
+def fit_report(result: FitResult, dataset: FitDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Model curves mirroring scatter-plus-model-curve figures, one per F_z bin.
 
-    Each entry holds the bin's normal-force range, slip-angle quantile
-    summary of the measured forces, and the model curve evaluated at the
-    bin's median normal force at 81 slip angles. Empty bins are omitted.
+    Each ``(alpha, f_y)`` pair is the fitted law at the bin's median
+    normal force, at 81 slip angles spanning the bin's measured range.
+    Empty bins are omitted.
     """
     from .friction import force_y
 
-    edges = np.linspace(dataset.f_z.min(), dataset.f_z.max() * (1 + 1e-12), n_bins + 1)
-    report = []
-    for i in range(n_bins):
-        mask = (dataset.f_z >= edges[i]) & (dataset.f_z < edges[i + 1])
+    edges = np.linspace(dataset.f_z.min(), dataset.f_z.max() * (1 + 1e-12), REPORT_BINS + 1)
+    curves = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (dataset.f_z >= lo) & (dataset.f_z < hi)
         if not mask.any():
             continue
         alpha = dataset.alpha[mask]
-        f_y = dataset.f_y[mask]
-        f_z_med = float(np.median(dataset.f_z[mask]))
         grid = np.linspace(alpha.min(), alpha.max(), 81) if alpha.size > 1 else np.array([alpha[0]])
-        report.append({
-            "f_z_range": (float(edges[i]), float(edges[i + 1])),
-            "f_z_median": f_z_med,
-            "n": int(mask.sum()),
-            "alpha_quantiles": dict(zip(QUANTILES, np.quantile(alpha, QUANTILES).tolist())),
-            "f_y_quantiles": dict(zip(QUANTILES, np.quantile(f_y, QUANTILES).tolist())),
-            "curve_alpha": grid,
-            "curve_f_y": force_y(f_z_med, grid, result.params),
-        })
-    return report
+        curves.append((grid, force_y(float(np.median(dataset.f_z[mask])), grid, result.params)))
+    return curves
 
 
 def save_fit_result(result: FitResult, path, header: list[str] | None = None) -> None:

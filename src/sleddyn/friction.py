@@ -138,9 +138,10 @@ def force_y(f_z, alpha, params: LateralFrictionParams):
     return params.mu_zeta_y * f_z * np.sin(params.c_y * np.arctan(arg))
 
 
-def force_y_braghin(f_z, alpha, mu_y: float = BRAGHIN_MU_Y, k3: float = BRAGHIN_K3):
-    """Reference lateral model F_y = mu_y * F_z * (2/pi) * atan(k3 * alpha)."""
-    return mu_y * np.asarray(f_z, dtype=float) * (2.0 / np.pi) * np.arctan(k3 * np.asarray(alpha, dtype=float))
+def force_y_braghin(f_z, alpha):
+    """Reference lateral model F_y = mu_y * F_z * (2/pi) * atan(k3 * alpha), with ``BRAGHIN_*``."""
+    return BRAGHIN_MU_Y * np.asarray(f_z, dtype=float) * (2.0 / np.pi) * np.arctan(
+        BRAGHIN_K3 * np.asarray(alpha, dtype=float))
 
 
 def load_longitudinal_params(path) -> LongitudinalFrictionParams:

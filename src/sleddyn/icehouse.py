@@ -99,16 +99,13 @@ def middle_window(s, fraction: float = DEFAULT_WINDOW_FRACTION):
     return lo + pad, hi - pad
 
 
-def friction_force_fit(s, energy, window=None):
+def friction_force_fit(s, energy, window):
     """Friction force as minus the OLS slope of the energy series [N].
 
-    Returns (force, standard_error). The window is an (s0, s1) pair;
-    by default the centered 60 % section is used.
+    Returns (force, standard_error) over the (s0, s1) ``window``.
     """
     s = np.asarray(s, dtype=float)
     energy = np.asarray(energy, dtype=float)
-    if window is None:
-        window = middle_window(s)
     mask = (s >= window[0]) & (s <= window[1])
     if mask.sum() < MIN_FIT_SAMPLES:
         raise DataError(f"only {int(mask.sum())} samples inside the fit window, need {MIN_FIT_SAMPLES}")
@@ -140,8 +137,6 @@ def average_bidirectional(mu_up, mu_down):
 
 @dataclass(frozen=True)
 class GlideResult:
-    specimen: str
-    direction: str
     f_ice: float
     mu: float
     mu_stderr: float
@@ -151,11 +146,7 @@ def evaluate_glide(run: GlideRun, window_fraction: float = DEFAULT_WINDOW_FRACTI
     """Full energy-method evaluation of one gliding run."""
     force, stderr = friction_force_fit(run.s, energy_series(run), middle_window(run.s, window_fraction))
     scale = run.m * G * np.cos(run.kappa)
-    return GlideResult(
-        specimen=run.specimen, direction=run.direction,
-        f_ice=force,
-        mu=mu_from_force(force, run.m, run.kappa), mu_stderr=stderr / scale,
-    )
+    return GlideResult(f_ice=force, mu=mu_from_force(force, run.m, run.kappa), mu_stderr=stderr / scale)
 
 
 def load_points(path) -> list[tuple[float, float]]:

@@ -120,11 +120,6 @@ def slip_angle_at(alpha_sensor, psi_dot, v, l_s, v_min: float = V_MIN):
     return np.where(valid, out, np.nan)
 
 
-def slip_angle_rear(alpha_sensor, psi_dot, v, l_s_r, v_min: float = V_MIN):
-    """Side slip angle at the rear axle."""
-    return slip_angle_at(alpha_sensor, psi_dot, v, l_s_r, v_min)
-
-
 def slip_angle_front(alpha_sensor, psi_dot, v, l_s_f, delta, v_min: float = V_MIN):
     """Side slip angle at the front axle; steering enters additively."""
     return slip_angle_at(alpha_sensor, psi_dot, v, l_s_f, v_min) + np.asarray(delta, dtype=float)

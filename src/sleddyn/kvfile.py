@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from . import __version__
 from .errors import DataError, reading
-
-TOOL_VERSION = "0.1.0"
 
 
 def format_value(value) -> str:
@@ -73,7 +72,7 @@ def provenance_lines(inputs: list, params: dict | None = None, digests: list | N
     ``digests`` holds the ``file_digest`` of each input, when the caller
     took them as it read the files; otherwise each file is hashed here.
     """
-    lines = [f"sleddyn {TOOL_VERSION}"]
+    lines = [f"sleddyn {__version__}"]
     for p, digest in zip(inputs, map(file_digest, inputs) if digests is None else digests, strict=True):
         lines.append(f"input {Path(p).name} sha256:{digest}")
     for k, v in (params or {}).items():

@@ -173,7 +173,7 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
         off,
     )
     alpha_f = kinematics.slip_angle_front(run.alpha_sensor, run.psi_dot, run.v, off.l_s_f, run.delta, v_min)
-    alpha_r = kinematics.slip_angle_rear(run.alpha_sensor, run.psi_dot, run.v, off.l_s_r, v_min)
+    alpha_r = kinematics.slip_angle_at(run.alpha_sensor, run.psi_dot, run.v, off.l_s_r, v_min)
     # chassis slip at the COG: transfer by the (signed) sensor-to-COG distance
     beta = kinematics.slip_angle_at(run.alpha_sensor, run.psi_dot, run.v, off.l_s_f - params.l_f, v_min)
 

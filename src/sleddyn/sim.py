@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +98,6 @@ class TrackProfile:
         object.__setattr__(self, "_ends", tuple(  # (s, at(s)) at the first and the last breakpoint
             (s[i].item(), (self.kappa[i].item(), self.inv_r_y[i].item(), self.n[i].item(), slope[i].item()))
             for i in (0, -1)))
-
-    @property
-    def length(self) -> float:
-        return float(self.s[-1] - self.s[0])
 
     def at(self, s: float):
         """(kappa, 1/r_y, n, piecewise-constant d(1/r_y)/ds) at s, clamped, from one bisect.
@@ -390,18 +386,8 @@ def energy_audit(log: SimLog) -> float:
 # synthetic telemetry export
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive Gaussian noise sigmas per telemetry channel."""
-
-    sigma: dict = field(default_factory=dict)
-
-    def get(self, channel: str) -> float:
-        return float(self.sigma.get(channel, 0.0))
-
-
 def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 100.0,
-                               noise: NoiseSpec | None = None, seed: int | None = None,
+                               noise: dict[str, float] | None = None, seed: int | None = None,
                                meta: TelemetryMeta | None = None) -> tuple[TelemetryRun, AxleForceTrace]:
     """Sensor-frame telemetry plus ground-truth axle forces from a log.
 
@@ -412,6 +398,7 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     the sensor slip angle is the chassis angle transferred to the speed
     sensor's mount point. Roll rate is the time derivative of the
     roll-split trace, i.e. the gyro rides on the front section.
+    ``noise`` maps a channel name to the sigma of its additive Gaussian noise.
     """
     stride = (1.0 / rate) / log.dt
     if abs(stride - round(stride)) > 1e-9:
@@ -440,11 +427,11 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     if noise is not None:
         rng = np.random.default_rng(seed)
         channels = {
-            name: arr + rng.standard_normal(arr.size) * noise.get(name) if noise.get(name) else arr
+            name: arr + rng.standard_normal(arr.size) * noise[name] if noise.get(name) else arr
             for name, arr in channels.items()
         }
         channels["v"] = np.maximum(channels["v"], 0.0)
-    run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta(rate_hz=rate))
+    run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta())
 
     n = t.size
     truth = AxleForceTrace(
@@ -495,15 +482,12 @@ def load_scenario(path):
             "psi_dot0": float(initial.get("psi_dot0", 0.0)),
             "dt": float(simcfg.get("dt", 0.005)),
             "t_max": float(simcfg.get("t_max", 60.0)),
-            "noise": NoiseSpec(sigma={str(k): float(v) for k, v in raw.get("noise", {}).items()}),
-            "meta": TelemetryMeta(
-                driver=str(meta.get("driver", "")),
-                track=str(meta.get("track", "")),
-                rate_hz=float(meta.get("rate_hz", 100.0)),
-            ),
+            "noise": {str(k): float(v) for k, v in raw.get("noise", {}).items()},
+            "meta": TelemetryMeta(driver=str(meta.get("driver", "")), track=str(meta.get("track", ""))),
+            "rate_hz": float(meta.get("rate_hz", 100.0)),
         }
     for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
-                        ("meta.rate_hz", scenario["meta"].rate_hz)):
+                        ("meta.rate_hz", scenario["rate_hz"])):
         if not 0 < value < math.inf:
             raise ConfigError(f"{path}: {name} must be positive and finite, got {value}")
     for name in ("v0", "beta0", "psi_dot0"):

@@ -17,7 +17,7 @@ central differences, one-sided at the ends.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class DerivedChannels:
 class TelemetryMeta:
     driver: str = ""
     track: str = ""
-    rate_hz: float = DEFAULT_RATE_HZ
 
 
 def _freeze(arr) -> np.ndarray:
@@ -186,11 +185,7 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
         if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
             arr = arr * scale
         channels[name] = arr
-    meta = TelemetryMeta(
-        driver=meta_fields.get("driver", ""),
-        track=meta_fields.get("track", ""),
-        rate_hz=1.0 / float(np.median(np.diff(t))) if t.size > 1 else DEFAULT_RATE_HZ,
-    )
+    meta = TelemetryMeta(driver=meta_fields.get("driver", ""), track=meta_fields.get("track", ""))
     return TelemetryRun(t=t, channels=channels, meta=meta)
 
 
@@ -226,7 +221,8 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
 
     The filter runs forward and backward (no phase shift) with the
     default odd-reflection padding at the ends. The cutoff must stay
-    below the Nyquist frequency of the run's grid. The filtered speed is
+    below the Nyquist frequency of the run's grid, and a run no longer
+    than that padding is a DataError. The filtered speed is
     clipped at 0: it is a magnitude, and ringing after a standstill
     would otherwise make it negative.
     """
@@ -237,6 +233,10 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
     from scipy.signal import butter, filtfilt
 
     b, a = butter(2, cutoff, fs=rate)
+    padlen = 3 * max(len(a), len(b))  # filtfilt's default
+    if len(run) <= padlen:
+        raise DataError(f"{len(run)} samples are too few for the low-pass filter, which needs more "
+                        f"than {padlen} (cutoff_hz = 0 turns it off)")
     channels = {name: filtfilt(b, a, arr) for name, arr in run.channels.items()}
     channels["v"] = np.where(channels["v"] < 0, 0.0, channels["v"])
     return TelemetryRun(t=run.t, channels=channels, meta=run.meta)
@@ -254,7 +254,7 @@ def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:
     n = int(np.floor(run.duration * rate + 1e-9)) + 1
     t_new = run.t[0] + np.arange(n) / rate
     channels = {name: np.interp(t_new, run.t, arr) for name, arr in run.channels.items()}
-    return TelemetryRun(t=t_new, channels=channels, meta=replace(run.meta, rate_hz=rate))
+    return TelemetryRun(t=t_new, channels=channels, meta=run.meta)
 
 
 def derive_channels(run: TelemetryRun) -> TelemetryRun:

@@ -55,7 +55,7 @@ def workspace(tmp_path, bob, friction_setup, aero_model):
                            friction_setup, aero_model, v0=25.0, dt=0.0025, t_max=15.0)
         run, _ = sim.export_synthetic_telemetry(
             log, bob, rate=100.0,
-            meta=telemetry.TelemetryMeta(driver=f"D{i}", track="SYN", rate_hz=100.0))
+            meta=telemetry.TelemetryMeta(driver=f"D{i}", track="SYN"))
         path = tmp_path / f"run{i}.csv"
         telemetry.export_csv(run, path)
         paths.append(str(path))
@@ -104,7 +104,7 @@ class TestFitCommand:
                            friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
         run, _ = sim.export_synthetic_telemetry(
             log, bob, rate=100.0,
-            meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+            meta=telemetry.TelemetryMeta(driver="D9", track="OTHER"))
         holdout_path = tmp_path / "holdout.csv"
         telemetry.export_csv(run, holdout_path)
         out = tmp_path / "out_split"
@@ -126,7 +126,7 @@ class TestFitCommand:
             # one driver each: a file whose data came before would be refused
             (tmp_path / name).mkdir()
             holdouts.append(str(tmp_path / name / "telemetry.csv"))
-            meta = telemetry.TelemetryMeta(driver=f"D9{name}", track="OTHER", rate_hz=100.0)
+            meta = telemetry.TelemetryMeta(driver=f"D9{name}", track="OTHER")
             telemetry.export_csv(telemetry.TelemetryRun(t=run.t, channels=run.channels, meta=meta),
                                  holdouts[-1])
         out = tmp_path / "out_same_names"
@@ -314,7 +314,7 @@ class TestParallelPreparation:
         log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
                            friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
         run, _ = sim.export_synthetic_telemetry(
-            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER"))
         telemetry.export_csv(run, tmp_path / "other.csv")
         files = [*paths, str(tmp_path / "other.csv")]
         lateral = self.lateral_kv(tmp_path)
@@ -414,7 +414,7 @@ class TestParallelRunnerFits:
         log = sim.simulate(bob, downhill_track(), weaving_controls(15.0, amplitude_deg=1.0),
                            friction_setup, aero_model, v0=27.0, dt=0.0025, t_max=15.0)
         run, _ = sim.export_synthetic_telemetry(
-            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER", rate_hz=100.0))
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver="D9", track="OTHER"))
         telemetry.export_csv(run, tmp_path / "other.csv")
         return tmp_path, [*paths, str(tmp_path / "other.csv")]
 
@@ -504,7 +504,7 @@ def test_mirrored_runs_lose_the_same_energy(workspace, bob, friction_setup, aero
         log = sim.simulate(bob, corner_track(), lines, friction_setup, aero_model,
                            v0=25.0, dt=0.0025, t_max=15.0)
         run, _ = sim.export_synthetic_telemetry(
-            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver=name, track="SYN", rate_hz=100.0))
+            log, bob, rate=100.0, meta=telemetry.TelemetryMeta(driver=name, track="SYN"))
         files.append(str(tmp_path / f"{name}.csv"))
         telemetry.export_csv(run, files[-1])
     (tmp_path / "lat.kv").write_text("mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n")
@@ -783,6 +783,9 @@ class TestBadInputFiles:
     SCHEMA = {"columns": telemetry.identity_schema().columns}
     SCHEMA_CONFIG = {"schema.ini": "[paths]\nschema = schema.json\n"}
     GLIDE = "# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n# direction = up\nt,v\n0,2\n"
+    # five samples at 100 Hz: fewer than the 20 Hz low-pass filter pads at each end
+    SHORT_RUN = (",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
+                 + "".join(f"{0.01 * i:.2f},0,0,-9.81,0,0,0,25,0,0,0\n" for i in range(5)))
 
     @pytest.mark.parametrize("argv, name, text, where", [
         ("friction-table --long-params FILE", "long.kv", "b_x 0.088\nc_x = 2\nd_x = 14\n",
@@ -812,6 +815,8 @@ class TestBadInputFiles:
          "--p-range"),
         (1, "friction-table --long-params long.kv --p-range 6:18:0", {"long.kv": LONG},
          "--p-range"),
+        (1, "friction-table --long-params long.kv --p-range 6:18:1e-12", {"long.kv": LONG},
+         "--p-range must be lo:hi:step in MPa with lo > 0, step > 0 and at most 1000000 steps"),
         (1, "friction-table --lateral-params lat.kv --f-z 2000 0", {"lat.kv": LAT}, "--f-z"),
         (1, "friction-table --lateral-params lat.kv --alpha-max-deg nan", {"lat.kv": LAT},
          "--alpha-max-deg must be positive and finite, got nan"),
@@ -997,8 +1002,13 @@ class TestBadInputFiles:
         (2, "--config config.ini fit missing/telemetry.csv", SIMULATE,
          "data error: missing/telemetry.csv: No such file or directory"),
         (1, "--config nope.ini icehouse", {}, "error: nope.ini: config file not found"),
-    ], ids=["p-range-two-fields", "p-range-zero-step", "f-z-zero", "alpha-max-nan", "alpha-max-inf",
-            "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
+        (2, "--config config.ini fit telemetry.csv", {**SIMULATE, "telemetry.csv": SHORT_RUN},
+         "telemetry.csv: 5 samples are too few for the low-pass filter, which needs more than 9"),
+        (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
+         {**SIMULATE, "telemetry.csv": SHORT_RUN, "lat.kv": LAT},
+         "telemetry.csv: 5 samples are too few for the low-pass filter, which needs more than 9"),
+    ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
+            "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
             "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "scenario-v0-nan",
@@ -1018,7 +1028,7 @@ class TestBadInputFiles:
             "config-v-min-negative", "config-cutoff-inf", "config-range-names-file-and-section",
             "config-without-bob-names-file", "points-too-few", "points-not-convex", "glide-window-too-short",
             "glide-one-direction", "config-path-empty", "config-path-missing", "argv-file-missing",
-            "config-file-missing"])
+            "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

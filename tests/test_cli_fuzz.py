@@ -41,6 +41,8 @@ CONFIG = ("[paths]\nbob_params = bob.kv\n[processing]\ncutoff_hz = 0\nrate_hz = 
           "[aero]\np_air = 94700\ntemperature = 275.15\n")
 # the config.ini of the schema.json case, which names the schema
 SCHEMA_CONFIG = CONFIG.replace("bob.kv\n", "bob.kv\nschema = schema.json\n")
+# a config that keeps the default 20 Hz low-pass filter
+FILTER_CONFIG = CONFIG.replace("cutoff_hz = 0\n", "")
 CHANNELS = ("t", "a_x", "a_y", "a_z", "phi_dot", "theta_dot", "psi_dot", "v", "alpha_sensor", "delta", "gamma")
 
 
@@ -66,7 +68,14 @@ CASES = [
     ("points.csv", "icehouse --points points.csv"),
     ("telemetry.csv", "--config config.ini fit telemetry.csv"),
     ("telemetry.csv", "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv"),
+    ("telemetry.csv", "--config filter.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv"),
 ]
+
+
+def case_id(target: str, argv: str) -> str:
+    words = argv.split()
+    return target + "-eval" * ("eval" in words) + "-filtered" * ("filter.ini" in words)
+
 
 # files whose faults are config errors (exit 1); a fault in any other input is a data error (exit 2)
 CONFIG_FILES = ("config.ini", "schema.ini", "schema.json", "scenario.json")
@@ -100,7 +109,8 @@ def inputs(tmp_path_factory) -> dict[str, bytes]:
     """One valid input set: every command in CASES exits 0 on it."""
     root = tmp_path_factory.mktemp("inputs")
     files = {
-        "bob.kv": BOB, "config.ini": CONFIG, "schema.ini": SCHEMA_CONFIG, "scenario.json": scenario(0.2),
+        "bob.kv": BOB, "config.ini": CONFIG, "schema.ini": SCHEMA_CONFIG, "filter.ini": FILTER_CONFIG,
+        "scenario.json": scenario(0.2),
         "schema.json": json.dumps({"columns": {c: c.upper() for c in CHANNELS}, "angle_unit": "deg"}),
         "long.kv": "b_x = 0.088\nc_x = 2.01\nd_x = 14.66\n",
         "lat.kv": "mu_zeta_y = 2.577\nc_y = 0.024\nk_y = 10522\n",
@@ -124,8 +134,7 @@ def inputs(tmp_path_factory) -> dict[str, bytes]:
 
 # a numpy warning would reach a real process's stderr as extra lines
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("target, argv", CASES,
-                         ids=[f"{target}-eval" if "eval" in argv.split() else target for target, argv in CASES])
+@pytest.mark.parametrize("target, argv", CASES, ids=[case_id(*case) for case in CASES])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_input_fails_cleanly(inputs, target, argv, data):

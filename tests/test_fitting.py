@@ -186,7 +186,7 @@ def run_with_roll_spike(n=600, rate=100.0, spike_deg_s2=150.0):
     spike = np.deg2rad(spike_deg_s2)
     ramp = np.clip(t - 3.0, 0.0, 0.5) * spike
     channels["phi_dot"] = ramp
-    run = derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate)))
+    run = derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta()))
     return run
 
 
@@ -237,34 +237,31 @@ class TestReportAndFiles:
     def test_report_bins(self):
         dataset = synthetic_dataset(FRONT, seed=8, noise=0.05)
         result = fit_lateral(dataset)
-        report = fit_report(result, dataset, n_bins=3)
-        assert len(report) == 3
-        for entry in report:
-            assert entry["n"] > 0
-            quantiles = entry["alpha_quantiles"]
-            assert tuple(quantiles) == (0.05, 0.25, 0.5, 0.75, 0.95)
-            assert list(quantiles.values()) == sorted(quantiles.values())
-            assert entry["curve_f_y"].shape == entry["curve_alpha"].shape
+        report = fit_report(result, dataset)
+        assert len(report) == fitting.REPORT_BINS == 3
+        for alpha, f_y in report:
+            assert alpha.shape == f_y.shape == (81,)
+            assert np.all(np.diff(alpha) > 0)
+            assert dataset.alpha.min() <= alpha[0] and alpha[-1] <= dataset.alpha.max()
 
     def test_single_bin(self):
         dataset = synthetic_dataset(FRONT, seed=9, n=500)
         result = fit_lateral(dataset)
-        report = fit_report(result, dataset, n_bins=1)
-        assert len(report) == 1
+        one_load = dataclasses.replace(dataset, f_z=np.full(len(dataset), 4000.0))
+        assert len(fit_report(result, one_load)) == 1
 
     def test_model_curve_through_binned_medians(self):
         dataset = synthetic_dataset(FRONT, seed=10, n=8000, noise=0.02,
                                     f_z_range=(4000.0, 4200.0))
         result = fit_lateral(dataset)
-        report = fit_report(result, dataset, n_bins=1)[0]
+        alpha, f_y = fit_report(result, dataset)[1]
         # median measured force near the 75 % alpha quantile (well away
-        # from zero) should sit on the model curve within the noise band
-        target = report["alpha_quantiles"][0.75]
-        idx = np.argmin(np.abs(report["curve_alpha"] - target))
+        # from zero) should sit on the middle bin's model curve within the noise band
+        target = np.quantile(dataset.alpha, 0.75)
+        idx = np.argmin(np.abs(alpha - target))
         near = np.abs(dataset.alpha - target) < np.deg2rad(0.2)
         assert near.sum() > 50
-        assert report["curve_f_y"][idx] == pytest.approx(
-            np.median(dataset.f_y[near]), rel=0.15)
+        assert f_y[idx] == pytest.approx(np.median(dataset.f_y[near]), rel=0.15)
 
     def test_result_file_round_trip(self, tmp_path):
         dataset = synthetic_dataset(FRONT, seed=11)

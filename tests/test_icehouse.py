@@ -107,8 +107,8 @@ class TestFrictionFit:
     def test_offset_invariance(self):
         s = np.linspace(0.0, 40.0, 200)
         energy = -3.0 * s + 0.5 * np.sin(s)
-        f1, _ = friction_force_fit(s, energy)
-        f2, _ = friction_force_fit(s, energy + 1e6)
+        f1, _ = friction_force_fit(s, energy, middle_window(s))
+        f2, _ = friction_force_fit(s, energy + 1e6, middle_window(s))
         assert f1 == pytest.approx(f2, rel=1e-12)
 
     def test_simulated_glide_recovery(self):
@@ -123,7 +123,7 @@ class TestFrictionFit:
         estimates, errors = [], []
         for _ in range(100):
             energy = -5.0 * s + rng.normal(scale=2.0, size=s.size)
-            force, stderr = friction_force_fit(s, energy)
+            force, stderr = friction_force_fit(s, energy, middle_window(s))
             estimates.append(force)
             errors.append(stderr)
         bias = np.mean(estimates) - 5.0

@@ -12,8 +12,8 @@ from sleddyn.kinematics import (
     rotation_delta,
     rotation_f0_to_f,
     rotation_gamma,
+    slip_angle_at,
     slip_angle_front,
-    slip_angle_rear,
     to_driving_frame,
 )
 
@@ -72,10 +72,10 @@ class TestAccelTransfer:
 
 class TestSlipAngles:
     def test_rear_no_yaw(self):
-        assert slip_angle_rear(0.03, 0.0, 10.0, 1.0) == pytest.approx(0.03)
+        assert slip_angle_at(0.03, 0.0, 10.0, 1.0) == pytest.approx(0.03)
 
     def test_rear_substitution(self):
-        assert slip_angle_rear(0.0, 0.1, 10.0, 1.0) == pytest.approx(-0.01)
+        assert slip_angle_at(0.0, 0.1, 10.0, 1.0) == pytest.approx(-0.01)
 
     def test_front_pure_steering(self):
         assert slip_angle_front(0.0, 0.0, 10.0, -1.0, 0.02) == pytest.approx(0.02)
@@ -84,7 +84,7 @@ class TestSlipAngles:
         assert slip_angle_front(0.01, 0.1, 10.0, -1.0, 0.02) == pytest.approx(0.04)
 
     def test_standstill_flagged_nan(self):
-        assert np.isnan(slip_angle_rear(0.0, 0.1, 0.0, 1.0))
+        assert np.isnan(slip_angle_at(0.0, 0.1, 0.0, 1.0))
         out = slip_angle_front(0.0, 0.1, np.array([10.0, 1.0]), -1.0, 0.0)
         assert np.isfinite(out[0]) and np.isnan(out[1])
 
@@ -92,8 +92,8 @@ class TestSlipAngles:
         rng = np.random.default_rng(5)
         a1, a2 = rng.normal(size=2)
         p1, p2 = rng.normal(size=2)
-        lhs = slip_angle_rear(a1 + a2, p1 + p2, 10.0, 0.7)
-        rhs = (slip_angle_rear(a1, p1, 10.0, 0.7) + slip_angle_rear(a2, p2, 10.0, 0.7))
+        lhs = slip_angle_at(a1 + a2, p1 + p2, 10.0, 0.7)
+        rhs = (slip_angle_at(a1, p1, 10.0, 0.7) + slip_angle_at(a2, p2, 10.0, 0.7))
         assert lhs == pytest.approx(rhs)
 
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from sleddyn.kvfile import dump_kv, load_kv
+import sleddyn
+from sleddyn.kvfile import dump_kv, load_kv, provenance_lines
 
 
 def test_numpy_scalars_round_trip_as_plain_numbers(tmp_path):
@@ -15,3 +16,8 @@ def test_numpy_scalars_round_trip_as_plain_numbers(tmp_path):
     back = load_kv(path)
     assert back == {"a": "0.30000000000000004", "b": "-0.0", "c": "2.5", "n": "7"}
     assert all(float(back[k]) == pairs[k] for k in pairs)
+
+
+def test_provenance_header_names_the_package_version(tmp_path):
+    (tmp_path / "in.txt").write_text("x\n")
+    assert provenance_lines([tmp_path / "in.txt"])[0] == f"sleddyn {sleddyn.__version__}"

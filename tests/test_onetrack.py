@@ -139,7 +139,7 @@ def synthetic_run(n=500, rate=100.0, a_y=3.0, psi_dot=0.05, v=20.0):
     channels["a_y"] = np.full(n, a_y)
     channels["a_z"] = np.full(n, G)
     channels["psi_dot"] = np.full(n, psi_dot)
-    return derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate)))
+    return derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta()))
 
 
 class TestBuildAxleTrace:

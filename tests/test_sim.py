@@ -21,7 +21,6 @@ from sleddyn.sim import (
     _TERMS,
     ControlTrace,
     FrictionSetup,
-    NoiseSpec,
     TrackProfile,
     _rhs,
     energy_audit,
@@ -352,7 +351,7 @@ class TestExport:
         track = downhill_track()
         log = simulate(bob, track, zero_controls(10.0), friction_setup, aero_model,
                        v0=25.0, dt=0.005, t_max=10.0)
-        noise = NoiseSpec(sigma={"a_y": 0.05})
+        noise = {"a_y": 0.05}
         run1, _ = export_synthetic_telemetry(log, bob, rate=100.0, noise=noise, seed=42)
         run2, _ = export_synthetic_telemetry(log, bob, rate=100.0, noise=noise, seed=42)
         run3, _ = export_synthetic_telemetry(log, bob, rate=100.0, noise=noise, seed=43)
@@ -400,7 +399,7 @@ class TestScenarioFile:
         assert loaded["v0"] == 22.0
         assert loaded["meta"].driver == "X1"
         assert loaded["noise"].get("a_y") == 0.02
-        assert loaded["track"].length == 1000.0
+        assert loaded["track"].s[-1] - loaded["track"].s[0] == 1000.0
 
     def test_bad_scenario_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

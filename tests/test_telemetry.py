@@ -28,7 +28,7 @@ def make_run(rate=500.0, duration=4.0, seed=0):
     t = np.arange(n) / rate
     channels = {name: rng.normal(scale=0.5, size=n) for name in CORE_CHANNELS}
     channels["v"] = 20.0 + 2.0 * np.sin(2 * np.pi * 0.5 * t)
-    return TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate))
+    return TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
 
 
 def write_csv(path, rows, header="t,ax,ay,az,p,q,r,speed,slip,steer,roll"):
@@ -157,7 +157,7 @@ class TestLowpass:
         wave = np.sin(2 * np.pi * (cutoff / 10.0) * t)
         channels = {name: wave.copy() for name in CORE_CHANNELS}
         channels["v"] = 10.0 + wave
-        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate))
+        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
         out = lowpass_filter(run, cutoff)
         mid = slice(n // 4, 3 * n // 4)
         amplitude = np.ptp(out.a_x[mid]) / 2.0
@@ -174,7 +174,7 @@ class TestLowpass:
         wave = np.sin(2 * np.pi * 1.0 * t)
         channels = {name: wave.copy() for name in CORE_CHANNELS}
         channels["v"] = np.full(t.size, 5.0)
-        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate))
+        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
         out = lowpass_filter(run, 20.0)
         # an in-band sine passes essentially unchanged: no phase lag
         mid = slice(200, 2300)
@@ -193,7 +193,7 @@ class TestLowpass:
         t = np.arange(2501) / rate
         channels = {name: np.zeros(t.size) for name in CORE_CHANNELS}
         channels["v"] = np.maximum(0.0, 5.0 * (t - 2.0))
-        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate))
+        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
         raw = filtfilt(*butter(2, 20.0, fs=run.native_rate()), channels["v"])
         assert raw.min() < 0
         v = lowpass_filter(run, 20.0).v
@@ -208,7 +208,6 @@ class TestResample:
         out = resample(run, 100.0)
         assert len(out) == pytest.approx(len(run) / 5, abs=1)
         assert np.allclose(np.diff(out.t), 0.01)
-        assert out.meta.rate_hz == 100.0
 
     def test_identity_at_same_rate(self):
         run = make_run(rate=100.0, duration=2.0)
@@ -251,7 +250,7 @@ class TestDerive:
         t = np.arange(int(10 * rate) + 1) / rate
         channels = {name: np.zeros(t.size) for name in CORE_CHANNELS}
         channels["v"] = np.full(t.size, 10.0)
-        out = derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=rate)))
+        out = derive_channels(TelemetryRun(t=t, channels=channels, meta=TelemetryMeta()))
         assert out.derived.s[-1] == pytest.approx(100.0)
         assert np.all(np.diff(out.derived.s) >= 0)
         assert out.derived.s[0] == 0.0
@@ -267,7 +266,7 @@ class TestProperties:
     def test_filter_then_resample_constant(self):
         t = np.arange(2001) / 500.0
         channels = {name: np.full(t.size, 1.25) for name in CORE_CHANNELS}
-        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta(rate_hz=500.0))
+        run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
         out = resample(lowpass_filter(run, 20.0), 100.0)
         for name in CORE_CHANNELS:
             assert np.allclose(out.channels[name], 1.25, atol=1e-9)
@@ -291,4 +290,4 @@ class TestProperties:
         run = make_run(rate=500.0, duration=3.0)
         out = process(run, cutoff=20.0, rate=100.0)
         assert out.derived is not None
-        assert out.meta.rate_hz == 100.0
+        assert out.native_rate() == pytest.approx(100.0)
