@@ -53,7 +53,7 @@ import numpy as np
 from . import evaluation, fitting, forked, icehouse, kvfile, sim, telemetry
 from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, AirState
 from .errors import ConfigError, DataError, SleddynError, reading
-from .friction import MU_X_DEFAULT, force_y_braghin, mu_x
+from .friction import MU_X_DEFAULT, LateralFrictionParams, force_y_braghin, load_longitudinal_params, mu_x
 from .kinematics import V_MIN
 from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
 from .tables import write_table
@@ -245,7 +245,7 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     if not args.telemetry:
         raise ConfigError("no telemetry files given")
     config = load_config(args.config)
-    aero = config.aero_model()
+    config.aero_model()  # fails early without bob parameters
     threshold = config.options["roll_threshold_deg_s2"]
     fit_paths, digests, holdout_runs, seen = [], [], [], {}
     datasets: dict[str, list] = {"front": [], "rear": []}
@@ -396,8 +396,6 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
     config = load_config(args.config)
     aero = config.aero_model()
     scenario = sim.load_scenario(args.scenario)
-    from .friction import LateralFrictionParams
-
     front = fitting.load_lateral_params(args.front_params) if args.front_params else \
         LateralFrictionParams(mu_zeta_y=2.577, c_y=0.024, k_y=10522.0)
     rear = fitting.load_lateral_params(args.rear_params) if args.rear_params else \
@@ -449,8 +447,6 @@ def cmd_friction_table(args) -> tuple[dict, list[str]]:
         raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
     files = {}
     if args.long_params:
-        from .friction import load_longitudinal_params
-
         grid = _pressure_grid(args.p_range)
         params = load_longitudinal_params(args.long_params)
         header = kvfile.provenance_lines([args.long_params], {"p_range": args.p_range})

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, reading
-from .friction import E_Y, LateralFrictionParams
+from .friction import E_Y, LateralFrictionParams, force_y
+from .kvfile import dump_kv, load_floats
 from .onetrack import AxleForceTrace
 from .telemetry import TelemetryRun
 
@@ -194,8 +195,6 @@ def fit_report(result: FitResult, dataset: FitDataset) -> list[tuple[np.ndarray,
     normal force, at 81 slip angles spanning the bin's measured range.
     Empty bins are omitted.
     """
-    from .friction import force_y
-
     edges = np.linspace(dataset.f_z.min(), dataset.f_z.max() * (1 + 1e-12), REPORT_BINS + 1)
     curves = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -209,8 +208,6 @@ def fit_report(result: FitResult, dataset: FitDataset) -> list[tuple[np.ndarray,
 
 
 def save_fit_result(result: FitResult, path, header: list[str] | None = None) -> None:
-    from .kvfile import dump_kv
-
     p = result.params
     dump_kv({
         "mu_zeta_y": p.mu_zeta_y, "c_y": p.c_y, "e_y": p.e_y, "k_y": p.k_y,
@@ -221,8 +218,6 @@ def save_fit_result(result: FitResult, path, header: list[str] | None = None) ->
 
 
 def load_lateral_params(path) -> LateralFrictionParams:
-    from .kvfile import load_floats
-
     # a fit result also holds non-numeric keys such as ``converged = True``
     raw = load_floats(path, ("mu_zeta_y", "c_y", "k_y", "e_y"))
     with reading(path):

@@ -31,6 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import reading
+from .kvfile import load_floats
+
+#: Gravitational acceleration [m/s^2].
+G = 9.81
 
 #: Default fixed longitudinal friction coefficient.
 MU_X_DEFAULT = 0.004
@@ -145,8 +149,6 @@ def force_y_braghin(f_z, alpha):
 
 
 def load_longitudinal_params(path) -> LongitudinalFrictionParams:
-    from .kvfile import load_floats
-
     raw = load_floats(path)
     with reading(path):
         return LongitudinalFrictionParams(

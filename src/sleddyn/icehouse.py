@@ -24,11 +24,9 @@ import numpy as np
 
 from .aero import R_SPECIFIC_AIR, AirState, drag_force
 from .errors import DataError, NumericalError, reading
-from .friction import LongitudinalFrictionParams
-from .tables import data_line, read_table, write_table
+from .friction import G, LongitudinalFrictionParams
+from .tables import check_rows, read_table, write_table
 from .telemetry import cumulative_trapezoid
-
-G = 9.81
 
 #: Fraction of the gliding phase used for the slope fit, centered.
 DEFAULT_WINDOW_FRACTION = 0.6
@@ -216,9 +214,7 @@ def load_glide_csv(path) -> GlideRun:
         air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
                        r_specific=float(meta.get("r_specific", R_SPECIFIC_AIR)))
         direction = meta["direction"]
-    bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
-    if bad.size:
-        raise DataError(f"{path}: non-finite value at line {data_line(path, table.header_line, bad[0])}")
+    check_rows(path, table, (~np.isfinite(table.data).all(axis=1), "non-finite value"))
     t, v = table.data[:, 0], table.data[:, 1]
     with reading(path):
         return GlideRun(

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import friction, kinematics
-from .aero import AeroModel, drag_area_at_beta, drag_force
+from .aero import AeroModel, aero_forces
 from .errors import DataError, reading
 from .kinematics import MountingOffset
+from .kvfile import load_floats
 from .tables import read_table, write_table
 from .telemetry import TelemetryRun
 
@@ -181,7 +182,7 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
     if aero is not None:
         beta_safe = np.where(np.isfinite(beta), beta, 0.0)
         # drag acts against the velocity; its body-frame y-component is +F_d sin(beta)
-        f_y_ext = drag_force(run.v, 1.0, aero.air) * drag_area_at_beta(aero, beta_safe) * np.sin(beta_safe)
+        f_y_ext = aero_forces(aero, run.v, beta_safe)[0] * np.sin(beta_safe)
 
     f_y_f0, f_y_r = reconstruct_lateral(a_cog[1], d.psi_ddot, f_y_ext, params)
     f_z_f0, f_z_r = reconstruct_vertical(a_cog[2], d.theta_ddot, params)
@@ -224,8 +225,6 @@ def load_trace_csv(path) -> AxleForceTrace:
 
 
 def load_bob_params(path) -> BobParameters:
-    from .kvfile import load_floats
-
     raw = load_floats(path)
     with reading(path):
         offset = MountingOffset(

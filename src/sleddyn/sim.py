@@ -58,11 +58,10 @@ import numpy as np
 from . import friction, kinematics
 from .aero import AeroModel
 from .errors import ConfigError, NumericalError, reading
-from .friction import LateralFrictionParams
+from .friction import G, LateralFrictionParams
 from .onetrack import AxleForceTrace, BobParameters
-from .telemetry import TelemetryMeta, TelemetryRun
+from .telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun
 
-G = 9.81
 MAX_DT = 0.01
 
 
@@ -156,15 +155,6 @@ class FrictionSetup:
     lateral_front: LateralFrictionParams
     lateral_rear: LateralFrictionParams
     mu_x: float = friction.MU_X_DEFAULT
-
-
-@dataclass
-class SimState:
-    t: float
-    s: float
-    v: float
-    beta: float
-    psi_dot: float
 
 
 _LOG_FIELDS = (
@@ -279,22 +269,19 @@ def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup:
     return rhs
 
 
-def step(state: SimState, rhs, dt: float, k1=None) -> SimState:
-    """One fixed-step RK4 step of ``rhs``; ``k1``, its value at ``state``, is computed unless passed."""
-    t0, s0, v0, b0, p0 = state.t, state.s, state.v, state.beta, state.psi_dot
+def step(state, rhs, dt: float, k1):
+    """One fixed-step RK4 step of ``rhs`` from ``state`` = (t, s, v, beta, psi_dot); ``k1`` is ``rhs(*state)``."""
+    t0, s0, v0, b0, p0 = state
     half = dt / 2.0
-    k1 = rhs(t0, s0, v0, b0, p0) if k1 is None else k1
     k2 = rhs(t0 + half, s0 + half * k1[0], v0 + half * k1[1], b0 + half * k1[2], p0 + half * k1[3])
     k3 = rhs(t0 + half, s0 + half * k2[0], v0 + half * k2[1], b0 + half * k2[2], p0 + half * k2[3])
     k4 = rhs(t0 + dt, s0 + dt * k3[0], v0 + dt * k3[1], b0 + dt * k3[2], p0 + dt * k3[3])
     sixth = dt / 6.0
-    return SimState(
-        t=t0 + dt,
-        s=s0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        v=v0 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        beta=b0 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        psi_dot=p0 + sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-    )
+    return (t0 + dt,
+            s0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            v0 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+            b0 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+            p0 + sixth * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
 
 
 def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
@@ -305,37 +292,34 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
 
     The run terminates cleanly when the speed would drop below
     ``v_stop``; the log always contains the states actually reached.
-    A non-finite state raises NumericalError naming its time.
+    A non-finite state, or a step whose evaluation fails with a math
+    domain error, raises NumericalError naming its time.
     """
     if dt > MAX_DT:
         raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
     if v0 <= v_stop:
         raise ConfigError("initial speed below the stop threshold")
     rhs = _rhs(bob, track, controls, setup, aero)
-    state = SimState(t=0.0, s=float(track.s[0]), v=v0, beta=beta0, psi_dot=psi_dot0)
+    state = (0.0, float(track.s[0]), v0, beta0, psi_dot0)  # (t, s, v, beta, psi_dot), as rhs takes it
     s_end = float(track.s[-1])
     isfinite = math.isfinite
-    rows = []  # (t, s, v, beta, psi_dot) + the rhs terms per accepted state; grows with the run, not t_max
-
-    def log_state(st: SimState):
-        """Log the accepted state; its ``rhs`` value is the next step's k1."""
-        head = (st.t, st.s, st.v, st.beta, st.psi_dot)
-        k = rhs(*head)
-        rows.append(head + k)
-        return k
-
-    n_steps = int(round(t_max / dt))
-    k1 = log_state(state)
+    k1 = rhs(*state)  # the value at an accepted state is the next step's k1
+    rows = [state + k1]  # state + rhs terms per accepted state; grows with the run, not t_max
     stop = "t_max"
-    for _ in range(n_steps):
-        new = step(state, rhs, dt, k1)
-        if not (isfinite(new.s) and isfinite(new.v) and isfinite(new.beta) and isfinite(new.psi_dot)):
-            raise NumericalError(f"non-finite simulator state at t = {new.t:.6g} s")
-        if new.v <= v_stop or new.s >= s_end:
-            stop = "v_stop" if new.v <= v_stop else "track_end"
+    for _ in range(int(round(t_max / dt))):
+        try:
+            new = step(state, rhs, dt, k1)
+        except ValueError:  # a math domain error, such as cos(inf) in rhs: the step has no finite state
+            new = (state[0] + dt, math.nan, math.nan, math.nan, math.nan)
+        t, s, v, beta, psi_dot = new
+        if not (isfinite(s) and isfinite(v) and isfinite(beta) and isfinite(psi_dot)):
+            raise NumericalError(f"non-finite simulator state at t = {t:.6g} s")
+        if v <= v_stop or s >= s_end:
+            stop = "v_stop" if v <= v_stop else "track_end"
             break
         state = new
-        k1 = log_state(state)
+        k1 = rhs(*state)
+        rows.append(state + k1)
     table = np.array(rows, dtype=float)
     rows.clear()
     return SimLog(data=_log_columns(table, bob), dt=dt, stop=stop)
@@ -455,7 +439,8 @@ def load_scenario(path):
 
     Raises ConfigError naming the file for a missing field, a value of the
     wrong type or out of range, a time step, duration or export rate that
-    is not positive and finite, and a non-finite initial state.
+    is not positive and finite, a non-finite initial state, and a noise
+    sigma that is negative, not finite or not that of a telemetry channel.
     """
     with reading(path, ConfigError, "invalid scenario JSON: "):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -493,4 +478,9 @@ def load_scenario(path):
     for name in ("v0", "beta0", "psi_dot0"):
         if not math.isfinite(scenario[name]):
             raise ConfigError(f"{path}: initial.{name} must be finite, got {scenario[name]}")
+    for name, sigma in scenario["noise"].items():
+        if name not in CORE_CHANNELS:
+            raise ConfigError(f"{path}: noise.{name} names no telemetry channel ({', '.join(CORE_CHANNELS)})")
+        if not 0 <= sigma < math.inf:
+            raise ConfigError(f"{path}: noise.{name} must be finite and at least 0, got {sigma}")
     return scenario

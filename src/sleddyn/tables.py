@@ -132,10 +132,19 @@ def _rows_text(rows: np.ndarray) -> str:
     return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()])
 
 
-def data_line(path, header_line: int, row: int) -> int:
-    """1-based file line of data row ``row`` (0-based), counting skipped blank and ``#`` lines."""
-    with open(path, encoding="utf-8") as fh:
-        return next(islice(_body_lines(fh, header_line), row, None))[0]
+def check_rows(path, table: Table, *checks) -> None:
+    """Raise DataError ``{path}: {what} at line {n}`` for the first failing ``(mask, what)`` check.
+
+    ``mask`` flags the bad data rows of ``table``, read from ``path``; the
+    checks are tried in order, and ``n`` is the file line of the first bad
+    row, counting skipped blank and ``#`` lines.
+    """
+    for mask, what in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            with open(path, encoding="utf-8") as fh:
+                line = next(islice(_body_lines(fh, table.header_line), bad[0], None))[0]
+            raise DataError(f"{path}: {what} at line {line}")
 
 
 def _body_lines(fh, header_line: int):

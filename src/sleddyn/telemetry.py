@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, reading
-from .tables import data_line, read_table, write_table
+from .tables import check_rows, read_table, write_table
 
 #: Channels every run must provide, in canonical order.
 CORE_CHANNELS = (
@@ -166,25 +166,12 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
         if comment.startswith("meta ") and "=" in comment:
             key, _, value = comment[5:].partition("=")
             meta_fields[key.strip()] = value.strip()
-    bad = np.nonzero(~np.isfinite(table.data).all(axis=1))[0]
-    if bad.size:
-        raise DataError(f"{path}: non-finite value at line {data_line(path, table.header_line, bad[0])}")
-    bad = np.nonzero(data["v"] < 0)[0]
-    if bad.size:
-        raise DataError(f"{path}: negative speed at line {data_line(path, table.header_line, bad[0])}")
     t = data["t"]
-    bad = np.nonzero(np.diff(t) <= 0)[0]
-    if bad.size:
-        # t[bad[0] + 1] <= t[bad[0]]: name the later sample
-        line = data_line(path, table.header_line, bad[0] + 1)
-        raise DataError(f"{path}: time not strictly increasing at line {line}")
-    scale = np.pi / 180.0 if schema.angle_unit == "deg" else 1.0
-    channels = {}
-    for name in CORE_CHANNELS:
-        arr = data[name]
-        if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
-            arr = arr * scale
-        channels[name] = arr
+    check_rows(path, table, (~np.isfinite(table.data).all(axis=1), "non-finite value"),
+               (data["v"] < 0, "negative speed"),
+               # t[i] <= t[i - 1]: name the later sample
+               (np.concatenate(([False], t[1:] <= t[:-1])), "time not strictly increasing"))
+    channels = _scaled(data, np.pi / 180.0 if schema.angle_unit == "deg" else 1.0)
     meta = TelemetryMeta(driver=meta_fields.get("driver", ""), track=meta_fields.get("track", ""))
     return TelemetryRun(t=t, channels=channels, meta=meta)
 
@@ -197,19 +184,20 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
     channel bit-identically.
     """
     schema = schema or identity_schema()
-    scale = 180.0 / np.pi if schema.angle_unit == "deg" else 1.0
-    cols = {schema.columns["t"]: run.t}
-    for name in CORE_CHANNELS:
-        arr = run.channels[name]
-        if name in ANGLE_CHANNELS or name in RATE_CHANNELS:
-            arr = arr * scale
-        cols[schema.columns[name]] = arr
+    scaled = _scaled(run.channels, 180.0 / np.pi if schema.angle_unit == "deg" else 1.0)
+    cols = {schema.columns["t"]: run.t, **{schema.columns[name]: arr for name, arr in scaled.items()}}
     comments = list(header_comments or [])
     if run.meta.driver:
         comments.append(f"meta driver = {run.meta.driver}")
     if run.meta.track:
         comments.append(f"meta track = {run.meta.track}")
     write_table(path, cols, comments)
+
+
+def _scaled(channels, scale: float) -> dict[str, np.ndarray]:
+    """The core channels of ``channels``, the angles and angular rates multiplied by ``scale``."""
+    return {name: channels[name] * scale if name in ANGLE_CHANNELS or name in RATE_CHANNELS else channels[name]
+            for name in CORE_CHANNELS}
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +234,19 @@ def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:
     """Linear interpolation onto a uniform grid at the given rate [Hz].
 
     Only downsampling (or keeping the rate) is supported; upsampling
-    would fabricate bandwidth that was never measured.
+    would fabricate bandwidth that was never measured. A grid too large
+    to allocate is a DataError giving its size.
     """
     native = run.native_rate()
     if rate > native * (1.0 + 1e-9):
         raise ConfigError(f"cannot resample {native:.6g} Hz data up to {rate} Hz")
     n = int(np.floor(run.duration * rate + 1e-9)) + 1
-    t_new = run.t[0] + np.arange(n) / rate
-    channels = {name: np.interp(t_new, run.t, arr) for name, arr in run.channels.items()}
+    try:
+        t_new = run.t[0] + np.arange(n) / rate
+        channels = {name: np.interp(t_new, run.t, arr) for name, arr in run.channels.items()}
+    except MemoryError:
+        raise DataError(f"the {rate:g} Hz grid of {n} samples over {run.duration:.6g} s "
+                        "is too large to allocate") from None
     return TelemetryRun(t=t_new, channels=channels, meta=run.meta)
 
 

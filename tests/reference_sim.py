@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +25,18 @@ from sleddyn.aero import AeroModel
 from sleddyn.errors import ConfigError, NumericalError
 from sleddyn.friction import LateralFrictionParams
 from sleddyn.onetrack import BobParameters
-from sleddyn.sim import _LOG_FIELDS, MAX_DT, FrictionSetup, SimLog, SimState
+from sleddyn.sim import _LOG_FIELDS, MAX_DT, FrictionSetup, SimLog
 
 G = 9.81
+
+
+@dataclass
+class SimState:
+    t: float
+    s: float
+    v: float
+    beta: float
+    psi_dot: float
 
 
 def _interp_scalar(x: float, xs: list, ys: list) -> float:

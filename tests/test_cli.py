@@ -1,6 +1,5 @@
 """End-to-end CLI workflows on synthetic data."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -578,7 +577,7 @@ class TestSimulateCommand:
         def step(state, *args):
             calls.append(None)
             new = real_step(state, *args)
-            return new if len(calls) < 5 else dataclasses.replace(new, psi_dot=float("nan"))
+            return new if len(calls) < 5 else new[:4] + (float("nan"),)
 
         monkeypatch.setattr(sim, "step", step)
         with pytest.raises(NumericalError, match=r"non-finite simulator state at t = 0\.05 s"):
@@ -786,6 +785,10 @@ class TestBadInputFiles:
     # five samples at 100 Hz: fewer than the 20 Hz low-pass filter pads at each end
     SHORT_RUN = (",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
                  + "".join(f"{0.01 * i:.2f},0,0,-9.81,0,0,0,25,0,0,0\n" for i in range(5)))
+    # 40 samples at 100 Hz, the last at t = 1e12 s: a resampled grid that numpy refuses at once
+    FAR_RUN = (",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
+               + "".join(f"{t},0,0,-9.81,0,0,0,25,0,0,0\n" for t in [f"{0.01 * i:.2f}" for i in range(39)] + ["1e12"]))
+    UNFILTERED = CONFIG + "[processing]\ncutoff_hz = 0\n"
 
     @pytest.mark.parametrize("argv, name, text, where", [
         ("friction-table --long-params FILE", "long.kv", "b_x 0.088\nc_x = 2\nd_x = 14\n",
@@ -1007,6 +1010,27 @@ class TestBadInputFiles:
         (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
          {**SIMULATE, "telemetry.csv": SHORT_RUN, "lat.kv": LAT},
          "telemetry.csv: 5 samples are too few for the low-pass filter, which needs more than 9"),
+        (3, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "bob.kv": BOB.replace("j_zz = 850", "j_zz = 1e-320"),
+          "scenario.json": scenario_text("controls", "delta", [0.0, 0.01])},
+         "numerical failure: non-finite simulator state at t = 0.005 s"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_y", float("nan"))},
+         "scenario.json: noise.a_y must be finite and at least 0, got nan"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "v", float("inf"))},
+         "scenario.json: noise.v must be finite and at least 0, got inf"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_y", -0.05)},
+         "scenario.json: noise.a_y must be finite and at least 0, got -0.05"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_yy", 0.05)},
+         "scenario.json: noise.a_yy names no telemetry channel"),
+        (2, "--config config.ini fit telemetry.csv", {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FAR_RUN},
+         "telemetry.csv: the 100 Hz grid of 100000000000001 samples over 1e+12 s is too large to allocate"),
+        (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
+         {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FAR_RUN, "lat.kv": LAT},
+         "telemetry.csv: the 100 Hz grid of 100000000000001 samples over 1e+12 s is too large to allocate"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
             "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
@@ -1028,7 +1052,9 @@ class TestBadInputFiles:
             "config-v-min-negative", "config-cutoff-inf", "config-range-names-file-and-section",
             "config-without-bob-names-file", "points-too-few", "points-not-convex", "glide-window-too-short",
             "glide-one-direction", "config-path-empty", "config-path-missing", "argv-file-missing",
-            "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter"])
+            "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter",
+            "scenario-math-domain-error", "scenario-noise-nan", "scenario-noise-inf", "scenario-noise-negative",
+            "scenario-noise-unknown-channel", "fit-grid-too-large", "eval-grid-too-large"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
