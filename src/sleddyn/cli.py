@@ -26,7 +26,11 @@ filter, resample, reconstruct the axle forces, take the digest for the
 provenance header) on every CPU the process may use, through
 ``forked.shares``, as ``tables.write_table`` formats a large table;
 ``fit`` then fits the front and the rear runner, each with its
-diagnostics, on two CPUs at once. Outputs and errors are those of one
+diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as well:
+while it integrates, a forked worker formats the ``truth.csv`` rows of
+each finished block of the log (``forked.stream``), and
+``telemetry.csv``, whose noise needs the run's length, is formatted
+after the run by ``write_table``. Outputs and errors are those of one
 process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
@@ -44,7 +48,7 @@ import shutil
 import sys
 import tempfile
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -55,8 +59,8 @@ from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, Ai
 from .errors import ConfigError, DataError, SleddynError, reading
 from .friction import MU_X_DEFAULT, LateralFrictionParams, force_y_braghin, load_longitudinal_params, mu_x
 from .kinematics import V_MIN
-from .onetrack import build_axle_trace, export_trace_csv, load_bob_params
-from .tables import write_table
+from .onetrack import TRACE_COLUMNS, build_axle_trace, load_bob_params
+from .tables import write_table, write_text
 from .telemetry import identity_schema, load_schema
 
 
@@ -273,8 +277,10 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
 
     import scipy.optimize  # loaded once here rather than in the worker
 
-    # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code
-    with forked.shares(fit, tuple(datasets), 2) as fitted:
+    # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code,
+    # naming the file when every sample comes from one
+    with forked.shares(fit, tuple(datasets), 2) as fitted, \
+            _naming(fit_paths[0]) if len(fit_paths) == 1 else nullcontext():
         results = dict(zip(datasets, fitted))
 
     validation = {}
@@ -402,22 +408,26 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0)
     setup = sim.FrictionSetup(lateral_front=front, lateral_rear=rear,
                               mu_x=config.options["mu_x"])
-    try:
+    with _naming(args.scenario):  # the scenario values the simulator or the export would reject
+        sim.check_start(scenario["dt"], scenario["v0"])
+        stride = sim.export_stride(scenario["rate_hz"], scenario["dt"])
+    # truth.csv needs only the logged rows: a second CPU formats them while the run goes on
+    with forked.stream(partial(sim.truth_text, stride=stride)) as truth:
         log = sim.simulate(config.bob, scenario["track"], scenario["controls"], setup, aero,
                            v0=scenario["v0"], beta0=scenario["beta0"],
                            psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
-                           t_max=scenario["t_max"])
-    except ConfigError as exc:  # a scenario value the simulator rejects; not its NumericalError
-        raise ConfigError(f"{args.scenario}: {exc}") from None
-    with _naming(args.scenario):
-        run, truth = sim.export_synthetic_telemetry(
-            log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
-            seed=args.seed, meta=scenario["meta"])
+                           t_max=scenario["t_max"], on_block=truth.send)
+        with _naming(args.scenario):
+            run, _ = sim.export_synthetic_telemetry(
+                log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
+                seed=args.seed, meta=scenario["meta"])
+        # one string: a piece per block, held among the allocations after it, left the heap fragmented
+        truth_rows = "".join(truth.results())
     header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
     files = {
         "telemetry.csv": partial(telemetry.export_csv, run, schema=config.schema,
                                  header_comments=header),
-        "truth.csv": partial(export_trace_csv, truth, header_comments=header),
+        "truth.csv": partial(write_text, names=TRACE_COLUMNS, texts=(truth_rows,), comments=header),
     }
     return files, [f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"]
 

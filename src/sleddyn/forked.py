@@ -1,12 +1,18 @@
 """Work shared out over every CPU the process may use, in forked processes.
 
-``shares(fn, items, processes)`` is the one fork path of the package:
-``fit`` and ``eval`` prepare their telemetry files through it, ``fit``
-fits its front and rear runners through it, and ``tables.write_table``
-formats the row chunks of a large table. Inside its ``with`` block it
-acts as ``map(fn, items)``: an item that no worker delivered is computed
+The package forks through two context managers here, and nowhere else.
+``shares(fn, items, processes)`` splits a known list: ``fit`` and
+``eval`` prepare their telemetry files through it, ``fit`` fits its
+front and rear runners through it, and ``tables.write_table`` formats
+the row chunks of a large table. Inside its ``with`` block it acts as
+``map(fn, items)``: an item that no worker delivered is computed
 in-process when the iterator reaches it, so an error is raised on the
-calling thread exactly as in serial code.
+calling thread exactly as in serial code. ``stream(fn)`` is its
+counterpart for items that do not exist yet: ``simulate`` hands it each
+block of logged rows while it integrates, and one worker formats the
+``truth.csv`` rows of each block meanwhile. It keeps the same contract:
+results in order, a block the worker did not deliver computed
+in-process, nothing forked where ``shares`` forks nothing.
 
 Workers are made with ``os.fork``. Each writes its results, pickled, to
 an unnamed temporary file of its own (its spool) and sends the offset and
@@ -35,6 +41,8 @@ import sys
 import tempfile
 import threading
 from contextlib import contextmanager
+
+import numpy as np
 
 _LENGTH = 8  # bytes of each of the offset and the size of a result in its spool file
 _MISSING = object()  # a result no worker delivered; None is a result like any other
@@ -72,46 +80,152 @@ def shares(fn, items, processes: int):
     n = min(len(items), cpus(), processes)
     workers: dict = {}  # k -> (pid, receiving end of its pipe, its spool file)
     try:
-        if n > 1 and sys.platform.startswith("linux") and threading.active_count() == 1:
-            import signal  # loaded only when a fork happens
-
-            # fork, not spawn: preparing the 8 runs of the season benchmark (seed 1)
-            # on a 2-vCPU VM took 0.40 s serially and 0.30 s forked (median of 9),
-            # but 1.81 s with spawn and 1.63 s with forkserver (median of 5),
-            # because each such worker imports numpy, scipy.signal and sleddyn
-            # again. Forking is safe here: no other Python thread is alive (checked
-            # above), and the atfork handler of OpenBLAS stops its pool, so the
-            # parent has 3 native threads before os.fork() and 1 right after it.
-            # That pool is not gone for good: left at its default count, OpenBLAS
-            # starts a pool thread again at the next BLAS call of either process,
-            # and that thread busy-waits. After this fork in the season
-            # benchmark's fit (2-vCPU VM), each fit_lateral used 110-158 ms of CPU
-            # for 58-85 ms of wall; with one BLAS thread, CPU equals wall.
-            _one_blas_thread()
+        if _may_fork(n):
             for k in range(1, n):
-                spool, pipe = None, ()
-                try:
-                    spool = tempfile.TemporaryFile()
-                    pipe = receive, send = os.pipe()
-                    pid = os.fork()
-                except OSError:  # no file, pipe or process to be had: the items left are the caller's
-                    for fd in pipe:
-                        os.close(fd)
-                    if spool is not None:
-                        spool.close()
+                worker = _fork(_share, fn, items[k::n])
+                if worker is None:  # no file, pipe or process to be had: the items left are the caller's
                     break
-                if pid == 0:
-                    os.close(receive)
-                    _share(send, spool.fileno(), fn, items[k::n])
-                os.close(send)
-                workers[k] = (pid, open(receive, "rb"), spool)
+                workers[k] = worker
         yield _results(fn, items, n, workers)
     finally:
-        for pid, receive, spool in workers.values():
-            receive.close()
+        for worker in workers.values():
+            _stop(*worker)
+
+
+@contextmanager
+def stream(fn):
+    """Context manager: a ``Stream`` that hands each block it is sent to one forked worker.
+
+    ``fn(k, block)`` is applied to block k, a 2-D float64 array, in a worker
+    forked on entry while the caller goes on; ``Stream.results()`` gives
+    them in order. Each block is written to an unnamed temporary file that
+    the worker reads too, so the caller keeps no copy in memory; the pipe
+    to the worker carries only where each block lies. A block the worker
+    did not deliver (it failed on that block or an earlier one, or was
+    lost) is read back and computed in-process when ``results()`` reaches
+    it, so its error is raised on the calling thread. Nothing is forked,
+    and ``results()`` computes every block, on one CPU, with another live
+    Python thread or on a platform other than Linux. On leaving the block
+    the worker is terminated if it still runs and waited for, and every
+    file either process used is closed.
+    """
+    with tempfile.TemporaryFile() as sent:
+        blocks = Stream(fn, sent.fileno())
+        try:
+            if _may_fork(cpus()):
+                try:
+                    receive, send = os.pipe()
+                except OSError:  # no pipe to be had: every block is the caller's
+                    pass
+                else:
+                    blocks.worker = _fork(_stream_share, fn, receive, send, sent.fileno())
+                    os.close(receive)
+                    if blocks.worker is None:
+                        os.close(send)
+                    else:
+                        blocks.send_fd = send
+            yield blocks
+        finally:
+            blocks.close()
+
+
+class Stream:
+    """The caller's side of ``stream``: where each block sent lies, and the worker that reads them, if any."""
+
+    def __init__(self, fn, sent: int):
+        self.fn = fn
+        self.sent = sent  # the file of every block sent, one after the other, as raw float64
+        self.places: list = []  # (offset, rows, columns) of each block in that file
+        self.size = 0  # bytes written to it
+        self.worker = None  # (pid, receiving end of its result pipe, its spool file)
+        self.send_fd = None  # the pipe that tells the worker where each block lies, until the last one
+
+    def send(self, block) -> None:
+        """Hand ``block`` (a 2-D float array, read only during this call) on as the next block."""
+        block = np.ascontiguousarray(block, dtype=float)
+        place = (self.size, *block.shape)
+        _pwrite_all(self.sent, block, self.size)
+        self.size += block.nbytes
+        self.places.append(place)
+        if self.send_fd is not None:
+            try:
+                _write_all(self.send_fd, np.array(place, dtype="<u8"))
+            except BrokenPipeError:  # the worker was lost: the blocks left are the caller's
+                self._end_of_blocks()
+
+    def results(self):
+        """``fn(k, block)`` of each block sent, in order: received from the worker, else computed here."""
+        self._end_of_blocks()
+        for k, place in enumerate(self.places):
+            result = _received(*self.worker[1:]) if self.worker is not None else _MISSING
+            yield self.fn(k, _block_at(self.sent, *place)) if result is _MISSING else result
+
+    def close(self) -> None:
+        self._end_of_blocks()
+        if self.worker is not None:
+            _stop(*self.worker)
+            self.worker = None
+
+    def _end_of_blocks(self) -> None:
+        if self.send_fd is not None:
+            os.close(self.send_fd)
+            self.send_fd = None
+
+
+def _may_fork(n: int) -> bool:
+    """Whether to fork for ``n`` processes; if so, the process keeps one OpenBLAS thread from now on.
+
+    Forking is safe here: no other Python thread is alive (checked), and
+    the atfork handler of OpenBLAS stops its pool, so the parent has 3
+    native threads before os.fork() and 1 right after it. That pool is not
+    gone for good: left at its default count, OpenBLAS starts a pool thread
+    again at the next BLAS call of either process, and that thread
+    busy-waits. After a fork in the season benchmark's fit (2-vCPU VM),
+    each fit_lateral used 110-158 ms of CPU for 58-85 ms of wall; with one
+    BLAS thread, CPU equals wall.
+    """
+    # fork, not spawn: preparing the 8 runs of the season benchmark (seed 1)
+    # on a 2-vCPU VM took 0.40 s serially and 0.30 s forked (median of 9),
+    # but 1.81 s with spawn and 1.63 s with forkserver (median of 5),
+    # because each such worker imports numpy, scipy.signal and sleddyn again
+    if n > 1 and sys.platform.startswith("linux") and threading.active_count() == 1:
+        _one_blas_thread()
+        return True
+    return False
+
+
+def _fork(body, *args):
+    """(pid, receiving end of its pipe, spool file) of a worker running ``body(send, spool, *args)``.
+
+    None, with what was made for it closed again, when no file, pipe or
+    process is to be had.
+    """
+    spool, pipe = None, ()
+    try:
+        spool = tempfile.TemporaryFile()
+        pipe = receive, send = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in pipe:
+            os.close(fd)
+        if spool is not None:
             spool.close()
-            os.kill(pid, signal.SIGTERM)  # no effect on a worker that has exited
-            os.waitpid(pid, 0)
+        return None
+    if pid == 0:
+        os.close(receive)
+        body(send, spool.fileno(), *args)
+    os.close(send)
+    return pid, open(receive, "rb"), spool
+
+
+def _stop(pid: int, receive, spool) -> None:
+    """Close a worker's pipe and spool, terminate it if it still runs, and wait for it."""
+    import signal
+
+    receive.close()
+    spool.close()
+    os.kill(pid, signal.SIGTERM)  # no effect on a worker that has exited
+    os.waitpid(pid, 0)
 
 
 def _one_blas_thread() -> None:
@@ -166,10 +280,7 @@ def _received(pipe, spool):
 def _share(send: int, spool: int, fn, items) -> None:
     """Worker body: ``fn`` of each item up to the first that fails, each sent as it is done; never returns."""
     try:
-        import signal
-
-        # an interrupt is the caller's to handle; it terminates the workers
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _ignore_interrupts()
         offset = 0
         for item in items:
             data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
@@ -179,3 +290,60 @@ def _share(send: int, spool: int, fn, items) -> None:
             offset += len(data)
     finally:  # a failure leaves the item to the caller, who raises its error
         os._exit(0)
+
+
+def _stream_share(send: int, spool: int, fn, receive: int, caller_send: int, sent: int) -> None:
+    """Worker body of ``stream``: ``fn`` of each block, up to the first that fails; never returns.
+
+    Where each block lies in the file ``sent`` arrives through the pipe
+    ``receive``. The results go to the spool as they are done; where each
+    lies is sent once the caller has sent its last block, so the caller
+    need not read while it sends.
+    """
+    places = bytearray()
+    try:
+        try:
+            os.close(caller_send)
+            _ignore_interrupts()
+            offset = 0
+            with open(receive, "rb") as pipe:
+                k = 0
+                while len(place := pipe.read(3 * _LENGTH)) == 3 * _LENGTH:
+                    block = _block_at(sent, *np.frombuffer(place, dtype="<u8").tolist())
+                    data = pickle.dumps(fn(k, block), pickle.HIGHEST_PROTOCOL)
+                    if os.pwrite(spool, data, offset) != len(data):
+                        break
+                    places += offset.to_bytes(_LENGTH, "little") + len(data).to_bytes(_LENGTH, "little")
+                    offset += len(data)
+                    k += 1
+        finally:  # a failure leaves the block and the rest to the caller, who raises its error
+            _write_all(send, places)
+    finally:
+        os._exit(0)
+
+
+def _block_at(fd: int, offset: int, rows: int, columns: int):
+    """The (rows, columns) float64 block that ``Stream.send`` wrote at ``offset`` of the file ``fd``."""
+    return np.frombuffer(os.pread(fd, 8 * rows * columns, offset), dtype=float).reshape(rows, columns)
+
+
+def _ignore_interrupts() -> None:
+    """An interrupt is the caller's to handle; it terminates the workers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _write_all(fd: int, data) -> None:
+    """Write all of ``data`` (bytes or a contiguous array) to the pipe ``fd``, however many writes it takes."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of ``data`` (a contiguous array) to the file ``fd`` from ``offset`` on."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written

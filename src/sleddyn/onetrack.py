@@ -206,7 +206,7 @@ def build_axle_trace(run: TelemetryRun, params: BobParameters,
     )
 
 
-_TRACE_COLUMNS = (
+TRACE_COLUMNS = (
     "t", "s", "valid", "alpha_f", "alpha_r", "beta",
     "f_y_f0", "f_z_f0", "f_y_r", "f_z_r", "f_x_f0", "f_x_f", "f_y_f", "f_z_f", "f_y_ext",
 )
@@ -214,12 +214,12 @@ _TRACE_COLUMNS = (
 
 def export_trace_csv(trace: AxleForceTrace, path, header_comments: list[str] | None = None) -> None:
     """One row per sample; ``valid`` is written as 1.0 or 0.0."""
-    write_table(path, {name: getattr(trace, name) for name in _TRACE_COLUMNS}, header_comments or ())
+    write_table(path, {name: getattr(trace, name) for name in TRACE_COLUMNS}, header_comments or ())
 
 
 def load_trace_csv(path) -> AxleForceTrace:
-    data = read_table(path, _TRACE_COLUMNS).data
-    kwargs = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
+    data = read_table(path, TRACE_COLUMNS).data
+    kwargs = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
     kwargs["valid"] = kwargs["valid"] > 0.5
     return AxleForceTrace(**kwargs)
 

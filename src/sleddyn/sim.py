@@ -32,10 +32,14 @@ per segment (start, length, start values and differences, pitch-curvature
 slope), so ``at`` clamps, bisects once and interpolates. ``rhs``
 remembers its last control lookup: k2 and k3 share t0 + dt/2, and k4
 and the next logged state share t0 + dt, so a step looks the controls
-up twice. The step loop logs only the state and the ``rhs`` tuple; the
-accelerations, power terms and kinetic energy are computed per column
-after the loop, in the scalar operation order, and ``SimLog.stop`` says
-why the run ended.
+up twice. The step loop logs only the state and the ``rhs`` tuple, as
+one row of floats appended to one flat ``array("d")`` (232 bytes a step,
+where a tuple of float objects takes about 1 kB); the accelerations,
+power terms and kinetic energy are computed per column after the loop,
+in the scalar operation order, and ``SimLog.stop`` says why the run
+ended. While it runs, ``simulate`` can hand each finished block of
+``BLOCK_ROWS`` logged rows to a callable, which ``cli`` uses to format
+``truth.csv`` on a second CPU during the integration (``truth_text``).
 
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
@@ -49,20 +53,23 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import friction, kinematics
+from . import friction, kinematics, tables
 from .aero import AeroModel
 from .errors import ConfigError, NumericalError, reading
 from .friction import G, LateralFrictionParams
-from .onetrack import AxleForceTrace, BobParameters
+from .onetrack import TRACE_COLUMNS, AxleForceTrace, BobParameters
 from .telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun
 
 MAX_DT = 0.01
+V_STOP = 0.1  # speed at which a run ends, m/s
+BLOCK_ROWS = 512  # logged rows in each block that ``simulate`` hands on while it runs
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,7 @@ _TERMS = ("s_dot", "v_dot", "beta_dot", "psi_ddot",
           "delta", "gamma", "kappa", "theta_dot", "theta_ddot", "alpha_f", "alpha_r",
           "f_drag", "gravity", "cos_beta", "sin_beta",
           "f_x_f", "f_y_f", "f_z_f", "f_x_f0", "f_y_f0", "f_z_f0", "f_x_r", "f_y_r", "f_z_r")
+_ROW = ("t", "s", "v", "beta", "psi_dot") + _TERMS  # a logged row: the state, then the ``rhs`` tuple
 
 
 def _rhs(bob: BobParameters, track: TrackProfile, controls: ControlTrace, setup: FrictionSetup,
@@ -287,24 +295,30 @@ def step(state, rhs, dt: float, k1):
 def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
              setup: FrictionSetup, aero: AeroModel | None = None,
              v0: float = 10.0, beta0: float = 0.0, psi_dot0: float = 0.0,
-             dt: float = 0.005, t_max: float = 60.0, v_stop: float = 0.1) -> SimLog:
+             dt: float = 0.005, t_max: float = 60.0, v_stop: float = V_STOP, *,
+             on_block=None) -> SimLog:
     """Run the simulator until t_max, the track end, or standstill.
 
     The run terminates cleanly when the speed would drop below
     ``v_stop``; the log always contains the states actually reached.
     A non-finite state, or a step whose evaluation fails with a math
     domain error, raises NumericalError naming its time.
+
+    ``on_block``, if given, is called with each block of ``BLOCK_ROWS``
+    logged rows as soon as it is complete, and with the last, shorter
+    block (if any) before the log is returned; a run that raises hands
+    on no last block. A block is a (rows, ``len(_ROW)``) float array of
+    ``_ROW`` columns that is valid only during the call: it is a view of
+    the log, which cannot grow while a view of it is alive.
     """
-    if dt > MAX_DT:
-        raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
-    if v0 <= v_stop:
-        raise ConfigError("initial speed below the stop threshold")
+    check_start(dt, v0, v_stop)
     rhs = _rhs(bob, track, controls, setup, aero)
     state = (0.0, float(track.s[0]), v0, beta0, psi_dot0)  # (t, s, v, beta, psi_dot), as rhs takes it
     s_end = float(track.s[-1])
     isfinite = math.isfinite
     k1 = rhs(*state)  # the value at an accepted state is the next step's k1
-    rows = [state + k1]  # state + rhs terms per accepted state; grows with the run, not t_max
+    rows = array("d", state + k1)  # state + rhs terms per accepted state; grows with the run, not t_max
+    logged, handed = 1, 0  # rows in the log, and rows handed to on_block
     stop = "t_max"
     for _ in range(int(round(t_max / dt))):
         try:
@@ -319,10 +333,29 @@ def simulate(bob: BobParameters, track: TrackProfile, controls: ControlTrace,
             break
         state = new
         k1 = rhs(*state)
-        rows.append(state + k1)
-    table = np.array(rows, dtype=float)
-    rows.clear()
-    return SimLog(data=_log_columns(table, bob), dt=dt, stop=stop)
+        rows.extend(state + k1)
+        logged += 1
+        if on_block is not None and logged == handed + BLOCK_ROWS:
+            on_block(_rows_view(rows, handed, logged))
+            handed = logged
+    if on_block is not None and logged > handed:
+        on_block(_rows_view(rows, handed, logged))
+    return SimLog(data=_log_columns(_rows_view(rows, 0, logged), bob), dt=dt, stop=stop)
+
+
+def check_start(dt: float, v0: float, v_stop: float = V_STOP) -> None:
+    """ConfigError for a time step above ``MAX_DT`` or an initial speed at or below ``v_stop``."""
+    if dt > MAX_DT:
+        raise ConfigError(f"dt = {dt} exceeds the {MAX_DT} s stability bound")
+    if v0 <= v_stop:
+        raise ConfigError("initial speed below the stop threshold")
+
+
+def _rows_view(rows: array, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the flat log ``rows`` as a 2-D array that shares its memory."""
+    width = len(_ROW)
+    return np.frombuffer(rows, dtype=float, count=(stop - start) * width,
+                         offset=start * width * rows.itemsize).reshape(-1, width)
 
 
 def _log_columns(table: np.ndarray, bob: BobParameters) -> dict[str, np.ndarray]:
@@ -334,7 +367,7 @@ def _log_columns(table: np.ndarray, bob: BobParameters) -> dict[str, np.ndarray]
     whose forces overflowed; ``e_kin`` stays scalar because float ``**``
     is C ``pow``, which numpy's ``square`` does not reproduce bit for bit.
     """
-    col = dict(zip(("t", "s", "v", "beta", "psi_dot") + _TERMS, table.T))
+    col = dict(zip(_ROW, table.T))
     v, psi_dot, cb, sb, f_drag = col["v"], col["psi_dot"], col["cos_beta"], col["sin_beta"], col["f_drag"]
     m = bob.m
     with np.errstate(over="ignore", invalid="ignore"):
@@ -382,12 +415,10 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     the sensor slip angle is the chassis angle transferred to the speed
     sensor's mount point. Roll rate is the time derivative of the
     roll-split trace, i.e. the gyro rides on the front section.
-    ``noise`` maps a channel name to the sigma of its additive Gaussian noise.
+    ``noise`` maps a channel name to the sigma of its additive Gaussian
+    noise; a sigma so large that a noisy value overflows is a ConfigError.
     """
-    stride = (1.0 / rate) / log.dt
-    if abs(stride - round(stride)) > 1e-9:
-        raise ConfigError(f"export rate {rate} Hz does not divide the log grid (dt={log.dt})")
-    sl = slice(0, None, int(round(stride)))
+    sl = slice(0, None, export_stride(rate, log.dt))
 
     t = log.t[sl]
     if t.size < 2:  # the derivative channels need two samples
@@ -410,24 +441,44 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     }
     if noise is not None:
         rng = np.random.default_rng(seed)
-        channels = {
-            name: arr + rng.standard_normal(arr.size) * noise[name] if noise.get(name) else arr
-            for name, arr in channels.items()
-        }
-        channels["v"] = np.maximum(channels["v"], 0.0)
+        with np.errstate(over="ignore"):  # reported below, naming the sigma
+            noisy = {name: arr + rng.standard_normal(arr.size) * noise[name] if noise.get(name) else arr
+                     for name, arr in channels.items()}
+        noisy["v"] = np.maximum(noisy["v"], 0.0)
+        for name, arr in noisy.items():
+            if (np.isfinite(channels[name]) & ~np.isfinite(arr)).any():
+                raise ConfigError(f"noise.{name} = {noise[name]:g} makes the exported {name} non-finite")
+        channels = noisy
     run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta())
+    return run, _truth(dec)
 
-    n = t.size
-    truth = AxleForceTrace(
-        t=t, s=dec["s"], valid=np.ones(n, dtype=bool),
-        alpha_f=dec["alpha_f"], alpha_r=dec["alpha_r"], beta=dec["beta"],
-        f_y_f0=dec["f_y_f0"], f_z_f0=dec["f_z_f0"],
-        f_y_r=dec["f_y_r"], f_z_r=dec["f_z_r"],
-        f_x_f0=dec["f_x_f0"], f_x_f=dec["f_x_f"],
-        f_y_f=dec["f_y_f"], f_z_f=dec["f_z_f"],
-        f_y_ext=dec["f_drag"] * np.sin(dec["beta"]),
-    )
-    return run, truth
+
+def export_stride(rate: float, dt: float) -> int:
+    """Log steps per exported sample at ``rate`` Hz; a ConfigError unless it is a whole number."""
+    stride = (1.0 / rate) / dt
+    if abs(stride - round(stride)) > 1e-9:
+        raise ConfigError(f"export rate {rate} Hz does not divide the log grid (dt={dt})")
+    return int(round(stride))
+
+
+def _truth(col) -> AxleForceTrace:
+    """Ground-truth axle forces from log columns ``col`` (name -> array): the one log-to-truth mapping.
+
+    Each trace column is the log column of its name, but ``valid``, which
+    is all true, and ``f_y_ext``, the drag's lateral component.
+    """
+    return AxleForceTrace(valid=np.ones(col["t"].size, dtype=bool), f_y_ext=col["f_drag"] * np.sin(col["beta"]),
+                          **{name: col[name] for name in TRACE_COLUMNS if name not in ("valid", "f_y_ext")})
+
+
+def truth_text(k: int, block: np.ndarray, stride: int) -> str:
+    """The ``truth.csv`` rows, as ``tables.write_table`` formats them, of block ``k`` that ``simulate`` handed on.
+
+    Logged row i (block k holds rows ``k * BLOCK_ROWS`` on) is exported
+    when ``i % stride == 0``, as ``export_synthetic_telemetry`` decimates.
+    """
+    trace = _truth(dict(zip(_ROW, block[-k * BLOCK_ROWS % stride::stride].T)))
+    return tables._rows_text(np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ name the first bad line in the ``DataError``; that scan returns no data.
 Every cell is written as ``repr(float)``. The rows of a large table are
 formatted in chunks shared out over forked processes (``forked.shares``);
 only the calling process opens and writes the file, so the bytes are
-those of one process.
+those of one process. ``write_text`` writes rows formatted elsewhere
+(``simulate`` formats ``truth.csv`` while it integrates) with the same
+comment and header lines.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .errors import DataError, reading
 # on a 2-vCPU VM (Python 3.11) 20,000 cells take 17-20 ms to format, and a fork
 # round trip from a 50 MB process takes about 4 ms
 CELLS_PER_PROCESS = 20_000
+# most characters handed to the text file at once: it encodes each write whole, so
+# this bounds that copy (a 5,001-row truth.csv is one 1.4 MB string)
+WRITE_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,19 @@ def write_table(path, columns: dict, comments=()) -> None:
     processes = max(1, min(forked.cpus(), data.size // CELLS_PER_PROCESS, len(data)))
     # a multiple of the process count, so that each process gets as many rows
     chunks = np.array_split(data, processes * max(1, -(-len(data) // (1024 * processes))))
-    with forked.shares(_rows_text, chunks, processes) as texts, \
-            open(path, "w", newline="", encoding="utf-8") as fh:
+    with forked.shares(_rows_text, chunks, processes) as texts:
+        write_text(path, columns, texts, comments)
+
+
+def write_text(path, names, texts, comments=()) -> None:
+    """Write the ``comments``, the header of ``names`` and the row ``texts`` (as ``_rows_text`` makes them)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        csv.writer(fh, lineterminator="\n").writerow(columns)
-        fh.writelines(texts)
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        for text in texts:
+            for start in range(0, len(text), WRITE_CHARS):
+                fh.write(text[start:start + WRITE_CHARS])
 
 
 def _rows_text(rows: np.ndarray) -> str:

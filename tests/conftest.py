@@ -42,6 +42,17 @@ def aero_model():
     return AeroModel(cx_ax=0.2, air=AirState(p_air=94700.0, temperature=275.15))
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which this process has a child process, running or not waited for."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process is still running" if pid == 0 else f"child process {pid} was not waited for")
+
+
 @pytest.fixture
 def forks(monkeypatch) -> list:
     """The pid of every worker process forked from now on, in fork order."""

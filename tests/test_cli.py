@@ -240,6 +240,20 @@ def test_per_run_error_names_the_file(workspace, capsys, command, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_too_few_fit_samples_of_one_file_name_it(workspace, capsys):
+    # every sample of the fit comes from the one file, so too few of them is that file's fault
+    tmp_path, paths = workspace
+    lines = Path(paths[0]).read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:header + 21]))
+    assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
+                 "fit", str(short)]) == 2
+    assert capsys.readouterr().err == (f"data error: {short}: dataset of 20 samples is too small "
+                                       "(need >= 10x parameters)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_per_run_config_error_names_the_file(workspace, capsys):
     tmp_path, paths = workspace
     config = tmp_path / "config.ini"
@@ -567,7 +581,7 @@ class TestSimulateCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                   "simulate", str(scenario)])
-        assert len(forks) == 1 and reaped(forks)
+        assert len(forks) == 2 and reaped(forks)
         assert set(tmp_path.rglob("*")) == before  # no out/, no staging directory
 
     def test_non_finite_state_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob,
@@ -1026,6 +1040,10 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("noise", "a_yy", 0.05)},
          "scenario.json: noise.a_yy names no telemetry channel"),
+        # a finite sigma whose noise overflows; the stream worker of the run is reaped all the same
+        (1, "--seed 1 --config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_y", 1e308).replace('"t_max": 0.2', '"t_max": 1.0')},
+         "scenario.json: noise.a_y = 1e+308 makes the exported a_y non-finite"),
         (2, "--config config.ini fit telemetry.csv", {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FAR_RUN},
          "telemetry.csv: the 100 Hz grid of 100000000000001 samples over 1e+12 s is too large to allocate"),
         (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
@@ -1054,7 +1072,7 @@ class TestBadInputFiles:
             "glide-one-direction", "config-path-empty", "config-path-missing", "argv-file-missing",
             "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter",
             "scenario-math-domain-error", "scenario-noise-nan", "scenario-noise-inf", "scenario-noise-negative",
-            "scenario-noise-unknown-channel", "fit-grid-too-large", "eval-grid-too-large"])
+            "scenario-noise-unknown-channel", "scenario-noise-overflow", "fit-grid-too-large", "eval-grid-too-large"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

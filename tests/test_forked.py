@@ -147,3 +147,97 @@ def test_a_fork_leaves_one_blas_thread(monkeypatch, forks):
         assert list(results) == [1, 4]
     assert len(forks) == 2 and reaped(forks)
     assert opened and not [f for f in opened if str(f).startswith("/proc")]
+
+
+def pid_and_sum_unless_three(k: int, block) -> tuple:
+    if k == 3:
+        raise ValueError("three")
+    return os.getpid(), k, float(block.sum())
+
+
+def blocks(n: int) -> list:
+    return [np.arange(6.0 * k, 6.0 * k + 6 * (k + 1)).reshape(k + 1, 6) for k in range(n)]
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_stream_results_in_order(monkeypatch, forks, cpus):
+    # block 3 fails in the worker too; the caller computes it and raises after blocks 0-2
+    monkeypatch.setattr(forked, "cpus", lambda: cpus)
+    results = []
+    with pytest.raises(ValueError, match="^three$"):
+        with forked.stream(pid_and_sum_unless_three) as stream:
+            for block in blocks(6):
+                stream.send(block)
+            for result in stream.results():
+                results.append(result)
+    pid = forks[0] if cpus > 1 else os.getpid()
+    assert results == [(pid, k, float(block.sum())) for k, block in enumerate(blocks(3))]
+    assert len(forks) == cpus - 1 and reaped(forks)
+
+
+def test_stream_blocks_of_a_lost_worker_are_computed_here(monkeypatch, forks):
+    # the worker is lost at block 1, before it told where any result lies; the caller's
+    # sends to it after that fail quietly, and the caller computes every block
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    parent = os.getpid()
+
+    def sum_or_exit(k: int, block) -> tuple:
+        if k == 1 and os.getpid() != parent:
+            os._exit(1)
+        return os.getpid(), float(block.sum())
+
+    open_files = len(os.listdir("/proc/self/fd"))
+    with forked.stream(sum_or_exit) as stream:
+        for block in blocks(5):
+            stream.send(block)
+            time.sleep(0.05)
+        assert list(stream.results()) == [(parent, float(b.sum())) for b in blocks(5)]
+    assert len(os.listdir("/proc/self/fd")) == open_files
+    assert len(forks) == 1 and reaped(forks)
+
+
+def test_stream_worker_ignores_an_interrupt(monkeypatch, forks):
+    import signal
+
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    parent = os.getpid()
+
+    def interrupted(k: int, block) -> int:
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return os.getpid()
+
+    with forked.stream(interrupted) as stream:
+        stream.send(np.zeros((2, 3)))
+        assert list(stream.results()) == forks
+    assert reaped(forks)
+
+
+def test_a_failure_of_the_caller_stops_the_stream_worker(monkeypatch, forks):
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    open_files = len(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^caller$"):
+        with forked.stream(lambda k, block: time.sleep(60.0)) as stream:
+            stream.send(np.zeros((2, 3)))
+            raise ValueError("caller")
+    assert time.monotonic() - start < 30.0
+    assert len(os.listdir("/proc/self/fd")) == open_files
+    assert len(forks) == 1 and reaped(forks)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_no_pipe_or_process_leaves_every_block_to_the_caller(monkeypatch, call):
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+
+    def unavailable(*args):
+        raise OSError("Too many open files")
+
+    open_files = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, call, unavailable)
+    with forked.stream(lambda k, block: (os.getpid(), block.shape)) as stream:
+        assert len(os.listdir("/proc/self/fd")) == open_files + 1  # the file of the blocks sent
+        for block in blocks(2):
+            stream.send(block)
+        assert list(stream.results()) == [(os.getpid(), (1, 6)), (os.getpid(), (2, 6))]
+    assert len(os.listdir("/proc/self/fd")) == open_files
