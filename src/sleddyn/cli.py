@@ -23,15 +23,15 @@ artifacts.
 
 On Linux, ``fit`` and ``eval`` prepare their telemetry files (read,
 filter, resample, reconstruct the axle forces, take the digest for the
-provenance header) on every CPU the process may use, through
-``forked.shares``, as ``tables.write_table`` formats a large table;
-``fit`` then fits the front and the rear runner, each with its
-diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as well:
-while it integrates, a forked worker formats the ``truth.csv`` rows of
-each finished block of the log (``forked.stream``), and
-``telemetry.csv``, whose noise needs the run's length, is formatted
-after the run by ``write_table``. Outputs and errors are those of one
-process.
+provenance header) through ``forked.shares``, each CPU the process may
+use taking a run of consecutive files, as ``tables.write_table`` formats
+a large table; ``fit`` then fits the front and the rear runner, each
+with its diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as
+well: while it integrates, a forked worker formats the ``truth.csv``
+rows of each finished block of the log (``forked.stream``), reporting
+them once the last block is sent; ``telemetry.csv``, whose noise needs
+the run's length, is formatted after the run by ``write_table``.
+Outputs and errors are those of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure.

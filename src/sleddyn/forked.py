@@ -14,15 +14,17 @@ block of logged rows while it integrates, and one worker formats the
 results in order, a block the worker did not deliver computed
 in-process, nothing forked where ``shares`` forks nothing.
 
-Workers are made with ``os.fork``. Each writes its results, pickled, to
-an unnamed temporary file of its own (its spool) and sends the offset and
-size of each through a pipe. So a worker never waits for the caller to
-read a result and goes through its whole share while the caller does its
-own; through a pipe alone, a result larger than the pipe's buffer would
-hold the worker until the caller reached it. A spool holds at most one
-worker's share of results. ``multiprocessing`` is not used: its first
-fork loads some 20 more modules (``subprocess``, ``socket``, ...), about
-0.7 MB of resident memory.
+Both run one protocol. Workers are made with ``os.fork``, and each
+computes a run of consecutive items (``_work``). It writes each result,
+pickled, to an unnamed temporary file of its own (its spool), which
+holds at most its run, and sends where each lies through a pipe after
+its last item or at its first failure. So a worker never waits for the
+caller while it computes, as it would for a result larger than a pipe's
+buffer sent through the pipe, and the caller of ``stream`` may send
+every block before it reads a result. ``_results`` gives the results in
+order and computes in-process any item no worker delivered.
+``multiprocessing`` is not used: its first fork loads some 20 more
+modules (``subprocess``, ``socket``, ...), about 0.7 MB of resident memory.
 
 Before its first fork, a process sets every OpenBLAS mapped into it to one
 thread, and it keeps one thread from then on. OpenBLAS stops its thread
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import sys
 import tempfile
 import threading
@@ -44,7 +47,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_LENGTH = 8  # bytes of each of the offset and the size of a result in its spool file
+_RESULT = struct.Struct("<QQ")  # where a result lies in its worker's spool: offset and size
+_BLOCK = struct.Struct("<QQQ")  # where a block sent to a stream lies in its file: offset, rows, columns
 _MISSING = object()  # a result no worker delivered; None is a result like any other
 # the thread-count setters of numpy's and scipy's OpenBLAS builds and of a plain one
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -65,28 +69,30 @@ def shares(fn, items, processes: int):
     """Context manager: an iterator over ``fn(item)`` of ``items``, in input order, as ``map``.
 
     ``n``, the process count, is the smallest of ``cpus()``, the item count
-    and ``processes``. Process k of n computes items k, k + n, k + 2n, ...
-    and stops at its first failure. Process 0 is the caller. The iterator
-    computes in-process, when it reaches them, the caller's items, the item
-    a worker failed on and the rest of that worker's share, and the share
-    of a worker that could not start or was lost; so the first failing item
-    raises its error on the calling thread, after every earlier result, as
-    in a serial loop. Nothing is forked (every item is computed in-process)
-    for one item, one CPU, another live Python thread or a platform other
-    than Linux. A worker's result is received when the iterator reaches it;
-    on leaving the block every worker is terminated if it still runs, and
-    waited for.
+    and ``processes``. ``items`` is cut into n runs of consecutive items,
+    the earlier ones one longer where n does not divide the count, and
+    process k computes run k up to its first failure. Process 0 is the
+    caller: the iterator computes its run, then gives each worker's
+    results, and computes in-process the item a worker failed on, the rest
+    of that run, and the run of a worker that could not start or was
+    lost; so the first failing item raises its error on the calling
+    thread, after every earlier result, as in a serial loop. Nothing is
+    forked for one item, one CPU, another live Python thread or a
+    platform other than Linux. On leaving the block every worker is
+    terminated if it still runs, and waited for.
     """
-    n = min(len(items), cpus(), processes)
+    n = max(1, min(len(items), cpus(), processes))
+    bounds = [-(-k * len(items) // n) for k in range(n + 1)]
+    runs = [items[start:end] for start, end in zip(bounds, bounds[1:])]
     workers: dict = {}  # k -> (pid, receiving end of its pipe, its spool file)
     try:
         if _may_fork(n):
             for k in range(1, n):
-                worker = _fork(_share, fn, items[k::n])
-                if worker is None:  # no file, pipe or process to be had: the items left are the caller's
+                worker = _fork(fn, runs[k])
+                if worker is None:  # no file, pipe or process to be had: the runs left are the caller's
                     break
                 workers[k] = worker
-        yield _results(fn, items, n, workers)
+        yield _results(fn, runs, workers)
     finally:
         for worker in workers.values():
             _stop(*worker)
@@ -118,7 +124,7 @@ def stream(fn):
                 except OSError:  # no pipe to be had: every block is the caller's
                     pass
                 else:
-                    blocks.worker = _fork(_stream_share, fn, receive, send, sent.fileno())
+                    blocks.worker = _fork(blocks._compute, _places(receive, send))
                     os.close(receive)
                     if blocks.worker is None:
                         os.close(send)
@@ -135,7 +141,7 @@ class Stream:
     def __init__(self, fn, sent: int):
         self.fn = fn
         self.sent = sent  # the file of every block sent, one after the other, as raw float64
-        self.places: list = []  # (offset, rows, columns) of each block in that file
+        self.places: list = []  # (k, offset, rows, columns) of each block k in that file
         self.size = 0  # bytes written to it
         self.worker = None  # (pid, receiving end of its result pipe, its spool file)
         self.send_fd = None  # the pipe that tells the worker where each block lies, until the last one
@@ -146,19 +152,23 @@ class Stream:
         place = (self.size, *block.shape)
         _pwrite_all(self.sent, block, self.size)
         self.size += block.nbytes
-        self.places.append(place)
+        self.places.append((len(self.places), *place))
         if self.send_fd is not None:
             try:
-                _write_all(self.send_fd, np.array(place, dtype="<u8"))
+                _write_all(self.send_fd, _BLOCK.pack(*place))
             except BrokenPipeError:  # the worker was lost: the blocks left are the caller's
                 self._end_of_blocks()
 
     def results(self):
         """``fn(k, block)`` of each block sent, in order: received from the worker, else computed here."""
         self._end_of_blocks()
-        for k, place in enumerate(self.places):
-            result = _received(*self.worker[1:]) if self.worker is not None else _MISSING
-            yield self.fn(k, _block_at(self.sent, *place)) if result is _MISSING else result
+        return _results(self._compute, [self.places], {} if self.worker is None else {0: self.worker})
+
+    def _compute(self, place):
+        """``fn(k, block)`` of the block that ``place``, (k, offset, rows, columns), names."""
+        k, offset, rows, columns = place
+        block = np.frombuffer(os.pread(self.sent, 8 * rows * columns, offset), dtype=float)
+        return self.fn(k, block.reshape(rows, columns))
 
     def close(self) -> None:
         self._end_of_blocks()
@@ -177,7 +187,7 @@ def _may_fork(n: int) -> bool:
 
     Forking is safe here: no other Python thread is alive (checked), and
     the atfork handler of OpenBLAS stops its pool, so the parent has 3
-    native threads before os.fork() and 1 right after it. That pool is not
+    native threads before the fork and 1 right after it. That pool is not
     gone for good: left at its default count, OpenBLAS starts a pool thread
     again at the next BLAS call of either process, and that thread
     busy-waits. After a fork in the season benchmark's fit (2-vCPU VM),
@@ -194,8 +204,8 @@ def _may_fork(n: int) -> bool:
     return False
 
 
-def _fork(body, *args):
-    """(pid, receiving end of its pipe, spool file) of a worker running ``body(send, spool, *args)``.
+def _fork(fn, items):
+    """(pid, receiving end of its pipe, spool file) of a worker running ``_work`` over ``items``.
 
     None, with what was made for it closed again, when no file, pipe or
     process is to be had.
@@ -213,7 +223,7 @@ def _fork(body, *args):
         return None
     if pid == 0:
         os.close(receive)
-        body(send, spool.fileno(), *args)
+        _work(send, spool.fileno(), fn, items)
     os.close(send)
     return pid, open(receive, "rb"), spool
 
@@ -260,82 +270,59 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _results(fn, items, n: int, workers: dict):
-    """``fn`` of each item, in input order: received from its worker, else computed here."""
-    for i, item in enumerate(items):
-        result = _received(*workers[i % n][1:]) if i % n in workers else _MISSING
-        yield fn(item) if result is _MISSING else result
+def _results(fn, runs, workers: dict):
+    """``fn`` of each item of each run, in order: received from the run's worker, else computed here."""
+    for k, run in enumerate(runs):
+        for item in run:
+            result = _received(*workers[k][1:]) if k in workers else _MISSING
+            yield fn(item) if result is _MISSING else result
 
 
 def _received(pipe, spool):
     """The next result in ``spool``, once ``pipe`` tells where it lies; ``_MISSING`` if the worker stopped."""
-    place = pipe.read(2 * _LENGTH)
-    if len(place) < 2 * _LENGTH:  # the worker stopped at a failure or was lost
+    place = pipe.read(_RESULT.size)
+    if len(place) < _RESULT.size:  # the worker stopped at a failure or was lost
         return _MISSING
-    offset, size = int.from_bytes(place[:_LENGTH], "little"), int.from_bytes(place[_LENGTH:], "little")
+    offset, size = _RESULT.unpack(place)
     data = os.pread(spool.fileno(), size, offset)
     return pickle.loads(data) if len(data) == size else _MISSING
 
 
-def _share(send: int, spool: int, fn, items) -> None:
-    """Worker body: ``fn`` of each item up to the first that fails, each sent as it is done; never returns."""
-    try:
-        _ignore_interrupts()
-        offset = 0
-        for item in items:
-            data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
-            if os.pwrite(spool, data, offset) != len(data):
-                break
-            os.write(send, offset.to_bytes(_LENGTH, "little") + len(data).to_bytes(_LENGTH, "little"))
-            offset += len(data)
-    finally:  # a failure leaves the item to the caller, who raises its error
-        os._exit(0)
+def _work(send: int, spool: int, fn, items) -> None:
+    """Worker body: ``fn`` of each item, spooled as it is done, up to the first that fails; never returns.
 
-
-def _stream_share(send: int, spool: int, fn, receive: int, caller_send: int, sent: int) -> None:
-    """Worker body of ``stream``: ``fn`` of each block, up to the first that fails; never returns.
-
-    Where each block lies in the file ``sent`` arrives through the pipe
-    ``receive``. The results go to the spool as they are done; where each
-    lies is sent once the caller has sent its last block, so the caller
-    need not read while it sends.
+    Where each result lies goes to ``send`` after the last item, or at a
+    failure, which leaves that item and the rest to the caller.
     """
+    import signal
+
     places = bytearray()
     try:
         try:
-            os.close(caller_send)
-            _ignore_interrupts()
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's, who stops the workers
             offset = 0
-            with open(receive, "rb") as pipe:
-                k = 0
-                while len(place := pipe.read(3 * _LENGTH)) == 3 * _LENGTH:
-                    block = _block_at(sent, *np.frombuffer(place, dtype="<u8").tolist())
-                    data = pickle.dumps(fn(k, block), pickle.HIGHEST_PROTOCOL)
-                    if os.pwrite(spool, data, offset) != len(data):
-                        break
-                    places += offset.to_bytes(_LENGTH, "little") + len(data).to_bytes(_LENGTH, "little")
-                    offset += len(data)
-                    k += 1
-        finally:  # a failure leaves the block and the rest to the caller, who raises its error
+            for item in items:
+                data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+                if os.pwrite(spool, data, offset) != len(data):
+                    break
+                places += _RESULT.pack(offset, len(data))
+                offset += len(data)
+        finally:
             _write_all(send, places)
     finally:
         os._exit(0)
 
 
-def _block_at(fd: int, offset: int, rows: int, columns: int):
-    """The (rows, columns) float64 block that ``Stream.send`` wrote at ``offset`` of the file ``fd``."""
-    return np.frombuffer(os.pread(fd, 8 * rows * columns, offset), dtype=float).reshape(rows, columns)
-
-
-def _ignore_interrupts() -> None:
-    """An interrupt is the caller's to handle; it terminates the workers."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _places(receive: int, caller_send: int):
+    """The stream worker's items: (k, offset, rows, columns) of each block k, as read from ``receive``."""
+    os.close(caller_send)  # so that the pipe ends when the caller closes its end after the last block
+    with open(receive, "rb") as pipe:
+        for k, place in enumerate(iter(lambda: pipe.read(_BLOCK.size), b"")):
+            yield k, *_BLOCK.unpack(place)
 
 
 def _write_all(fd: int, data) -> None:
-    """Write all of ``data`` (bytes or a contiguous array) to the pipe ``fd``, however many writes it takes."""
+    """Write all of ``data`` to the pipe ``fd``, however many writes it takes."""
     view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]

@@ -11,9 +11,9 @@ When ``loadtxt`` rejects the body, the file is scanned once more only to
 name the first bad line in the ``DataError``; that scan returns no data.
 
 Every cell is written as ``repr(float)``. The rows of a large table are
-formatted in chunks shared out over forked processes (``forked.shares``);
-only the calling process opens and writes the file, so the bytes are
-those of one process. ``write_text`` writes rows formatted elsewhere
+formatted in chunks, each forked process taking a run of consecutive
+chunks (``forked.shares``); only the calling process opens and writes
+the file, so the bytes are those of one process. ``write_text`` writes rows formatted elsewhere
 (``simulate`` formats ``truth.csv`` while it integrates) with the same
 comment and header lines.
 """
@@ -116,9 +116,9 @@ def write_table(path, columns: dict, comments=()) -> None:
 
     The rows are formatted in chunks of at most 1024, which bounds the
     extra memory. A table of at least ``CELLS_PER_PROCESS`` cells per
-    usable CPU has its chunks shared out by ``forked.shares``, whose
-    workers are forked before the file is opened. Only this process
-    opens and writes the file.
+    usable CPU has its chunks shared out by ``forked.shares``, a run of
+    consecutive chunks to each process, whose workers are forked before
+    the file is opened. Only this process opens and writes the file.
     """
     data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
     processes = max(1, min(forked.cpus(), data.size // CELLS_PER_PROCESS, len(data)))

@@ -280,7 +280,7 @@ def test_telemetry_given_twice_is_config_error(workspace, capsys, command):
 
 class TestParallelPreparation:
     # fit and eval prepare their runs on up to forked.cpus() processes; 2 here makes
-    # them fork on any machine. The parent takes files 0 and 2, a worker file 1
+    # them fork on any machine. The parent takes file 0 and, of three, file 1; a worker the last
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -414,7 +414,7 @@ def test_one_cpu_affinity_starts_no_worker(workspace, monkeypatch, forks):
 
 class TestParallelRunnerFits:
     # with forked.cpus() at 2, fit fits the front runner in the parent and the
-    # rear runner in a worker, after a first worker has prepared file 1
+    # rear runner in a worker, after a first worker has prepared the last file
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):

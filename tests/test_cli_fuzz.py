@@ -11,8 +11,9 @@ its class (1 for a config, schema or scenario file, 2 for the others).
 The write-failure cases run each command on valid inputs with the k-th
 output file failing to open, for every k up to the number of files the
 command writes: exit 2, one stderr line, and the output directory absent
-or exactly as it was. The ``simulate`` case formats part of each table in
-a forked worker, and every output file is still opened in the parent.
+or exactly as it was. The ``simulate`` case formats part of
+``telemetry.csv`` and all of the streamed ``truth.csv`` in forked
+workers, and every output file is still opened in the parent.
 """
 
 import builtins
@@ -123,9 +124,9 @@ def inputs(tmp_path_factory) -> dict[str, bytes]:
         icehouse.save_glide_csv(t, 2.4 - decel * t, root / f"glide_{direction}.csv", meta={
             "m": 100.0, "p_air": 94700.0, "temperature": 275.15, "cx_ax": 0.1,
             "direction": direction, "specimen": "S1"})
-    # a short simulated run as the telemetry file
+    # a short simulated run as the telemetry file, its noise seeded so that every session fuzzes the same file
     (root / "long_run.json").write_text(scenario(3.0))
-    assert run_main(root, "--config config.ini simulate long_run.json") == (0, "")
+    assert run_main(root, "--config config.ini --seed 1 simulate long_run.json") == (0, "")
     (root / "out" / "telemetry.csv").rename(root / "telemetry.csv")
     for _, argv in CASES:
         assert run_main(root, argv) == (0, "")

@@ -1,4 +1,9 @@
-"""The one fork path: ``map(fn, items)`` in input order, whichever process computed each item."""
+"""The one fork protocol: ``map(fn, items)`` in input order, whichever process computed each item.
+
+Process k of n computes the k-th run of consecutive items, the caller the
+first; a worker tells where its results lie only after its last item, so
+neither ``shares`` nor ``stream`` makes a worker wait for the caller.
+"""
 
 import builtins
 import os
@@ -25,10 +30,10 @@ def pid_and_square(x: int) -> tuple:
 
 # expected: the process that computes each of items 0-6, 0 for the caller and k for worker k
 @pytest.mark.parametrize("cpus, processes, expected", [
-    # worker 1 has 1, 4, 7, 10 and stops at 7; worker 2 has 2, 5, 8, 11; the caller 0, 3, 6, 9
-    (3, 12, [0, 1, 2, 0, 1, 2, 0]),
-    # capped at two processes: the worker has the odd items and stops at 7
-    (3, 2, [0, 1, 0, 1, 0, 1, 0]),
+    # the caller has 0-3; worker 1 has 4-7 and stops at 7; worker 2 has 8-11
+    (3, 12, [0, 0, 0, 0, 1, 1, 1]),
+    # capped at two processes: the caller has 0-5; the worker has 6-11 and stops at 7
+    (3, 2, [0] * 6 + [1]),
     # one CPU: nothing is forked; the caller computes every item, as map() does
     (1, 12, [0] * 7),
 ])
@@ -54,7 +59,7 @@ def test_a_worker_result_of_none_is_not_computed_again(monkeypatch, forks):
         return "caller" if os.getpid() == parent else None
 
     with forked.shares(none_in_a_worker, list(range(4)), 2) as results:
-        assert list(results) == ["caller", None, "caller", None]
+        assert list(results) == ["caller", "caller", None, None]
     assert len(forks) == 1 and reaped(forks)
 
 
@@ -93,7 +98,7 @@ def test_a_failure_of_the_caller_stops_a_busy_worker(monkeypatch, forks):
 
 def test_a_worker_runs_through_its_share_before_the_caller_reads(tmp_path, monkeypatch, forks):
     # each result is larger than a pipe's buffer, yet the worker does not wait for the
-    # caller to read one before it computes the next
+    # caller to read one before it computes the next; its run is items 3-5
     monkeypatch.setattr(forked, "cpus", lambda: 2)
 
     def large(i: int) -> str:
@@ -104,8 +109,18 @@ def test_a_worker_runs_through_its_share_before_the_caller_reads(tmp_path, monke
         deadline = time.monotonic() + 30.0
         while not (tmp_path / "5").exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "3", "5"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["3", "4", "5"]
         assert list(results) == [str(i) * 1_000_000 for i in range(6)]
+    assert len(forks) == 1 and reaped(forks)
+
+
+def test_a_worker_run_of_more_places_than_a_pipe_holds(monkeypatch, forks):
+    # the worker's run of 5,000 results has 80,000 bytes of places, more than a 64 KiB
+    # pipe holds: its report after the last item waits for the caller to read it
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    items = list(range(10_000))
+    with forked.shares(str, items, 2) as results:
+        assert list(results) == list(map(str, items))
     assert len(forks) == 1 and reaped(forks)
 
 
@@ -173,6 +188,31 @@ def test_stream_results_in_order(monkeypatch, forks, cpus):
     pid = forks[0] if cpus > 1 else os.getpid()
     assert results == [(pid, k, float(block.sum())) for k, block in enumerate(blocks(3))]
     assert len(forks) == cpus - 1 and reaped(forks)
+
+
+def test_stream_of_more_places_than_a_pipe_holds(monkeypatch, forks):
+    # 8,192 block places of 24 bytes fill the caller's pipe thrice over, and as many
+    # result places of 16 bytes the worker's twice: had the worker told where each result
+    # lies as it went, it would wait for the caller to read and the caller for it to read
+    # the blocks; an alarm turns such a hang into a failure
+    import signal
+
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("the stream did not end within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with forked.stream(lambda k, block: (k, float(block[0, 0]))) as stream:
+            for k in range(8192):
+                stream.send(np.full((1, 1), k))
+            assert list(stream.results()) == [(k, float(k)) for k in range(8192)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1 and reaped(forks)
 
 
 def test_stream_blocks_of_a_lost_worker_are_computed_here(monkeypatch, forks):
