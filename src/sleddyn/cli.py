@@ -251,11 +251,12 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     config = load_config(args.config)
     config.aero_model()  # fails early without bob parameters
     threshold = config.options["roll_threshold_deg_s2"]
-    fit_paths, digests, holdout_runs, seen = [], [], [], {}
+    fit_paths, digests, holdout_runs, seen, tracks = [], [], [], {}, {}
     datasets: dict[str, list] = {"front": [], "rear": []}
     with _prepared_runs(args.telemetry, config) as prepared:
         for path, (run, trace, digest) in zip(args.telemetry, prepared):
             _once(seen, path, digest)
+            tracks[run.meta.track] = None
             with _naming(path):
                 if args.holdout and run.meta.track == args.holdout:
                     holdout_runs.append((path, run, trace))
@@ -264,6 +265,9 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
                 digests.append(digest)
                 for runner in ("front", "rear"):
                     datasets[runner].append(fitting.select_fit_samples(trace, run, threshold, runner))
+    if args.holdout and not holdout_runs:
+        raise ConfigError(f"--holdout {args.holdout}: no telemetry file has that track "
+                          f"(tracks: {', '.join(filter(None, tracks)) or 'none'})")
     if not fit_paths:
         raise DataError("holdout excluded every run")
 

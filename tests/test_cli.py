@@ -1,5 +1,6 @@
 """End-to-end CLI workflows on synthetic data."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -95,6 +96,15 @@ class TestFitCommand:
                      "fit", *paths, "--holdout", "SYN"])
         assert code == 2  # everything excluded -> data error, no artifacts
         assert not out.exists()
+
+    def test_holdout_matching_no_run_is_config_error(self, workspace, capsys):
+        tmp_path, paths = workspace
+        out = tmp_path / "out_holdout"
+        assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
+                     "fit", *paths, "--holdout", "NOPE"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --holdout NOPE: no telemetry file has that track (tracks: SYN)\n"
+        assert captured.out == "" and not out.exists()
 
     def test_holdout_split_validates_on_other_track(self, workspace, bob, friction_setup, aero_model):
         tmp_path, paths = workspace
@@ -648,6 +658,28 @@ class TestSimulateCommand:
                          "--seed", "7", "simulate", str(scenario_path)]) == 0
             outs.append((out / "telemetry.csv").read_text())
         assert outs[0] == outs[1]
+
+    def test_lateral_params_files_replace_built_in_laws(self, tmp_path, bob):
+        save_bob_params(bob, tmp_path / "bob.kv")
+        (tmp_path / "config.ini").write_text("[paths]\nbob_params = bob.kv\n")
+        scenario = str(self.scenario(tmp_path))
+        laws = {"front": LATERAL_FRONT, "rear": LATERAL_REAR,
+                    "stiff_rear": dataclasses.replace(LATERAL_REAR, k_y=2 * LATERAL_REAR.k_y)}
+        for name, law in laws.items():
+            kvfile.dump_kv(dataclasses.asdict(law), tmp_path / f"{name}.kv")
+
+        def outputs(name, *params):
+            out = tmp_path / name
+            assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
+                         "simulate", scenario, *params]) == 0
+            return {file: (out / file).read_bytes() for file in ("telemetry.csv", "truth.csv")}
+
+        default = outputs("default")
+        front = ["--front-params", str(tmp_path / "front.kv")]
+        assert outputs("same", *front, "--rear-params", str(tmp_path / "rear.kv")) == default
+        outputs("stiff", *front, "--rear-params", str(tmp_path / "stiff_rear.kv"))
+        f_y_r = [read_table(tmp_path / name / "truth.csv", ["f_y_r"]).data for name in ("default", "stiff")]
+        assert not np.array_equal(*f_y_r)
 
 
 class TestIcehouseCommand:

@@ -1,13 +1,20 @@
 """The README quick start and its failure paths, each command a fresh ``python -m sleddyn.cli``.
 
+README.md holds the only copy of the quick start: each ``cat > FILE <<'EOF'`` body of its "Quick
+start" section is written to the test directory, then each ``sleddyn`` line of its "Simulate, fit,
+evaluate" block runs. Its icehouse block does not run, because README writes no glide or point
+file. The seeded, one-CPU, holdout and ``--f-z`` runs are this test's own, on README's files.
+
 A command run on one CPU (pinned, as under ``taskset -c 0``) forks nothing, and must write the
 bytes of its forked twin. Each failing command must exit in its class with one stderr line that
 starts with the fault, print nothing, leave the directory as it was (no output or staging
 directory, an existing ``--out-dir`` unchanged) and fail the same way, byte for byte, on one CPU.
+An expected message that README quotes word for word is taken from README.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,30 +24,36 @@ import pytest
 import sleddyn
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
-BOB = ("m = 390.0\nj_yy = 350.0\nj_zz = 850.0\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\nl_x = 0.5\nl_y = 0.0\n"
-       "l_z = -0.1\nl_s_f = 1.2\nl_s_r = -1.8\n")
-SCENARIO = json.dumps({
-    "track": {"s": [0, 300, 500, 700, 2000], "kappa": [0.07] * 5, "inv_r_y": [0, 0, 0.015, 0, 0],
-              "n": [1, 1, 3.2, 1, 1]},
-    "controls": {"t": list(range(0, 21, 2)), "delta": [0] + [0.02, -0.02] * 4 + [0.02, 0], "gamma": [0] * 11},
-    "initial": {"v0": 25.0}, "sim": {"dt": 0.0025, "t_max": 20.0},
-    "meta": {"driver": "A1", "track": "SYN", "rate_hz": 100.0},
-})
-CONFIG = ("[paths]\nbob_params = bob.kv\n[processing]\ncutoff_hz = 0\nrate_hz = 100\n"
-          "[aero]\np_air = 94700\ntemperature = 275.15\n")
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+QUICK_START = README.split("\n## Quick start", 1)[1].split("\n## ", 1)[0]
+#: the body of each here-document in the quick start, by the file it writes
+INPUTS = dict(re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", QUICK_START, re.M | re.S))
+
+
+def readme_commands() -> list[str]:
+    """The command lines of the quick start's "Simulate, fit, evaluate" block, without ``sleddyn``."""
+    block = QUICK_START.split("Simulate, fit, evaluate:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert lines and all(line.startswith("sleddyn ") for line in lines), lines
+    return [line.removeprefix("sleddyn ") for line in lines]
+
+
+def readme_message(part: str) -> str:
+    """The one stderr line that README quotes in backticks and that contains ``part``."""
+    quoted = re.findall(r"`((?:error|data error|numerical failure): [^`]*)`", README)
+    [message] = {" ".join(text.split()) for text in quoted if part in text}  # README's line breaks as spaces
+    return message + "\n"
+
+
 PARAMS = "--front-params fits/lateral_front.kv --rear-params fits/lateral_rear.kv"
 THREE_RUNS = "run1/telemetry.csv seed_a/telemetry.csv run_hold/telemetry.csv"
 
-# (one CPU, command line)
+# (one CPU, command line), run after README's commands, on its files and outputs
 SUCCESS = [
-    (False, "--config config.ini --out-dir run1 simulate scenario.json"),
     # at 200 Hz both exported tables are formatted on two processes, or in-process on one CPU
     (False, "--config config.ini --seed 7 --out-dir seed_a simulate seeded.json"),
     (False, "--config config.ini --seed 7 --out-dir seed_b simulate seeded.json"),
     (True, "--config config.ini --seed 7 --out-dir seed_c simulate seeded.json"),
-    (False, "--config config.ini --out-dir fits fit run1/telemetry.csv"),
-    (False, f"--config config.ini --out-dir report eval run1/telemetry.csv {PARAMS}"),
-    (False, "--out-dir curves friction-table --lateral-params fits/lateral_front.kv"),
     (False, "--out-dir loads friction-table --lateral-params fits/lateral_front.kv --f-z 2000.25 2000.75"),
     # two runs are prepared on two processes; on one CPU the fit also keeps OpenBLAS's own thread count
     (False, "--config config.ini --out-dir fits2 fit run1/telemetry.csv seed_a/telemetry.csv"),
@@ -51,7 +64,7 @@ SUCCESS = [
     (True, f"--config config.ini --out-dir fits5 fit --holdout HOLD {THREE_RUNS}"),
 ]
 
-MISSING = "data error: missing/telemetry.csv: No such file or directory\n"
+MISSING = readme_message("missing/telemetry.csv")
 SHORT = {"track": {"s": [0, 0.01], "kappa": [0.07, 0.07], "inv_r_y": [0, 0], "n": [1, 1]}, "initial": {"v0": 25.0},
          "controls": {"t": [0, 1], "delta": [0, 0], "gamma": [0, 0]}, "sim": {"dt": 0.002, "t_max": 1.0}}
 GLIDE = b"# m = 100\n# p_air = 94700\n# temperature = 275.15\n# cx_ax = 0\n# direction = up\n" \
@@ -96,14 +109,14 @@ def tree(root: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def quickstart(tmp_path_factory) -> Path:
-    """A directory with the quick start's inputs and the outputs of every ``SUCCESS`` command."""
+    """A directory with the quick start's inputs and the outputs of README's and every ``SUCCESS`` command."""
     root = tmp_path_factory.mktemp("quickstart")
-    inputs = {"bob.kv": BOB, "scenario.json": SCENARIO, "config.ini": CONFIG,
-              "seeded.json": SCENARIO.replace('"rate_hz": 100.0', '"rate_hz": 200.0'),
-              "holdout.json": SCENARIO.replace('"track": "SYN"', '"track": "HOLD"')}
+    scenario = json.loads(INPUTS["scenario.json"])
+    inputs = {**INPUTS, "seeded.json": json.dumps({**scenario, "meta": {**scenario["meta"], "rate_hz": 200.0}}),
+              "holdout.json": json.dumps({**scenario, "meta": {**scenario["meta"], "track": "HOLD"}})}
     for name, text in inputs.items():
         (root / name).write_text(text)
-    for one_cpu, argv in SUCCESS:
+    for one_cpu, argv in [(False, argv) for argv in readme_commands()] + SUCCESS:
         proc = sleddyn_cli(root, argv, one_cpu)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
     assert not list(root.rglob(".sleddyn-*"))
