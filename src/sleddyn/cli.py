@@ -28,10 +28,11 @@ use taking a run of consecutive files, as ``tables.write_table`` formats
 a large table; ``fit`` then fits the front and the rear runner, each
 with its diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as
 well: while it integrates, a forked worker formats the ``truth.csv``
-rows of each finished block of the log (``forked.stream``), reporting
-them once the last block is sent; ``telemetry.csv``, whose noise needs
-the run's length, is formatted after the run by ``write_table``.
-Outputs and errors are those of one process.
+rows of each finished block of the log (``forked.stream``) and says it
+is done after the last block; ``telemetry.csv``, whose noise needs the
+run's length, is formatted after the run by ``write_table``. A worker
+that fails or is lost leaves its whole share to be computed again
+in-process, so outputs and errors are those of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure.
@@ -427,7 +428,11 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
                 seed=args.seed, meta=scenario["meta"])
         # one string: a piece per block, held among the allocations after it, left the heap fragmented
         truth_rows = "".join(truth.results())
-    header = kvfile.provenance_lines([args.scenario], {"seed": args.seed if args.seed is not None else "none"})
+    # each law file given: its digest as an input, its name under its option as a parameter
+    laws = {k: v for k, v in {"front_params": args.front_params, "rear_params": args.rear_params}.items() if v}
+    header = kvfile.provenance_lines([args.scenario, *laws.values()],
+                                     {"seed": args.seed if args.seed is not None else "none",
+                                      **{k: Path(v).name for k, v in laws.items()}})
     files = {
         "telemetry.csv": partial(telemetry.export_csv, run, schema=config.schema,
                                  header_comments=header),

@@ -5,24 +5,24 @@ The package forks through two context managers here, and nowhere else.
 ``eval`` prepare their telemetry files through it, ``fit`` fits its
 front and rear runners through it, and ``tables.write_table`` formats
 the row chunks of a large table. Inside its ``with`` block it acts as
-``map(fn, items)``: an item that no worker delivered is computed
-in-process when the iterator reaches it, so an error is raised on the
-calling thread exactly as in serial code. ``stream(fn)`` is its
+``map(fn, items)``: a run of items that no worker delivered whole is
+computed in-process when the iterator reaches it, so an error is raised
+on the calling thread exactly as in serial code. ``stream(fn)`` is its
 counterpart for items that do not exist yet: ``simulate`` hands it each
 block of logged rows while it integrates, and one worker formats the
 ``truth.csv`` rows of each block meanwhile. It keeps the same contract:
-results in order, a block the worker did not deliver computed
-in-process, nothing forked where ``shares`` forks nothing.
+results in order, every block computed in-process if the worker did not
+deliver them all, nothing forked where ``shares`` forks nothing.
 
 Both run one protocol. Workers are made with ``os.fork``, and each
-computes a run of consecutive items (``_work``). It writes each result,
-pickled, to an unnamed temporary file of its own (its spool), which
-holds at most its run, and sends where each lies through a pipe after
-its last item or at its first failure. So a worker never waits for the
-caller while it computes, as it would for a result larger than a pipe's
-buffer sent through the pipe, and the caller of ``stream`` may send
-every block before it reads a result. ``_results`` gives the results in
-order and computes in-process any item no worker delivered.
+computes a run of consecutive items (``_work``). It writes each result
+to an unnamed temporary file of its own (its spool), which holds at most
+its run, as an 8-byte size followed by the pickle, and sends one byte
+through a pipe after its last item. A worker that sends nothing (an item
+failed, a write failed, or it was lost) leaves its whole run to the
+caller. So a worker never waits for the caller while it computes, and
+the caller of ``stream`` may send every block before it reads a result.
+``_results`` gives the results in order.
 ``multiprocessing`` is not used: its first fork loads some 20 more
 modules (``subprocess``, ``socket``, ...), about 0.7 MB of resident memory.
 
@@ -47,9 +47,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_RESULT = struct.Struct("<QQ")  # where a result lies in its worker's spool: offset and size
+_SIZE = struct.Struct("<Q")  # the size of the pickle that follows it in a worker's spool
 _BLOCK = struct.Struct("<QQQ")  # where a block sent to a stream lies in its file: offset, rows, columns
-_MISSING = object()  # a result no worker delivered; None is a result like any other
 # the thread-count setters of numpy's and scipy's OpenBLAS builds and of a plain one
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                 "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -71,14 +70,13 @@ def shares(fn, items, processes: int):
     ``n``, the process count, is the smallest of ``cpus()``, the item count
     and ``processes``. ``items`` is cut into n runs of consecutive items,
     the earlier ones one longer where n does not divide the count, and
-    process k computes run k up to its first failure. Process 0 is the
-    caller: the iterator computes its run, then gives each worker's
-    results, and computes in-process the item a worker failed on, the rest
-    of that run, and the run of a worker that could not start or was
-    lost; so the first failing item raises its error on the calling
-    thread, after every earlier result, as in a serial loop. Nothing is
-    forked for one item, one CPU, another live Python thread or a
-    platform other than Linux. On leaving the block every worker is
+    process k computes run k. Process 0 is the caller: the iterator
+    computes its run, then gives each worker's results, and computes
+    in-process the whole run of a worker that failed on an item, could not
+    start or was lost; so the first failing item raises its error on the
+    calling thread, after every earlier result, as in a serial loop.
+    Nothing is forked for one item, one CPU, another live Python thread or
+    a platform other than Linux. On leaving the block every worker is
     terminated if it still runs, and waited for.
     """
     n = max(1, min(len(items), cpus(), processes))
@@ -106,10 +104,10 @@ def stream(fn):
     forked on entry while the caller goes on; ``Stream.results()`` gives
     them in order. Each block is written to an unnamed temporary file that
     the worker reads too, so the caller keeps no copy in memory; the pipe
-    to the worker carries only where each block lies. A block the worker
-    did not deliver (it failed on that block or an earlier one, or was
-    lost) is read back and computed in-process when ``results()`` reaches
-    it, so its error is raised on the calling thread. Nothing is forked,
+    to the worker carries only where each block lies. If the worker did
+    not deliver every block (it failed on one, or was lost), each block is
+    read back and computed in-process as ``results()`` reaches it, so an
+    error is raised on the calling thread. Nothing is forked,
     and ``results()`` computes every block, on one CPU, with another live
     Python thread or on a platform other than Linux. On leaving the block
     the worker is terminated if it still runs and waited for, and every
@@ -143,7 +141,7 @@ class Stream:
         self.sent = sent  # the file of every block sent, one after the other, as raw float64
         self.places: list = []  # (k, offset, rows, columns) of each block k in that file
         self.size = 0  # bytes written to it
-        self.worker = None  # (pid, receiving end of its result pipe, its spool file)
+        self.worker = None  # (pid, receiving end of its pipe, its spool file)
         self.send_fd = None  # the pipe that tells the worker where each block lies, until the last one
 
     def send(self, block) -> None:
@@ -154,13 +152,13 @@ class Stream:
         self.size += block.nbytes
         self.places.append((len(self.places), *place))
         if self.send_fd is not None:
-            try:
-                _write_all(self.send_fd, _BLOCK.pack(*place))
+            try:  # one write of 24 bytes, at most PIPE_BUF: the worker reads it whole
+                os.write(self.send_fd, _BLOCK.pack(*place))
             except BrokenPipeError:  # the worker was lost: the blocks left are the caller's
                 self._end_of_blocks()
 
     def results(self):
-        """``fn(k, block)`` of each block sent, in order: received from the worker, else computed here."""
+        """``fn(k, block)`` of each block sent, in order: the worker's if it delivered all, else computed here."""
         self._end_of_blocks()
         return _results(self._compute, [self.places], {} if self.worker is None else {0: self.worker})
 
@@ -271,44 +269,38 @@ def _one_blas_thread() -> None:
 
 
 def _results(fn, runs, workers: dict):
-    """``fn`` of each item of each run, in order: received from the run's worker, else computed here."""
+    """``fn`` of each item of each run, in order: the worker's if it said it is done, else computed here.
+
+    A run is read as soon as its worker's byte arrives, not after its exit.
+    """
     for k, run in enumerate(runs):
-        for item in run:
-            result = _received(*workers[k][1:]) if k in workers else _MISSING
-            yield fn(item) if result is _MISSING else result
-
-
-def _received(pipe, spool):
-    """The next result in ``spool``, once ``pipe`` tells where it lies; ``_MISSING`` if the worker stopped."""
-    place = pipe.read(_RESULT.size)
-    if len(place) < _RESULT.size:  # the worker stopped at a failure or was lost
-        return _MISSING
-    offset, size = _RESULT.unpack(place)
-    data = os.pread(spool.fileno(), size, offset)
-    return pickle.loads(data) if len(data) == size else _MISSING
+        if k in workers and workers[k][1].read(1):
+            spool, offset = workers[k][2].fileno(), 0
+            for _ in run:
+                (size,) = _SIZE.unpack(os.pread(spool, _SIZE.size, offset))
+                yield pickle.loads(os.pread(spool, size, offset + _SIZE.size))
+                offset += _SIZE.size + size
+        else:
+            yield from map(fn, run)
 
 
 def _work(send: int, spool: int, fn, items) -> None:
-    """Worker body: ``fn`` of each item, spooled as it is done, up to the first that fails; never returns.
+    """Worker body: ``fn`` of each item, spooled as it is done, then one byte to ``send``; never returns.
 
-    Where each result lies goes to ``send`` after the last item, or at a
-    failure, which leaves that item and the rest to the caller.
+    Nothing is sent when an item or a write fails, which leaves the whole
+    run to the caller.
     """
     import signal
 
-    places = bytearray()
     try:
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's, who stops the workers
-            offset = 0
-            for item in items:
-                data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
-                if os.pwrite(spool, data, offset) != len(data):
-                    break
-                places += _RESULT.pack(offset, len(data))
-                offset += len(data)
-        finally:
-            _write_all(send, places)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's, who stops the workers
+        offset = 0
+        for item in items:
+            data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+            _pwrite_all(spool, _SIZE.pack(len(data)), offset)
+            _pwrite_all(spool, data, offset + _SIZE.size)
+            offset += _SIZE.size + len(data)
+        os.write(send, b"\0")
     finally:
         os._exit(0)
 
@@ -321,15 +313,8 @@ def _places(receive: int, caller_send: int):
             yield k, *_BLOCK.unpack(place)
 
 
-def _write_all(fd: int, data) -> None:
-    """Write all of ``data`` to the pipe ``fd``, however many writes it takes."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _pwrite_all(fd: int, data, offset: int) -> None:
-    """Write all of ``data`` (a contiguous array) to the file ``fd`` from ``offset`` on."""
+    """Write all of ``data`` (bytes or a contiguous array) to the file ``fd`` from ``offset`` on."""
     view = memoryview(data).cast("B")
     while view:
         written = os.pwrite(fd, view, offset)

@@ -12,7 +12,8 @@ name the first bad line in the ``DataError``; that scan returns no data.
 
 Every cell is written as ``repr(float)``. The rows of a large table are
 formatted in chunks, each forked process taking a run of consecutive
-chunks (``forked.shares``); only the calling process opens and writes
+chunks (``forked.shares``), and a run a worker did not deliver whole is
+formatted again in-process; only the calling process opens and writes
 the file, so the bytes are those of one process. ``write_text`` writes rows formatted elsewhere
 (``simulate`` formats ``truth.csv`` while it integrates) with the same
 comment and header lines.

@@ -672,11 +672,19 @@ class TestSimulateCommand:
             out = tmp_path / name
             assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(out),
                          "simulate", scenario, *params]) == 0
-            return {file: (out / file).read_bytes() for file in ("telemetry.csv", "truth.csv")}
+            return {file: (out / file).read_text().splitlines() for file in ("telemetry.csv", "truth.csv")}
+
+        def data_rows(lines):
+            return [line for line in lines if not line.startswith("#")]
 
         default = outputs("default")
         front = ["--front-params", str(tmp_path / "front.kv")]
-        assert outputs("same", *front, "--rear-params", str(tmp_path / "rear.kv")) == default
+        same = outputs("same", *front, "--rear-params", str(tmp_path / "rear.kv"))
+        for file, lines in same.items():
+            assert data_rows(lines) == data_rows(default[file])
+            for name in ("front", "rear"):
+                assert f"# input {name}.kv sha256:{kvfile.file_digest(tmp_path / f'{name}.kv')}" in lines
+                assert f"# param {name}_params = {name}.kv" in lines
         outputs("stiff", *front, "--rear-params", str(tmp_path / "stiff_rear.kv"))
         f_y_r = [read_table(tmp_path / name / "truth.csv", ["f_y_r"]).data for name in ("default", "stiff")]
         assert not np.array_equal(*f_y_r)

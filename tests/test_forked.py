@@ -1,8 +1,9 @@
 """The one fork protocol: ``map(fn, items)`` in input order, whichever process computed each item.
 
 Process k of n computes the k-th run of consecutive items, the caller the
-first; a worker tells where its results lie only after its last item, so
-neither ``shares`` nor ``stream`` makes a worker wait for the caller.
+first. A worker spools its results and sends one byte after its last
+item, so neither ``shares`` nor ``stream`` makes a worker wait for the
+caller; a worker that sends nothing leaves its whole run to the caller.
 """
 
 import builtins
@@ -25,23 +26,25 @@ def square_unless_seven(x: int) -> int:
 
 
 def pid_and_square(x: int) -> tuple:
-    return os.getpid(), square_unless_seven(x)
+    if x == 9:
+        raise ValueError("nine")
+    return os.getpid(), x * x
 
 
-# expected: the process that computes each of items 0-6, 0 for the caller and k for worker k
+# expected: the process that computes each of items 0-8, 0 for the caller and k for worker k
 @pytest.mark.parametrize("cpus, processes, expected", [
-    # the caller has 0-3; worker 1 has 4-7 and stops at 7; worker 2 has 8-11
-    (3, 12, [0, 0, 0, 0, 1, 1, 1]),
-    # capped at two processes: the caller has 0-5; the worker has 6-11 and stops at 7
-    (3, 2, [0] * 6 + [1]),
+    # the caller has 0-3; worker 1 has 4-7; worker 2 has 8-11 and fails at 9, leaving 8-11 to the caller
+    (3, 12, [0] * 4 + [1] * 4 + [0]),
+    # capped at two processes: the caller has 0-5; the worker has 6-11 and fails at 9
+    (3, 2, [0] * 9),
     # one CPU: nothing is forked; the caller computes every item, as map() does
-    (1, 12, [0] * 7),
+    (1, 12, [0] * 9),
 ])
 def test_results_in_input_order(monkeypatch, forks, cpus, processes, expected):
-    # item 7 fails in its worker too; the caller computes it and raises after items 0-6
+    # item 9 fails in its worker too; the caller computes that run and raises after items 0-8
     monkeypatch.setattr(forked, "cpus", lambda: cpus)
     results = []
-    with pytest.raises(ValueError, match="^seven$"):
+    with pytest.raises(ValueError, match="^nine$"):
         with forked.shares(pid_and_square, list(range(12)), processes) as iterator:
             for result in iterator:
                 results.append(result)
@@ -115,12 +118,32 @@ def test_a_worker_runs_through_its_share_before_the_caller_reads(tmp_path, monke
 
 
 def test_a_worker_run_of_more_places_than_a_pipe_holds(monkeypatch, forks):
-    # the worker's run of 5,000 results has 80,000 bytes of places, more than a 64 KiB
-    # pipe holds: its report after the last item waits for the caller to read it
+    # the worker's run of 5,000 results is delivered whole: telling where each lies, at
+    # 16 bytes a result, would take 80,000 bytes, more than a 64 KiB pipe holds
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     items = list(range(10_000))
     with forked.shares(str, items, 2) as results:
         assert list(results) == list(map(str, items))
+    assert len(forks) == 1 and reaped(forks)
+
+
+@pytest.mark.parametrize("fault", ["exits", "unpicklable"])
+def test_a_worker_that_spooled_part_of_its_run_leaves_it_all_to_the_caller(monkeypatch, forks, fault):
+    # the worker's run is items 2-3: it spools item 2, then at item 3 exits without a word
+    # or returns a lambda, which it cannot pickle
+    monkeypatch.setattr(forked, "cpus", lambda: 2)
+    parent = os.getpid()
+
+    def pid_and_item(x: int):
+        if x == 3 and os.getpid() != parent:
+            if fault == "exits":
+                os._exit(1)
+            return lambda: x
+        return os.getpid(), x
+
+    items = list(range(4))
+    with forked.shares(pid_and_item, items, 2) as results:
+        assert list(results) == list(map(pid_and_item, items))
     assert len(forks) == 1 and reaped(forks)
 
 
@@ -176,7 +199,7 @@ def blocks(n: int) -> list:
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_stream_results_in_order(monkeypatch, forks, cpus):
-    # block 3 fails in the worker too; the caller computes it and raises after blocks 0-2
+    # block 3 fails in the worker too; the caller computes every block and raises after blocks 0-2
     monkeypatch.setattr(forked, "cpus", lambda: cpus)
     results = []
     with pytest.raises(ValueError, match="^three$"):
@@ -185,15 +208,14 @@ def test_stream_results_in_order(monkeypatch, forks, cpus):
                 stream.send(block)
             for result in stream.results():
                 results.append(result)
-    pid = forks[0] if cpus > 1 else os.getpid()
-    assert results == [(pid, k, float(block.sum())) for k, block in enumerate(blocks(3))]
+    assert results == [(os.getpid(), k, float(block.sum())) for k, block in enumerate(blocks(3))]
     assert len(forks) == cpus - 1 and reaped(forks)
 
 
 def test_stream_of_more_places_than_a_pipe_holds(monkeypatch, forks):
-    # 8,192 block places of 24 bytes fill the caller's pipe thrice over, and as many
-    # result places of 16 bytes the worker's twice: had the worker told where each result
-    # lies as it went, it would wait for the caller to read and the caller for it to read
+    # 8,192 block places of 24 bytes fill the caller's pipe thrice over, and the worker's
+    # run of 8,192 results is delivered whole: had the worker sent anything but its one
+    # byte as it went, it could wait for the caller to read and the caller for it to read
     # the blocks; an alarm turns such a hang into a failure
     import signal
 
@@ -216,7 +238,7 @@ def test_stream_of_more_places_than_a_pipe_holds(monkeypatch, forks):
 
 
 def test_stream_blocks_of_a_lost_worker_are_computed_here(monkeypatch, forks):
-    # the worker is lost at block 1, before it told where any result lies; the caller's
+    # the worker is lost at block 1, after it spooled block 0's result; the caller's
     # sends to it after that fail quietly, and the caller computes every block
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     parent = os.getpid()
