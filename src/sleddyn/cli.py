@@ -35,7 +35,8 @@ that fails or is lost leaves its whole share to be computed again
 in-process, so outputs and errors are those of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
-write too), 3 numerical failure.
+write too), 3 numerical failure. An error met while handling one input
+file starts with that file's path (``errors.naming``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import shutil
 import sys
 import tempfile
 from collections import defaultdict
-from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import evaluation, fitting, forked, icehouse, kvfile, sim, telemetry
 from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, AirState
-from .errors import ConfigError, DataError, SleddynError, reading
+from .errors import ConfigError, DataError, SleddynError, naming, reading
 from .friction import MU_X_DEFAULT, LateralFrictionParams, force_y_braghin, load_longitudinal_params, mu_x
 from .kinematics import V_MIN
 from .onetrack import TRACE_COLUMNS, build_axle_trace, load_bob_params
@@ -117,8 +117,8 @@ class Config:
 
     def aero_model(self) -> AeroModel:
         if self._aero is None:
-            where = f"{self.path}: " if self.path is not None else ""
-            raise ConfigError(f"{where}this command needs bob parameters ([paths] bob_params in the config)")
+            with naming(self.path):
+                raise ConfigError("this command needs bob parameters ([paths] bob_params in the config)")
         return self._aero
 
 
@@ -135,37 +135,25 @@ def load_config(path) -> Config:
         parser = configparser.ConfigParser()
         with reading(path, ConfigError):
             if not parser.read(path, encoding="utf-8"):
-                raise ConfigError(f"{path}: config file not found")
+                raise ConfigError("config file not found")
             for section in (parser.default_section, *parser.sections()):
                 for key in parser[section]:
                     if section == "paths" and key in PATH_KEYS:
                         value = parser.get(section, key)
                         paths[key] = Path(path).parent / value
                         if not paths[key].is_file():
-                            raise ConfigError(f"{path}: [paths] {key} names no file: {value!r}")
+                            raise ConfigError(f"[paths] {key} names no file: {value!r}")
                     elif key in DEFAULTS.get(section, ()):
                         with reading(path, ConfigError, f"bad value for {key}: "):
                             options[key] = value = parser.getfloat(section, key)
                         if key in LIMITS and not LIMITS[key][0](value):
-                            raise ConfigError(f"{path}: [{section}] {key} must be {LIMITS[key][1]}, "
-                                              f"got {value}")
+                            raise ConfigError(f"[{section}] {key} must be {LIMITS[key][1]}, got {value}")
                     else:
-                        raise ConfigError(f"{path}: [{section}] {key} is not supported")
+                        raise ConfigError(f"[{section}] {key} is not supported")
     bob = load_bob_params(paths["bob_params"]) if "bob_params" in paths else None
     schema = load_schema(paths["schema"]) if "schema" in paths else None
     with reading(path, ConfigError):
         return Config(options, bob=bob, schema=schema, path=path)
-
-
-@contextmanager
-def _naming(path):
-    """Start an error raised while one input file is handled with its path; the class stays."""
-    try:
-        yield
-    except SleddynError as exc:
-        if str(exc).startswith(f"{path}:"):
-            raise
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _traced_run(path, config: Config):
@@ -174,7 +162,7 @@ def _traced_run(path, config: Config):
     The digest (``kvfile.file_digest``) is taken right after the read, for
     the provenance header, so that no file is read a second time later.
     """
-    with _naming(path):
+    with naming(path):
         run = telemetry.ingest_csv(path, config.schema)
         digest = kvfile.file_digest(path)
         cutoff = config.options["cutoff_hz"] or None
@@ -192,9 +180,9 @@ def _prepared_runs(paths, config: Config):
 
 
 def _once(seen: dict, path, digest: str) -> None:
-    """Record ``path`` under its digest; a file whose data came before is a ConfigError naming it."""
+    """Record ``path`` under its digest; a file whose data came before is a ConfigError."""
     if digest in seen:
-        raise ConfigError(f"{path}: the same data as {seen[digest]}; give each run once")
+        raise ConfigError(f"the same data as {seen[digest]}; give each run once")
     seen[digest] = path
 
 
@@ -212,12 +200,12 @@ def cmd_icehouse(args) -> tuple[dict, list[str]]:
     config = load_config(args.config)
     if not (args.glides or args.points):
         raise ConfigError("nothing to do: give glide files and/or --points")
-    with _naming(args.points):
+    with naming(args.points):
         quadratic = icehouse.fit_quadratic_mu_p(icehouse.load_points(args.points)) if args.points else None
     report: dict = {}
     specimens: dict[str, dict] = {}  # name -> its runs in each direction and its first file
     for key, path in zip(_run_keys(args.glides), args.glides):
-        with _naming(path):
+        with naming(path):
             run = icehouse.load_glide_csv(path)
             outcome = icehouse.evaluate_glide(run, window_fraction=config.options["window_fraction"])
         sides = specimens.setdefault(run.specimen, {"up": [], "down": [], "file": path})
@@ -225,9 +213,9 @@ def cmd_icehouse(args) -> tuple[dict, list[str]]:
         for field in ("mu", "mu_stderr", "f_ice"):
             report[f"run.{key}.{field}"] = getattr(outcome, field)
     for name, sides in specimens.items():
-        if not sides["up"] or not sides["down"]:
-            raise DataError(f"{sides['file']}: specimen {name!r} needs runs in both directions "
-                            "for averaging")
+        with naming(sides["file"]):
+            if not sides["up"] or not sides["down"]:
+                raise DataError(f"specimen {name!r} needs runs in both directions for averaging")
         mu_up = float(np.mean([r.mu for r in sides["up"]]))
         mu_down = float(np.mean([r.mu for r in sides["down"]]))
         report[f"specimen.{name}.mu"] = icehouse.average_bidirectional(mu_up, mu_down)
@@ -256,9 +244,9 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
     datasets: dict[str, list] = {"front": [], "rear": []}
     with _prepared_runs(args.telemetry, config) as prepared:
         for path, (run, trace, digest) in zip(args.telemetry, prepared):
-            _once(seen, path, digest)
             tracks[run.meta.track] = None
-            with _naming(path):
+            with naming(path):
+                _once(seen, path, digest)
                 if args.holdout and run.meta.track == args.holdout:
                     holdout_runs.append((path, run, trace))
                     continue
@@ -284,15 +272,14 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
 
     # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code,
     # naming the file when every sample comes from one
-    with forked.shares(fit, tuple(datasets), 2) as fitted, \
-            _naming(fit_paths[0]) if len(fit_paths) == 1 else nullcontext():
+    with forked.shares(fit, tuple(datasets), 2) as fitted, naming(fit_paths[0] if len(fit_paths) == 1 else None):
         results = dict(zip(datasets, fitted))
 
     validation = {}
     laws = {"fitted": (results["front"][0].params, results["rear"][0].params),
             "reference": ("braghin", "braghin")}
     for key, (path, run, trace) in zip(_run_keys([path for path, _, _ in holdout_runs]), holdout_runs):
-        with _naming(path):
+        with naming(path):
             measured = evaluation.measured_lateral_cog(trace)
             validation[key] = {name: evaluation.validate_rmse(
                 evaluation.model_lateral_cog(trace, front, rear, run, mu_x=config.options["mu_x"]),
@@ -339,8 +326,8 @@ def cmd_eval(args) -> tuple[dict, list[str]]:
     rows, labeled, seen = [], [], {}
     with _prepared_runs(args.telemetry, config) as prepared:
         for key, path, (run, trace, digest) in zip(_run_keys(args.telemetry), args.telemetry, prepared):
-            _once(seen, path, digest)
-            with _naming(path):
+            with naming(path):
+                _once(seen, path, digest)
                 parts = evaluation.loss_energies(trace, run, aero, mu_x=config.options["mu_x"])
             loss = evaluation.combine_losses(parts)
             label = run.meta.driver or key
@@ -413,7 +400,7 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0)
     setup = sim.FrictionSetup(lateral_front=front, lateral_rear=rear,
                               mu_x=config.options["mu_x"])
-    with _naming(args.scenario):  # the scenario values the simulator or the export would reject
+    with naming(args.scenario):  # the scenario values the simulator or the export would reject
         sim.check_start(scenario["dt"], scenario["v0"])
         stride = sim.export_stride(scenario["rate_hz"], scenario["dt"])
     # truth.csv needs only the logged rows: a second CPU formats them while the run goes on
@@ -422,7 +409,7 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
                            v0=scenario["v0"], beta0=scenario["beta0"],
                            psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
                            t_max=scenario["t_max"], on_block=truth.send)
-        with _naming(args.scenario):
+        with naming(args.scenario):
             run, _ = sim.export_synthetic_telemetry(
                 log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
                 seed=args.seed, meta=scenario["meta"])
@@ -527,11 +514,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer of at least 0, as ``np.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sleddyn", description="runner-ice friction and bobsled dynamics toolkit")
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out-dir", type=Path, default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
+    parser.add_argument("--seed", type=_seed, default=None, help="seed for stochastic steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("icehouse", help="friction from gliding runs or (p, mu) points")

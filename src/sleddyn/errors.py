@@ -11,9 +11,12 @@ out of range.
 File loaders read inside ``reading(path, error)``: whatever the parse or
 the record construction raises (a ValueError, including a non-UTF-8 byte
 or bad JSON, a missing key, a value of the wrong type, a bad INI file)
-leaves the block as one ``error`` whose message starts with the file
-name. Config, schema and scenario files read as ConfigError; tables, kv
-files and point files as DataError.
+leaves the block as one ``error``. Config, schema and scenario files read
+as ConfigError; tables, kv files and point files as DataError.
+``reading`` is built on ``naming(path)``, the one rule that starts a
+message with a file's path, so code inside either block raises its
+package errors without it. Processing code uses ``naming`` alone: numpy's
+LinAlgError is a ValueError, which ``reading`` would turn into exit 2.
 """
 
 import configparser
@@ -46,16 +49,28 @@ class NumericalError(SleddynError):
 
 
 @contextmanager
-def reading(path, error=DataError, what=""):
-    """Turn what parsing ``path`` raises into ``error(f"{path}: {what}...")``.
+def naming(path):
+    """Start a package error raised in the block with ``path: ``; its class stays.
 
-    A package error raised inside the block passes through unchanged.
+    A message that starts with ``path:`` already is left alone, and so is every one when ``path`` is None.
     """
     try:
         yield
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except KeyError as exc:
-        raise error(f"{path}: {what}missing key {exc}") from None
-    except (ValueError, TypeError, IndexError, AttributeError, configparser.Error) as exc:
-        raise error(f"{path}: {what}{exc}") from None
+    except SleddynError as exc:
+        if path is None or str(exc).startswith(f"{path}:"):
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextmanager
+def reading(path, error=DataError, what=""):
+    """``naming(path)``, turning what parsing ``path`` raises into ``error(f"{path}: {what}...")``."""
+    with naming(path):
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise error(f"not UTF-8 text ({exc.reason})") from None
+        except KeyError as exc:
+            raise error(f"{what}missing key {exc}") from None
+        except (ValueError, TypeError, IndexError, AttributeError, configparser.Error) as exc:
+            raise error(f"{what}{exc}") from None

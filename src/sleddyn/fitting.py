@@ -222,4 +222,4 @@ def load_lateral_params(path) -> LateralFrictionParams:
     raw = load_floats(path, ("mu_zeta_y", "c_y", "k_y", "e_y"))
     with reading(path):
         return LateralFrictionParams(mu_zeta_y=raw["mu_zeta_y"], c_y=raw["c_y"], k_y=raw["k_y"],
-                                     e_y=raw.get("e_y", E_Y))
+                                     **{key: raw[key] for key in ("e_y",) if key in raw})

@@ -151,6 +151,5 @@ def force_y_braghin(f_z, alpha):
 def load_longitudinal_params(path) -> LongitudinalFrictionParams:
     raw = load_floats(path)
     with reading(path):
-        return LongitudinalFrictionParams(
-            b_x=raw["b_x"], c_x=raw["c_x"], d_x=raw["d_x"],
-            e_x=raw.get("e_x", 0.007), zeta_x=raw.get("zeta_x", 1.0))
+        return LongitudinalFrictionParams(b_x=raw["b_x"], c_x=raw["c_x"], d_x=raw["d_x"],
+                                          **{key: raw[key] for key in ("e_x", "zeta_x") if key in raw})

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aero import R_SPECIFIC_AIR, AirState, drag_force
+from .aero import AirState, drag_force
 from .errors import DataError, NumericalError, reading
 from .friction import G, LongitudinalFrictionParams
 from .tables import check_rows, read_table, write_table
@@ -162,8 +162,8 @@ def load_points(path) -> list[tuple[float, float]]:
             cells = line.replace(",", " ").split()
             with reading(f"{path}:{lineno}", what=f"expected a (pressure, mu) pair, got {line!r}: "):
                 pair = float(cells[-2]), float(cells[-1])
-            if not np.isfinite(pair).all():
-                raise DataError(f"{path}:{lineno}: non-finite value in the (pressure, mu) pair {line!r}")
+                if not np.isfinite(pair).all():
+                    raise DataError(f"non-finite value in the (pressure, mu) pair {line!r}")
             pts.append(pair)
     return pts
 
@@ -210,9 +210,10 @@ def load_glide_csv(path) -> GlideRun:
             k, _, v = comment.partition("=")
             meta[k.strip()] = v.strip()
     with reading(path, what="bad glide metadata: "):
-        m, cx_ax, kappa = float(meta["m"]), float(meta["cx_ax"]), float(meta.get("kappa", 0.0))
+        m, cx_ax = float(meta["m"]), float(meta["cx_ax"])
+        slope = {key: float(meta[key]) for key in ("kappa",) if key in meta}
         air = AirState(p_air=float(meta["p_air"]), temperature=float(meta["temperature"]),
-                       r_specific=float(meta.get("r_specific", R_SPECIFIC_AIR)))
+                       **{key: float(meta[key]) for key in ("r_specific",) if key in meta})
         direction = meta["direction"]
     check_rows(path, table, (~np.isfinite(table.data).all(axis=1), "non-finite value"))
     t, v = table.data[:, 0], table.data[:, 1]
@@ -220,7 +221,7 @@ def load_glide_csv(path) -> GlideRun:
         return GlideRun(
             s=cumulative_trapezoid(v, t), v=v,
             h=table.data[:, 2] if header[2:3] == ["h"] else None,
-            m=m, air=air, cx_ax=cx_ax, direction=direction, kappa=kappa,
+            m=m, air=air, cx_ax=cx_ax, direction=direction, **slope,
             specimen=meta.get("specimen", Path(path).stem),
         )
 

@@ -495,43 +495,34 @@ def load_scenario(path):
     """
     with reading(path, ConfigError, "invalid scenario JSON: "):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: a scenario is a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a scenario is a JSON object, got {type(raw).__name__}")
     with reading(path, ConfigError, "bad scenario value: "):
-        track = TrackProfile(
-            s=np.array(raw["track"]["s"], dtype=float),
-            kappa=np.array(raw["track"]["kappa"], dtype=float),
-            inv_r_y=np.array(raw["track"]["inv_r_y"], dtype=float),
-            n=np.array(raw["track"]["n"], dtype=float),
-        )
-        controls = ControlTrace(
-            t=np.array(raw["controls"]["t"], dtype=float),
-            delta=np.array(raw["controls"]["delta"], dtype=float),
-            gamma=np.array(raw["controls"]["gamma"], dtype=float),
-        )
         initial, simcfg, meta = (raw.get(key, {}) for key in ("initial", "sim", "meta"))
         scenario = {
-            "track": track,
-            "controls": controls,
+            "track": TrackProfile(s=raw["track"]["s"], kappa=raw["track"]["kappa"],
+                                  inv_r_y=raw["track"]["inv_r_y"], n=raw["track"]["n"]),
+            "controls": ControlTrace(t=raw["controls"]["t"], delta=raw["controls"]["delta"],
+                                     gamma=raw["controls"]["gamma"]),
             "v0": float(initial.get("v0", 10.0)),
             "beta0": float(initial.get("beta0", 0.0)),
             "psi_dot0": float(initial.get("psi_dot0", 0.0)),
             "dt": float(simcfg.get("dt", 0.005)),
             "t_max": float(simcfg.get("t_max", 60.0)),
             "noise": {str(k): float(v) for k, v in raw.get("noise", {}).items()},
-            "meta": TelemetryMeta(driver=str(meta.get("driver", "")), track=str(meta.get("track", ""))),
             "rate_hz": float(meta.get("rate_hz", 100.0)),
+            "meta": TelemetryMeta(**{key: str(meta[key]) for key in ("driver", "track") if key in meta}),
         }
-    for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
-                        ("meta.rate_hz", scenario["rate_hz"])):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{path}: {name} must be positive and finite, got {value}")
-    for name in ("v0", "beta0", "psi_dot0"):
-        if not math.isfinite(scenario[name]):
-            raise ConfigError(f"{path}: initial.{name} must be finite, got {scenario[name]}")
-    for name, sigma in scenario["noise"].items():
-        if name not in CORE_CHANNELS:
-            raise ConfigError(f"{path}: noise.{name} names no telemetry channel ({', '.join(CORE_CHANNELS)})")
-        if not 0 <= sigma < math.inf:
-            raise ConfigError(f"{path}: noise.{name} must be finite and at least 0, got {sigma}")
+        for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
+                            ("meta.rate_hz", scenario["rate_hz"])):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("v0", "beta0", "psi_dot0"):
+            if not math.isfinite(scenario[name]):
+                raise ConfigError(f"initial.{name} must be finite, got {scenario[name]}")
+        for name, sigma in scenario["noise"].items():
+            if name not in CORE_CHANNELS:
+                raise ConfigError(f"noise.{name} names no telemetry channel ({', '.join(CORE_CHANNELS)})")
+            if not 0 <= sigma < math.inf:
+                raise ConfigError(f"noise.{name} must be finite and at least 0, got {sigma}")
     return scenario

@@ -71,7 +71,7 @@ def read_table(path, columns=None) -> Table:
         while header is None:
             line = fh.readline()
             if not line:
-                raise DataError(f"{path}: no header line")
+                raise DataError("no header line")
             lineno += 1
             text = line.strip()
             if text.startswith("#"):
@@ -82,7 +82,7 @@ def read_table(path, columns=None) -> Table:
         names = header if columns is None else list(columns)
         missing = [c for c in names if c not in header]
         if missing:
-            raise DataError(f"{path}: missing mapped columns: {', '.join(sorted(missing))}")
+            raise DataError(f"missing mapped columns: {', '.join(sorted(missing))}")
         idx = [header.index(c) for c in names]
         every = sorted(idx) == list(range(width))
         # loadtxt warns rather than fails on an empty body: look for a data line first
@@ -90,20 +90,19 @@ def read_table(path, columns=None) -> Table:
             start = fh.tell()
             line = fh.readline()
             if not line:
-                raise DataError(f"{path}: no data rows")
+                raise DataError("no data rows")
             if line.split("#", 1)[0].strip():
                 break
         fh.seek(start)
         try:
             data = np.loadtxt(fh, delimiter=",", comments="#", quotechar='"',
                               usecols=None if every else idx, ndmin=2)
+            if every and data.shape[1] != width:
+                raise ValueError(f"rows of {data.shape[1]} fields, header has {width}")
         except ValueError as exc:
-            raise _locate_error(path, lineno, header, idx, every, exc) from None
-        if every:
-            if data.shape[1] != width:
-                raise _locate_error(path, lineno, header, idx, every, None)
-            if idx != list(range(width)):
-                data = data[:, idx]
+            raise _locate_error(path, lineno, header, idx, every) or exc from None
+        if every and idx != list(range(width)):
+            data = data[:, idx]
         return Table(comments=comments, header=header, data=data, header_line=lineno)
 
 
@@ -168,9 +167,8 @@ def _body_lines(fh, header_line: int):
             yield lineno, text
 
 
-def _locate_error(path, header_line: int, header: list[str], idx: list[int],
-                  every: bool, exc) -> DataError:
-    """DataError naming the first body line that ``read_table`` cannot accept."""
+def _locate_error(path, header_line: int, header: list[str], idx: list[int], every: bool) -> DataError | None:
+    """DataError naming the first body line that ``read_table`` cannot accept; None if no line is found."""
     width = len(header)
     with open(path, encoding="utf-8") as fh:
         for lineno, text in _body_lines(fh, header_line):
@@ -182,4 +180,4 @@ def _locate_error(path, header_line: int, header: list[str], idx: list[int],
                     float(cells[j])
                 except ValueError:
                     return DataError(f"{path}:{lineno}: cannot parse {header[j]!r} value {cells[j]!r}")
-    return DataError(f"{path}: {exc}")
+    return None

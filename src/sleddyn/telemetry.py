@@ -147,7 +147,8 @@ def identity_schema(angle_unit: str = "rad") -> CsvSchema:
 def load_schema(path) -> CsvSchema:
     with reading(path, ConfigError):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return CsvSchema(columns=dict(raw["columns"]), angle_unit=raw.get("angle_unit", "rad"))
+        return CsvSchema(columns=dict(raw["columns"]),
+                         **{key: raw[key] for key in ("angle_unit",) if key in raw})
 
 
 def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
@@ -172,7 +173,7 @@ def ingest_csv(path, schema: CsvSchema) -> TelemetryRun:
                # t[i] <= t[i - 1]: name the later sample
                (np.concatenate(([False], t[1:] <= t[:-1])), "time not strictly increasing"))
     channels = _scaled(data, np.pi / 180.0 if schema.angle_unit == "deg" else 1.0)
-    meta = TelemetryMeta(driver=meta_fields.get("driver", ""), track=meta_fields.get("track", ""))
+    meta = TelemetryMeta(**{key: meta_fields[key] for key in ("driver", "track") if key in meta_fields})
     return TelemetryRun(t=t, channels=channels, meta=meta)
 
 
@@ -235,17 +236,17 @@ def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:
 
     Only downsampling (or keeping the rate) is supported; upsampling
     would fabricate bandwidth that was never measured. A grid too large
-    to allocate is a DataError giving its size.
+    to allocate, or for numpy to index, is a DataError giving its size.
     """
     native = run.native_rate()
     if rate > native * (1.0 + 1e-9):
         raise ConfigError(f"cannot resample {native:.6g} Hz data up to {rate} Hz")
-    n = int(np.floor(run.duration * rate + 1e-9)) + 1
+    n = np.floor(run.duration * rate + 1e-9) + 1  # a float: inf for a far enough last time stamp
     try:
-        t_new = run.t[0] + np.arange(n) / rate
+        t_new = run.t[0] + np.arange(int(n)) / rate
         channels = {name: np.interp(t_new, run.t, arr) for name, arr in run.channels.items()}
-    except MemoryError:
-        raise DataError(f"the {rate:g} Hz grid of {n} samples over {run.duration:.6g} s "
+    except (MemoryError, OverflowError, ValueError):  # ValueError: numpy's "Maximum allowed size exceeded"
+        raise DataError(f"the {rate:g} Hz grid of {n:.0f} samples over {run.duration:.6g} s "
                         "is too large to allocate") from None
     return TelemetryRun(t=t_new, channels=channels, meta=run.meta)
 

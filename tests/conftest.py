@@ -1,6 +1,8 @@
-"""Shared synthetic scenarios used across sim, evaluation, and acceptance tests."""
+"""Shared synthetic scenarios used across sim, evaluation, and acceptance tests, and README's quoted messages."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from sleddyn.kinematics import MountingOffset
 from sleddyn.kvfile import dump_kv
 from sleddyn.onetrack import BobParameters
 from sleddyn.sim import ControlTrace, FrictionSetup, TrackProfile
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 LATERAL_FRONT = LateralFrictionParams(mu_zeta_y=2.577, c_y=0.024, k_y=10522.0, e_y=0.99)
 LATERAL_REAR = LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0, e_y=0.99)
@@ -77,6 +81,13 @@ def reaped(pids) -> bool:
             continue
         return False
     return True
+
+
+def readme_message(part: str) -> str:
+    """The one stderr line that README quotes in backticks and that contains ``part``."""
+    quoted = re.findall(r"`((?:error|data error|numerical failure):\s[^`]*)`", README)
+    [message] = {" ".join(text.split()) for text in quoted if part in text}  # README's line breaks as spaces
+    return message + "\n"
 
 
 def save_bob_params(bob: BobParameters, path) -> None:

@@ -17,6 +17,7 @@ from conftest import (
     corner_track,
     downhill_track,
     reaped,
+    readme_message,
     save_bob_params,
     straight_track,
     weaving_controls,
@@ -842,6 +843,8 @@ class TestBadInputFiles:
     # 40 samples at 100 Hz, the last at t = 1e12 s: a resampled grid that numpy refuses at once
     FAR_RUN = (",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
                + "".join(f"{t},0,0,-9.81,0,0,0,25,0,0,0\n" for t in [f"{0.01 * i:.2f}" for i in range(39)] + ["1e12"]))
+    # the same run ending at 1e20 s, a grid too large for numpy to count, and at 1e307 s, a grid of inf samples
+    FARTHER_RUN, FARTHEST_RUN = FAR_RUN.replace("\n1e12,", "\n1e20,"), FAR_RUN.replace("\n1e12,", "\n1e307,")
     UNFILTERED = CONFIG + "[processing]\ncutoff_hz = 0\n"
 
     @pytest.mark.parametrize("argv, name, text, where", [
@@ -1089,6 +1092,14 @@ class TestBadInputFiles:
         (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
          {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FAR_RUN, "lat.kv": LAT},
          "telemetry.csv: the 100 Hz grid of 100000000000001 samples over 1e+12 s is too large to allocate"),
+        (2, "--config config.ini fit telemetry.csv", {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FARTHER_RUN},
+         "telemetry.csv: the 100 Hz grid of 10000000000000000000000 samples over 1e+20 s is too large to allocate"),
+        (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
+         {**SIMULATE, "config.ini": UNFILTERED, "telemetry.csv": FARTHEST_RUN, "lat.kv": LAT},
+         "telemetry.csv: the 100 Hz grid of inf samples over 1e+307 s is too large to allocate"),
+        # refused before the run, which np.random.default_rng would end in a traceback at the export
+        (1, "--seed -1 --config config.ini simulate scenario.json", SIMULATE,
+         "error: sleddyn: argument --seed: must be at least 0, got -1"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
             "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
@@ -1112,7 +1123,8 @@ class TestBadInputFiles:
             "glide-one-direction", "config-path-empty", "config-path-missing", "argv-file-missing",
             "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter",
             "scenario-math-domain-error", "scenario-noise-nan", "scenario-noise-inf", "scenario-noise-negative",
-            "scenario-noise-unknown-channel", "scenario-noise-overflow", "fit-grid-too-large", "eval-grid-too-large"])
+            "scenario-noise-unknown-channel", "scenario-noise-overflow", "fit-grid-too-large", "eval-grid-too-large",
+            "fit-grid-beyond-numpy", "eval-grid-infinite", "argv-seed-negative"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -1144,6 +1156,47 @@ class TestBadInputFiles:
         assert main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "o"),
                      "icehouse"]) == 1
         assert "pressure_front is not supported" in capsys.readouterr().err
+
+
+# a 100 Hz run of the track SYN, and a glide of 24 samples, 14 of them inside the default fit window
+README_RUN = ("# meta track = SYN\n" + ",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
+              + "".join(f"{0.01 * i:.2f},0,0.1,9.81,0,0,0.01,25,0.001,0.001,0\n" for i in range(40)))
+README_GLIDE = TestBadInputFiles.GLIDE + "".join(f"{0.1 * i:.1f},{2 - 0.01 * i:.2f}\n" for i in range(1, 24))
+BAD = TestBadInputFiles
+
+
+@pytest.mark.parametrize("part, argv, files", [
+    ("nope.ini", "--config nope.ini icehouse", {}),
+    ("bob.kx", "--config config.ini icehouse", {"config.ini": "[paths]\nbob_params = bob.kx\n"}),
+    ("rate_hz", "--config config.ini icehouse", {"config.ini": "[processing]\nrate_hz = 0\n"}),
+    ("bob.kv: not UTF-8", "--config config.ini icehouse", {"config.ini": BAD.CONFIG, "bob.kv": b"m = 390\xff\n"}),
+    ("cannot resample", "--config config.ini fit runs/b.csv",
+     {"config.ini": BAD.UNFILTERED + "rate_hz = 200\n", "bob.kv": BAD.BOB, "runs/b.csv": README_RUN}),
+    # the speed never exceeds v_min
+    ("no valid samples", "--config config.ini eval runs/b.csv --front-params lat.kv --rear-params lat.kv",
+     {"config.ini": BAD.UNFILTERED, "bob.kv": BAD.BOB, "runs/b.csv": README_RUN.replace(",25,", ",0.1,"),
+      "lat.kv": BAD.LAT}),
+    ("--holdout NOPE", "--config config.ini fit runs/b.csv --holdout NOPE",
+     {"config.ini": BAD.UNFILTERED, "bob.kv": BAD.BOB, "runs/b.csv": README_RUN}),
+    ("noise.a_y must be", "--config config.ini simulate scenario.json",
+     {**BAD.SIMULATE, "scenario.json": scenario_text("noise", "a_y", float("nan"))}),
+    ("1e+308", "--seed 1 --config config.ini simulate scenario.json",
+     {**BAD.SIMULATE, "scenario.json": scenario_text("noise", "a_y", 1e308).replace('"t_max": 0.2', '"t_max": 1.0')}),
+    ("track_end", "--config config.ini simulate scenario.json",
+     {**BAD.SIMULATE, "scenario.json": scenario_text("track", "s", [0.0, 0.01])}),
+    ("glide_up.csv", "icehouse glide_up.csv", {"glide_up.csv": README_GLIDE}),
+], ids=["config-missing", "config-path-missing", "config-range", "bob-not-utf8", "run-upsampled", "run-too-slow",
+        "holdout-no-track", "scenario-noise-nan", "scenario-noise-overflow", "scenario-one-sample",
+        "glide-window-too-short"])
+def test_readme_quotes_the_message_word_for_word(tmp_path, capsys, monkeypatch, part, argv, files):
+    # in README's own file names, so in a directory of its own; the label gives the exit code
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    message = readme_message(part)
+    assert main(["--out-dir", "out", *argv.split()]) == {"error": 1, "data error": 2}[message.split(": ")[0]]
+    assert capsys.readouterr().err == message
 
 
 def test_cli_import_loads_no_scipy():

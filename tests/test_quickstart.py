@@ -21,10 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import README, readme_message
+
 import sleddyn
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
-README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 QUICK_START = README.split("\n## Quick start", 1)[1].split("\n## ", 1)[0]
 #: the body of each here-document in the quick start, by the file it writes
 INPUTS = dict(re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", QUICK_START, re.M | re.S))
@@ -36,13 +37,6 @@ def readme_commands() -> list[str]:
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
     assert lines and all(line.startswith("sleddyn ") for line in lines), lines
     return [line.removeprefix("sleddyn ") for line in lines]
-
-
-def readme_message(part: str) -> str:
-    """The one stderr line that README quotes in backticks and that contains ``part``."""
-    quoted = re.findall(r"`((?:error|data error|numerical failure): [^`]*)`", README)
-    [message] = {" ".join(text.split()) for text in quoted if part in text}  # README's line breaks as spaces
-    return message + "\n"
 
 
 PARAMS = "--front-params fits/lateral_front.kv --rear-params fits/lateral_rear.kv"
