@@ -27,10 +27,16 @@ provenance header) through ``forked.shares``, each CPU the process may
 use taking a run of consecutive files, as ``tables.write_table`` formats
 a large table; ``fit`` then fits the front and the rear runner, each
 with its diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as
-well: while it integrates, a forked worker formats the ``truth.csv``
-rows of each finished block of the log (``forked.stream``) and says it
-is done after the last block; ``telemetry.csv``, whose noise needs the
-run's length, is formatted after the run by ``write_table``. A worker
+well: while it integrates, a forked worker formats the rows of each
+finished block of the log (``forked.stream``) and says it is done after
+the last block: all of the block's ``truth.csv`` rows and, in the first
+``WORKER_SHARE`` of the blocks, the ``telemetry.csv`` rows that the block
+alone determines, with noise drawn before the run for a run that reaches
+``t_max``. After the run the parent computes the telemetry itself,
+formats the rows past the worker's share while the worker finishes,
+takes the worker's rows where a digest says they are its own, and
+formats the rest (``tables.row_texts``); a run that stopped early or
+had no worker writes ``telemetry.csv`` with ``write_table``. A worker
 that fails or is lost leaves its whole share to be computed again
 in-process, so outputs and errors are those of one process.
 
@@ -55,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, fitting, forked, icehouse, kvfile, sim, telemetry
+from . import evaluation, fitting, forked, icehouse, kvfile, sim, tables, telemetry
 from .aero import DEFAULT_YAW_SENSITIVITY_PER_DEG, R_SPECIFIC_AIR, AeroModel, AirState
 from .errors import ConfigError, DataError, SleddynError, naming, reading
 from .friction import MU_X_DEFAULT, LateralFrictionParams, force_y_braghin, load_longitudinal_params, mu_x
@@ -389,6 +395,14 @@ def _write_json(path, data) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
+# most exported samples whose noise is drawn before a run (8 noisy channels take 4 MB): the run
+# may stop long before t_max, so t_max alone cannot size it
+NOISE_AHEAD_ROWS = 1 << 16
+# share of a run's blocks whose telemetry.csv rows the simulate worker formats besides every
+# truth.csv row; the parent formats the rest after the run. With all of them the worker fell 1 to 5
+# blocks of 10 behind a 500 Hz run of the benchmark's montecarlo workload on a 2-vCPU VM
+WORKER_SHARE = 0.7
+
 
 def cmd_simulate(args) -> tuple[dict, list[str]]:
     config = load_config(args.config)
@@ -403,29 +417,60 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
     with naming(args.scenario):  # the scenario values the simulator or the export would reject
         sim.check_start(scenario["dt"], scenario["v0"])
         stride = sim.export_stride(scenario["rate_hz"], scenario["dt"])
-    # truth.csv needs only the logged rows: a second CPU formats them while the run goes on
-    with forked.stream(partial(sim.truth_text, stride=stride)) as truth:
-        log = sim.simulate(config.bob, scenario["track"], scenario["controls"], setup, aero,
-                           v0=scenario["v0"], beta0=scenario["beta0"],
-                           psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
-                           t_max=scenario["t_max"], on_block=truth.send)
-        with naming(args.scenario):
-            run, _ = sim.export_synthetic_telemetry(
-                log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
-                seed=args.seed, meta=scenario["meta"])
-        # one string: a piece per block, held among the allocations after it, left the heap fragmented
-        truth_rows = "".join(truth.results())
+    # a run that reaches t_max takes this many steps and exports this many samples, so their noise can be
+    # drawn before it starts; a run without --seed takes its entropy once, so that both draws are the same
+    steps = int(round(scenario["t_max"] / scenario["dt"]))
+    samples = steps // stride + 1
+    seed = np.random.SeedSequence().entropy if args.seed is None else args.seed
+    drawn = samples <= NOISE_AHEAD_ROWS and forked.cpus() > 1  # a worker may use the noise
+    ahead = [sim.noise_draws(scenario["noise"], seed, samples)] if drawn else []
+    # the worker's telemetry.csv share: the rows of the first blocks; the parent formats the others after the run
+    shared = round(WORKER_SHARE * (steps // sim.BLOCK_ROWS + 1))
+
+    def block_texts(k, block):
+        """Block k's truth.csv rows, and in the worker the telemetry.csv rows of its share that the block determines."""
+        part = sim.telemetry_rows(k, block, stride, config.bob, ahead[0], config.schema) \
+            if ahead and k < shared else None
+        return sim.truth_text(k, block, stride), part
+
     # each law file given: its digest as an input, its name under its option as a parameter
     laws = {k: v for k, v in {"front_params": args.front_params, "rear_params": args.rear_params}.items() if v}
     header = kvfile.provenance_lines([args.scenario, *laws.values()],
                                      {"seed": args.seed if args.seed is not None else "none",
                                       **{k: Path(v).name for k, v in laws.items()}})
+    # both tables come from the logged rows: a second CPU formats them while the run goes on
+    with forked.stream(block_texts) as blocks:
+        ahead.clear()  # the worker has its copy; here the telemetry is made from the whole run
+        log = sim.simulate(config.bob, scenario["track"], scenario["controls"], setup, aero,
+                           v0=scenario["v0"], beta0=scenario["beta0"],
+                           psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
+                           t_max=scenario["t_max"], on_block=blocks.send)
+        with naming(args.scenario):
+            run = sim.export_synthetic_telemetry(log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
+                                                 seed=seed, meta=scenario["meta"])[0]
+        message = f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"
+        columns = telemetry.export_columns(run, config.schema)
+        comments = telemetry.export_comments(run, header)
+        # the worker's rows are this run's only if it reached t_max, the length its noise was drawn for;
+        # without a worker or noise drawn ahead, telemetry.csv is written as any table
+        streamed = log.stop == "t_max" and blocks.worker is not None and drawn
+        if streamed:
+            del log, run  # only the columns to write stay referenced while the rows of both files come in
+            # the rows past the worker's share are formatted here while it finishes
+            values, start = list(columns.values()), -(-shared * sim.BLOCK_ROWS // stride)
+            own = tables.rows_part([column[start:] for column in values], start)
+        # both files keep one text per block: joining them would hold each file's text twice at once
+        truth_rows, parts = zip(*blocks.results())
+        if streamed:
+            telemetry_csv = partial(write_text, names=list(columns), comments=comments,
+                                    texts=tables.row_texts(values, [*parts, own]))
+        else:
+            telemetry_csv = partial(telemetry.export_csv, run, schema=config.schema, header_comments=header)
     files = {
-        "telemetry.csv": partial(telemetry.export_csv, run, schema=config.schema,
-                                 header_comments=header),
-        "truth.csv": partial(write_text, names=TRACE_COLUMNS, texts=(truth_rows,), comments=header),
+        "telemetry.csv": telemetry_csv,
+        "truth.csv": partial(write_text, names=TRACE_COLUMNS, texts=truth_rows, comments=header),
     }
-    return files, [f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"]
+    return files, [message]
 
 
 # ---------------------------------------------------------------------------

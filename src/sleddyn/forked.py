@@ -9,10 +9,11 @@ the row chunks of a large table. Inside its ``with`` block it acts as
 computed in-process when the iterator reaches it, so an error is raised
 on the calling thread exactly as in serial code. ``stream(fn)`` is its
 counterpart for items that do not exist yet: ``simulate`` hands it each
-block of logged rows while it integrates, and one worker formats the
-``truth.csv`` rows of each block meanwhile. It keeps the same contract:
-results in order, every block computed in-process if the worker did not
-deliver them all, nothing forked where ``shares`` forks nothing.
+block of logged rows while it integrates, and one worker formats each
+block's ``truth.csv`` rows and most of its ``telemetry.csv`` rows
+meanwhile. It keeps the same contract: results in order, every block
+computed in-process if the worker did not deliver them all, nothing
+forked where ``shares`` forks nothing.
 
 Both run one protocol. Workers are made with ``os.fork``, and each
 computes a run of consecutive items (``_work``). It writes each result

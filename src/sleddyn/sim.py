@@ -39,7 +39,11 @@ power terms and kinetic energy are computed per column after the loop,
 in the scalar operation order, and ``SimLog.stop`` says why the run
 ended. While it runs, ``simulate`` can hand each finished block of
 ``BLOCK_ROWS`` logged rows to a callable, which ``cli`` uses to format
-``truth.csv`` on a second CPU during the integration (``truth_text``).
+both exported tables on a second CPU during the integration: every
+``truth.csv`` row of the block (``truth_text``), and the telemetry rows
+that the block alone determines (``telemetry_rows``), from noise drawn
+before the run (``noise_draws``). Those telemetry rows and the whole-run
+export share one channel synthesis (``_sensor_channels``, ``_noisy``).
 
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
@@ -60,12 +64,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import friction, kinematics, tables
+from . import friction, kinematics, tables, telemetry
 from .aero import AeroModel
 from .errors import ConfigError, NumericalError, reading
 from .friction import G, LateralFrictionParams
 from .onetrack import TRACE_COLUMNS, AxleForceTrace, BobParameters
-from .telemetry import CORE_CHANNELS, TelemetryMeta, TelemetryRun
+from .telemetry import CORE_CHANNELS, CsvSchema, TelemetryMeta, TelemetryRun
 
 MAX_DT = 0.01
 V_STOP = 0.1  # speed at which a run ends, m/s
@@ -367,14 +371,11 @@ def _log_columns(table: np.ndarray, bob: BobParameters) -> dict[str, np.ndarray]
     whose forces overflowed; ``e_kin`` stays scalar because float ``**``
     is C ``pow``, which numpy's ``square`` does not reproduce bit for bit.
     """
-    col = dict(zip(_ROW, table.T))
+    col = _with_accelerations(table, bob.m)
     v, psi_dot, cb, sb, f_drag = col["v"], col["psi_dot"], col["cos_beta"], col["sin_beta"], col["f_drag"]
     m = bob.m
     with np.errstate(over="ignore", invalid="ignore"):
         u, w = v * cb, -v * sb
-        col["a_x"] = (col["f_x_f0"] + col["f_x_r"] - f_drag * cb) / m
-        col["a_y"] = (col["f_y_f0"] + col["f_y_r"] + f_drag * sb) / m
-        col["a_z"] = (col["f_z_f0"] + col["f_z_r"]) / m
         col["p_gravity"] = col["gravity"] * v
         col["p_aero"] = -f_drag * v
         col["p_front"] = col["f_x_f0"] * u + col["f_y_f0"] * (w + psi_dot * bob.l_f)
@@ -382,6 +383,16 @@ def _log_columns(table: np.ndarray, bob: BobParameters) -> dict[str, np.ndarray]
     col["e_kin"] = np.array([0.5 * m * v_i ** 2 + 0.5 * bob.j_zz * r_i ** 2
                              for v_i, r_i in zip(v.tolist(), psi_dot.tolist())], dtype=float)
     return dict(zip(_LOG_FIELDS, np.array([col[name] for name in _LOG_FIELDS])))
+
+
+def _with_accelerations(table: np.ndarray, m: float) -> dict[str, np.ndarray]:
+    """The ``_ROW`` columns of logged rows ``table``, and the COG's specific forces ``a_x``, ``a_y`` and ``a_z``."""
+    col = dict(zip(_ROW, table.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        col["a_x"] = (col["f_x_f0"] + col["f_x_r"] - col["f_drag"] * col["cos_beta"]) / m
+        col["a_y"] = (col["f_y_f0"] + col["f_y_r"] + col["f_drag"] * col["sin_beta"]) / m
+        col["a_z"] = (col["f_z_f0"] + col["f_z_r"]) / m
+    return col
 
 
 def energy_audit(log: SimLog) -> float:
@@ -416,7 +427,8 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     sensor's mount point. Roll rate is the time derivative of the
     roll-split trace, i.e. the gyro rides on the front section.
     ``noise`` maps a channel name to the sigma of its additive Gaussian
-    noise; a sigma so large that a noisy value overflows is a ConfigError.
+    noise (``noise_draws``); a sigma so large that a noisy value overflows
+    is a ConfigError.
     """
     sl = slice(0, None, export_stride(rate, log.dt))
 
@@ -425,32 +437,48 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
         raise ConfigError(f"the run stopped by {log.stop} at t = {log.t[-1]:.6g} s, which exports "
                           f"{t.size} sample at {rate:g} Hz; at least 2 are needed")
     dec = {name: log.data[name][sl] for name in log.data}
-    gamma = dec["gamma"]
-    phi_dot = np.gradient(gamma, t)
-    phi_ddot = np.gradient(phi_dot, t)
-    rates = (phi_dot, dec["theta_dot"], dec["psi_dot"])
-    angular = (phi_ddot, dec["theta_ddot"], dec["psi_ddot"])
-    a_sensor = kinematics.cog_to_sensor((dec["a_x"], dec["a_y"], dec["a_z"]), rates, angular, bob.offset)
-
-    alpha_sensor = dec["beta"] - dec["psi_dot"] * bob.speed_sensor_x / dec["v"]
-
-    channels = {
-        "a_x": a_sensor[0], "a_y": a_sensor[1], "a_z": a_sensor[2],
-        "phi_dot": phi_dot, "theta_dot": dec["theta_dot"], "psi_dot": dec["psi_dot"],
-        "v": dec["v"], "alpha_sensor": alpha_sensor, "delta": dec["delta"], "gamma": gamma,
-    }
+    phi_dot = np.gradient(dec["gamma"], t)
+    channels = _sensor_channels(dec, phi_dot, np.gradient(phi_dot, t), bob)
     if noise is not None:
-        rng = np.random.default_rng(seed)
-        with np.errstate(over="ignore"):  # reported below, naming the sigma
-            noisy = {name: arr + rng.standard_normal(arr.size) * noise[name] if noise.get(name) else arr
-                     for name, arr in channels.items()}
-        noisy["v"] = np.maximum(noisy["v"], 0.0)
+        noisy = _noisy(channels, noise_draws(noise, seed, t.size))
         for name, arr in noisy.items():
             if (np.isfinite(channels[name]) & ~np.isfinite(arr)).any():
                 raise ConfigError(f"noise.{name} = {noise[name]:g} makes the exported {name} non-finite")
         channels = noisy
     run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta())
     return run, _truth(dec)
+
+
+def _sensor_channels(col, phi_dot, phi_ddot, bob: BobParameters) -> dict[str, np.ndarray]:
+    """The telemetry channels, before noise, of log columns ``col`` and the roll rate and acceleration at its rows."""
+    rates = (phi_dot, col["theta_dot"], col["psi_dot"])
+    angular = (phi_ddot, col["theta_ddot"], col["psi_ddot"])
+    a_sensor = kinematics.cog_to_sensor((col["a_x"], col["a_y"], col["a_z"]), rates, angular, bob.offset)
+    return {"a_x": a_sensor[0], "a_y": a_sensor[1], "a_z": a_sensor[2],
+            "phi_dot": phi_dot, "theta_dot": col["theta_dot"], "psi_dot": col["psi_dot"], "v": col["v"],
+            "alpha_sensor": col["beta"] - col["psi_dot"] * bob.speed_sensor_x / col["v"],
+            "delta": col["delta"], "gamma": col["gamma"]}
+
+
+def noise_draws(noise: dict[str, float], seed: int | None, samples: int) -> dict[str, np.ndarray]:
+    """The additive noise of each channel with a nonzero sigma in ``noise``, over ``samples`` samples.
+
+    One generator seeded with ``seed`` draws ``samples`` standard normal
+    values for each such channel in ``CORE_CHANNELS`` order, so a
+    channel's noise depends on the sample count; each draw is scaled by
+    its sigma. Names that are no channel's are ignored.
+    """
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):  # a noisy value that overflows is reported by the export, naming the sigma
+        return {name: rng.standard_normal(samples) * noise[name] for name in CORE_CHANNELS if noise.get(name)}
+
+
+def _noisy(channels: dict[str, np.ndarray], draws: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``channels`` with the noise ``draws`` of each noisy one added, and the speed clipped at 0."""
+    with np.errstate(over="ignore"):
+        noisy = {name: arr + draws[name] if name in draws else arr for name, arr in channels.items()}
+    noisy["v"] = np.maximum(noisy["v"], 0.0)
+    return noisy
 
 
 def export_stride(rate: float, dt: float) -> int:
@@ -481,6 +509,46 @@ def truth_text(k: int, block: np.ndarray, stride: int) -> str:
     return tables._rows_text(np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS]))
 
 
+def telemetry_rows(k: int, block: np.ndarray, stride: int, bob: BobParameters, draws: dict[str, np.ndarray],
+                   schema: CsvSchema) -> tuple[int, int, bytes, str] | None:
+    """``(first, end, digest, text)`` of the ``telemetry.csv`` rows that block ``k`` alone determines.
+
+    These are the exported rows ``first`` to ``end - 1`` of the block
+    whose roll acceleration's stencil, two rows on each side, lies in the
+    block: all but two rows at either end, and None for a block of fewer
+    than five exported rows. ``draws`` is the noise of the
+    whole export (``noise_draws``), and the columns and units are those of
+    ``schema`` (``telemetry.export_columns``). The roll rate and
+    acceleration are ``np.gradient``'s interior formula for a non-uniform
+    grid, written out: ``np.gradient`` itself takes its uniform formula
+    whenever a block's grid happens to be uniform. So the rows match the
+    whole-run export only where its formula is the same; ``digest``
+    (``tables.rows_digest``) lets the caller check each row against its own.
+    """
+    offset = -k * BLOCK_ROWS % stride
+    col = _with_accelerations(block[offset::stride], bob.m)
+    first = (k * BLOCK_ROWS + offset) // stride + 2
+    t = col["t"]
+    if t.size < 5:
+        return None
+    phi_dot = _interior_gradient(col["gamma"], t)
+    inner = {name: values[2:-2] for name, values in col.items()}
+    channels = _sensor_channels(inner, phi_dot[1:-1], _interior_gradient(phi_dot, t[1:-1]), bob)
+    end = first + t.size - 4
+    run = TelemetryRun(t=inner["t"], channels=_noisy(channels, {name: d[first:end] for name, d in draws.items()}))
+    return tables.rows_part(list(telemetry.export_columns(run, schema).values()), first)
+
+
+def _interior_gradient(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, t)[1:-1]`` by its formula for a non-uniform grid, however ``t`` is spaced."""
+    dx = np.diff(t)
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    return a * f[:-2] + b * f[1:-1] + c * f[2:]
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -499,18 +567,19 @@ def load_scenario(path):
             raise ConfigError(f"a scenario is a JSON object, got {type(raw).__name__}")
     with reading(path, ConfigError, "bad scenario value: "):
         initial, simcfg, meta = (raw.get(key, {}) for key in ("initial", "sim", "meta"))
+        track, controls = raw["track"], raw["controls"]
         scenario = {
-            "track": TrackProfile(s=raw["track"]["s"], kappa=raw["track"]["kappa"],
-                                  inv_r_y=raw["track"]["inv_r_y"], n=raw["track"]["n"]),
-            "controls": ControlTrace(t=raw["controls"]["t"], delta=raw["controls"]["delta"],
-                                     gamma=raw["controls"]["gamma"]),
-            "v0": float(initial.get("v0", 10.0)),
-            "beta0": float(initial.get("beta0", 0.0)),
-            "psi_dot0": float(initial.get("psi_dot0", 0.0)),
-            "dt": float(simcfg.get("dt", 0.005)),
-            "t_max": float(simcfg.get("t_max", 60.0)),
-            "noise": {str(k): float(v) for k, v in raw.get("noise", {}).items()},
-            "rate_hz": float(meta.get("rate_hz", 100.0)),
+            "track": TrackProfile(**{key: _numbers(track[key], f"track.{key}")
+                                     for key in ("s", "kappa", "inv_r_y", "n")}),
+            "controls": ControlTrace(**{key: _numbers(controls[key], f"controls.{key}")
+                                        for key in ("t", "delta", "gamma")}),
+            "v0": _number(initial.get("v0", 10.0), "initial.v0"),
+            "beta0": _number(initial.get("beta0", 0.0), "initial.beta0"),
+            "psi_dot0": _number(initial.get("psi_dot0", 0.0), "initial.psi_dot0"),
+            "dt": _number(simcfg.get("dt", 0.005), "sim.dt"),
+            "t_max": _number(simcfg.get("t_max", 60.0), "sim.t_max"),
+            "noise": {str(k): _number(v, f"noise.{k}") for k, v in raw.get("noise", {}).items()},
+            "rate_hz": _number(meta.get("rate_hz", 100.0), "meta.rate_hz"),
             "meta": TelemetryMeta(**{key: str(meta[key]) for key in ("driver", "track") if key in meta}),
         }
         for name, value in (("sim.dt", scenario["dt"]), ("sim.t_max", scenario["t_max"]),
@@ -526,3 +595,23 @@ def load_scenario(path):
             if not 0 <= sigma < math.inf:
                 raise ConfigError(f"noise.{name} must be finite and at least 0, got {sigma}")
     return scenario
+
+
+def _number(value, name: str) -> float:
+    """A JSON number ``value`` as a float; TypeError naming ``name`` for any other value, ``true`` included.
+
+    An integer beyond the float range is a ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
+def _numbers(values, name: str) -> list[float]:
+    """A JSON list of numbers ``values`` as floats; TypeError naming ``name`` for any other value."""
+    if not isinstance(values, list):
+        raise TypeError(f"{name} must be a list of numbers, got {json.dumps(values)}")
+    return [_number(value, f"{name}[{i}]") for i, value in enumerate(values)]

@@ -15,13 +15,16 @@ formatted in chunks, each forked process taking a run of consecutive
 chunks (``forked.shares``), and a run a worker did not deliver whole is
 formatted again in-process; only the calling process opens and writes
 the file, so the bytes are those of one process. ``write_text`` writes rows formatted elsewhere
-(``simulate`` formats ``truth.csv`` while it integrates) with the same
-comment and header lines.
+(``simulate`` formats both of its tables while it integrates) with the same
+comment and header lines. ``row_texts`` takes such rows where a digest of
+their float64 bytes (``rows_digest``) says that they are the caller's own,
+and formats the others.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass
 from itertools import islice
 
@@ -35,7 +38,7 @@ from .errors import DataError, reading
 # round trip from a 50 MB process takes about 4 ms
 CELLS_PER_PROCESS = 20_000
 # most characters handed to the text file at once: it encodes each write whole, so
-# this bounds that copy (a 5,001-row truth.csv is one 1.4 MB string)
+# this bounds that copy
 WRITE_CHARS = 1 << 16
 
 
@@ -137,6 +140,40 @@ def write_text(path, names, texts, comments=()) -> None:
         for text in texts:
             for start in range(0, len(text), WRITE_CHARS):
                 fh.write(text[start:start + WRITE_CHARS])
+
+
+def row_texts(columns, parts) -> list[str]:
+    """The text of the rows of ``columns``: each part formatted elsewhere whose rows are these, the rest here.
+
+    ``columns`` are equal-length 1-D float arrays, one per table column.
+    ``parts`` are ``(first, end, digest, text)`` of rows ``first`` to
+    ``end - 1`` (``rows_part``), in increasing order and apart, or None
+    for none; a part is taken when its digest is ``rows_digest`` of those
+    rows, so the text is what ``_rows_text`` makes of them either way.
+    """
+    texts, done = [], 0
+    for first, end, digest, text in filter(None, parts):
+        if rows_digest(_stacked(columns, first, end)) == digest:
+            texts += [_rows_text(_stacked(columns, done, first)), text]
+            done = end
+    texts.append(_rows_text(_stacked(columns, done)))
+    return texts
+
+
+def rows_part(columns, first: int) -> tuple[int, int, bytes, str]:
+    """``(first, end, digest, text)`` of the rows of ``columns`` as rows ``first`` on, as ``row_texts`` takes them."""
+    rows = np.column_stack(columns)
+    return first, first + len(rows), rows_digest(rows), _rows_text(rows)
+
+
+def _stacked(columns, start: int, stop: int | None = None) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of the equal-length 1-D ``columns`` as one 2-D array."""
+    return np.column_stack([column[start:stop] for column in columns])
+
+
+def rows_digest(rows: np.ndarray) -> bytes:
+    """A digest of the float64 bytes of ``rows``, which fix the text ``_rows_text`` makes of them."""
+    return hashlib.blake2b(np.ascontiguousarray(rows, dtype=float), digest_size=16).digest()
 
 
 def _rows_text(rows: np.ndarray) -> str:

@@ -184,15 +184,24 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
     Floats are written with repr so a round trip reproduces every
     channel bit-identically.
     """
+    write_table(path, export_columns(run, schema), export_comments(run, header_comments))
+
+
+def export_columns(run: TelemetryRun, schema: CsvSchema | None = None) -> dict[str, np.ndarray]:
+    """The columns ``export_csv`` writes, in order: each one's name in ``schema`` -> its values in the file's unit."""
     schema = schema or identity_schema()
     scaled = _scaled(run.channels, 180.0 / np.pi if schema.angle_unit == "deg" else 1.0)
-    cols = {schema.columns["t"]: run.t, **{schema.columns[name]: arr for name, arr in scaled.items()}}
+    return {schema.columns["t"]: run.t, **{schema.columns[name]: arr for name, arr in scaled.items()}}
+
+
+def export_comments(run: TelemetryRun, header_comments: list[str] | None = None) -> list[str]:
+    """The comment lines ``export_csv`` writes: ``header_comments``, then the run's metadata."""
     comments = list(header_comments or [])
     if run.meta.driver:
         comments.append(f"meta driver = {run.meta.driver}")
     if run.meta.track:
         comments.append(f"meta track = {run.meta.track}")
-    write_table(path, cols, comments)
+    return comments
 
 
 def _scaled(channels, scale: float) -> dict[str, np.ndarray]:

@@ -572,11 +572,9 @@ class TestSimulateCommand:
         assert first.startswith("# sleddyn")  # provenance header
         assert (out / "truth.csv").exists()
 
-    def test_interrupted_split_write_leaves_no_worker_and_no_file(self, tmp_path, monkeypatch, bob,
-                                                                  forks):
-        # telemetry.csv is shared out over two processes; the parent is interrupted formatting its first chunk
+    def test_interrupted_edge_rows_leave_no_worker_and_no_file(self, tmp_path, monkeypatch, bob, forks):
+        # the stream worker formats most telemetry.csv rows; the parent is interrupted formatting the first it left
         monkeypatch.setattr(forked, "cpus", lambda: 2)
-        monkeypatch.setattr(tables, "CELLS_PER_PROCESS", 1000)
         parent, real = os.getpid(), tables._rows_text
 
         def rows_text(rows):
@@ -592,7 +590,7 @@ class TestSimulateCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["--config", str(tmp_path / "config.ini"), "--out-dir", str(tmp_path / "out"),
                   "simulate", str(scenario)])
-        assert len(forks) == 2 and reaped(forks)
+        assert len(forks) == 1 and reaped(forks)
         assert set(tmp_path.rglob("*")) == before  # no out/, no staging directory
 
     def test_non_finite_state_is_numerical_failure(self, tmp_path, capsys, monkeypatch, bob,
@@ -1100,6 +1098,25 @@ class TestBadInputFiles:
         # refused before the run, which np.random.default_rng would end in a traceback at the export
         (1, "--seed -1 --config config.ini simulate scenario.json", SIMULATE,
          "error: sleddyn: argument --seed: must be at least 0, got -1"),
+        # a scenario number is a JSON number, not a string or a boolean that would convert to one
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("track", "s", ["0", "1000"])},
+         'scenario.json: bad scenario value: track.s[0] must be a number, got "0"'),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("track", "n", [True, True])},
+         "scenario.json: bad scenario value: track.n[0] must be a number, got true"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", "25")},
+         'scenario.json: bad scenario value: initial.v0 must be a number, got "25"'),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("noise", "a_y", "0.05")},
+         'scenario.json: bad scenario value: noise.a_y must be a number, got "0.05"'),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("sim", "dt", True)},
+         "scenario.json: bad scenario value: sim.dt must be a number, got true"),
+        (1, "--config config.ini simulate scenario.json",
+         {**SIMULATE, "scenario.json": scenario_text("initial", "v0", 10 ** 400)},
+         "scenario.json: bad scenario value: initial.v0 is an integer too large for a float"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
             "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
@@ -1124,7 +1141,9 @@ class TestBadInputFiles:
             "config-file-missing", "fit-run-too-short-to-filter", "eval-run-too-short-to-filter",
             "scenario-math-domain-error", "scenario-noise-nan", "scenario-noise-inf", "scenario-noise-negative",
             "scenario-noise-unknown-channel", "scenario-noise-overflow", "fit-grid-too-large", "eval-grid-too-large",
-            "fit-grid-beyond-numpy", "eval-grid-infinite", "argv-seed-negative"])
+            "fit-grid-beyond-numpy", "eval-grid-infinite", "argv-seed-negative", "scenario-s-text",
+            "scenario-n-true", "scenario-v0-number-text", "scenario-noise-number-text", "scenario-dt-true",
+            "scenario-v0-integer-overflow"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -1,20 +1,29 @@
-"""``simulate`` formats truth.csv block by block while it integrates, with the bytes of the one-pass export.
+"""``simulate`` formats both tables block by block while it integrates, with the bytes of the one-pass export.
 
 ``cmd_simulate`` hands each block of ``sim.BLOCK_ROWS`` logged rows to a
-forked worker (``forked.stream``); the file must equal what
-``export_trace_csv`` writes from the whole log, forked or on one CPU, for
-every export stride, however the rows fall into blocks and however the run
-ends. Whatever way a run fails, the worker is gone afterwards.
+forked worker (``forked.stream``), which formats the block's truth.csv
+rows and, in its share of the blocks, the telemetry.csv rows that the
+block alone determines. Each file must equal what ``export_trace_csv``
+and ``telemetry.export_csv`` write from the whole log, forked or on one
+CPU, for every export stride, however the rows fall into blocks and
+however the run ends; the parent formats no more telemetry rows than
+those around the block edges and those past the worker's share, unless
+the worker's rows are not its own. Whatever way a run fails, the worker
+is gone afterwards.
 """
 
 import json
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reaped, save_bob_params
 
-from sleddyn import forked, kvfile, sim
+from sleddyn import cli, forked, kvfile, sim, tables, telemetry
 from sleddyn.cli import load_config, main
 from sleddyn.errors import NumericalError
 from sleddyn.friction import LateralFrictionParams
@@ -56,18 +65,30 @@ def files(tmp_path, bob):
     return tmp_path
 
 
-def one_pass_truth(root: Path, path: Path, seed: int) -> tuple[bytes, str, int]:
-    """truth.csv as ``export_trace_csv`` writes it from the whole log, with the stop reason and row count."""
+def one_pass(root: Path, path: Path, seed: int) -> tuple[dict[str, bytes], str, int]:
+    """Each file as ``export_trace_csv`` or ``telemetry.export_csv`` writes it from the whole log, with the stop
+    reason and row count."""
     config = load_config(root / "config.ini")
     raw = sim.load_scenario(path)
     setup = sim.FrictionSetup(lateral_front=LateralFrictionParams(mu_zeta_y=2.577, c_y=0.024, k_y=10522.0),
                               lateral_rear=LateralFrictionParams(mu_zeta_y=3.288, c_y=0.076, k_y=49776.0))
     log = sim.simulate(config.bob, raw["track"], raw["controls"], setup, config.aero_model(), v0=raw["v0"],
                        dt=raw["dt"], t_max=raw["t_max"])
-    _, truth = sim.export_synthetic_telemetry(log, config.bob, rate=raw["rate_hz"], noise=raw["noise"],
-                                              seed=seed, meta=raw["meta"])
-    export_trace_csv(truth, root / "one_pass.csv", kvfile.provenance_lines([str(path)], {"seed": seed}))
-    return (root / "one_pass.csv").read_bytes(), log.stop, len(log)
+    run, truth = sim.export_synthetic_telemetry(log, config.bob, rate=raw["rate_hz"], noise=raw["noise"],
+                                                seed=seed, meta=raw["meta"])
+    header = kvfile.provenance_lines([str(path)], {"seed": seed})
+    export_trace_csv(truth, root / "one_pass_truth.csv", header)
+    telemetry.export_csv(run, root / "one_pass_telemetry.csv", config.schema, header)
+    return {name: (root / f"one_pass_{name}").read_bytes() for name in ("truth.csv", "telemetry.csv")}, \
+        log.stop, len(log)
+
+
+def simulate(root: Path, path: Path, cpus: int, monkeypatch, seed: tuple[str, ...] = ("--seed", "3")) -> Path:
+    """The output directory of ``simulate`` with ``seed`` of the scenario at ``path`` on ``cpus`` CPUs."""
+    monkeypatch.setattr(forked, "cpus", lambda: cpus)
+    out = root / f"out{cpus}"
+    assert main(["--config", str(root / "config.ini"), *seed, "--out-dir", str(out), "simulate", str(path)]) == 0
+    return out
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -75,16 +96,101 @@ def test_streamed_truth_has_the_one_pass_bytes(files, monkeypatch, forks, case):
     raw, stop, rows = CASES[case]
     path = files / "scenario.json"
     path.write_text(json.dumps(raw))
-    expected, ended, logged = one_pass_truth(files, path, 3)
+    expected, ended, logged = one_pass(files, path, 3)
     assert ended == stop and logged == (rows or logged)
     for cpus in (2, 1):
-        monkeypatch.setattr(forked, "cpus", lambda: cpus)
-        out = files / f"out{cpus}"
-        assert main(["--config", str(files / "config.ini"), "--seed", "3", "--out-dir", str(out),
-                     "simulate", str(path)]) == 0
-        assert (out / "truth.csv").read_bytes() == expected, cpus
+        assert (simulate(files, path, cpus, monkeypatch) / "truth.csv").read_bytes() == expected["truth.csv"], cpus
     # the stream worker; telemetry.csv has too few cells to be split
     assert len(forks) == 1 and reaped(forks)
+
+
+UNIFORM = {"t": [0, 1, 2, 3, 4], "delta": [0, 0.02, -0.02, 0.02, 0], "gamma": [0, 0.01, -0.01, 0.02, 0]}
+# telemetry.csv: every CASES row, a schema in degrees, and a run on a uniform time grid, where np.gradient
+# takes its uniform formula: with a spacing of 2^-8 s the written-out non-uniform formula gives the same bits,
+# with 3 * 2^-10 s it does not, so the parent rejects every block
+TELEMETRY_CASES = {
+    **{name: (raw, "rad") for name, (raw, _, _) in CASES.items()},
+    "deg-schema": (scenario(400.0 / 3.0, controls=UNIFORM), "deg"),
+    "uniform-2^-8": ({**scenario(256.0, t_max=4.0, controls=UNIFORM), "sim": {"dt": 2.0 ** -8, "t_max": 4.0}}, "rad"),
+    "uniform-3*2^-10": ({**scenario(1024.0 / 3.0, t_max=4.0, controls=UNIFORM),
+                         "sim": {"dt": 3.0 * 2.0 ** -10, "t_max": 4.0}}, "rad"),
+}
+
+
+def with_schema(root: Path, unit: str) -> None:
+    """Make ``root/config.ini`` read telemetry columns in ``unit``."""
+    (root / "schema.json").write_text(json.dumps({"columns": telemetry.identity_schema().columns,
+                                                  "angle_unit": unit}))
+    (root / "config.ini").write_text("[paths]\nbob_params = bob.kv\nschema = schema.json\n")
+
+
+@pytest.mark.parametrize("case", TELEMETRY_CASES)
+def test_streamed_telemetry_has_the_one_pass_bytes(files, monkeypatch, forks, case):
+    raw, unit = TELEMETRY_CASES[case]
+    with_schema(files, unit)
+    path = files / "scenario.json"
+    path.write_text(json.dumps(raw))
+    expected = one_pass(files, path, 3)[0]["telemetry.csv"]
+    for cpus in (2, 1):
+        assert (simulate(files, path, cpus, monkeypatch) / "telemetry.csv").read_bytes() == expected, cpus
+    assert len(forks) == 1 and reaped(forks)
+
+
+def parent_rows(root: Path, path: Path, monkeypatch, seed: tuple[str, ...] = ("--seed", "3")) -> tuple[int, int]:
+    """(rows the parent formats, telemetry.csv rows) of ``simulate`` with ``seed`` on two CPUs."""
+    parent, real, formatted = os.getpid(), tables._rows_text, []
+
+    def rows_text(rows):
+        if os.getpid() == parent:
+            formatted.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(tables, "_rows_text", rows_text)
+    out = simulate(root, path, 2, monkeypatch, seed)
+    return sum(formatted), len(telemetry.ingest_csv(out / "telemetry.csv", telemetry.identity_schema()))
+
+
+@pytest.mark.parametrize("seed", [("--seed", "3"), ()], ids=["seeded", "unseeded"])
+@pytest.mark.parametrize("case", [name for name, (_, stop, _) in CASES.items() if stop == "t_max"])
+def test_the_worker_formats_its_share_but_the_edge_rows(files, monkeypatch, case, seed):
+    # a fallback that formats every row here would keep the bytes and lose the second CPU
+    path = files / "scenario.json"
+    raw, _, logged = CASES[case]
+    path.write_text(json.dumps(raw))
+    formatted, rows = parent_rows(files, path, monkeypatch, seed)
+    shared = round(cli.WORKER_SHARE * -(-logged // sim.BLOCK_ROWS))
+    stride = sim.export_stride(raw["meta"]["rate_hz"], raw["sim"]["dt"])
+    # the first two, two each side of an edge between the worker's blocks, two before its share ends, the rest
+    assert 0 < formatted <= 4 * shared + rows + (-shared * sim.BLOCK_ROWS // stride) < rows
+
+
+def test_rows_the_worker_computed_otherwise_are_formatted_here(files, monkeypatch):
+    path = files / "scenario.json"
+    path.write_text(json.dumps(TELEMETRY_CASES["uniform-3*2^-10"][0]))
+    formatted, rows = parent_rows(files, path, monkeypatch)
+    assert formatted == rows
+
+
+def test_a_run_too_long_to_draw_ahead_is_formatted_here(files, monkeypatch):
+    monkeypatch.setattr(cli, "NOISE_AHEAD_ROWS", 1200)  # one sample fewer than the run exports
+    raw = CASES["stride-1"][0]
+    path = files / "scenario.json"
+    path.write_text(json.dumps(raw))
+    expected = one_pass(files, path, 3)[0]["telemetry.csv"]
+    formatted, rows = parent_rows(files, path, monkeypatch)
+    assert formatted == rows == 1201
+    assert (files / "out2" / "telemetry.csv").read_bytes() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=40))
+def test_written_out_gradient_is_np_gradient_on_a_non_uniform_grid(samples):
+    spacing, f = (np.array(column) for column in zip(*samples))
+    t = np.cumsum(spacing)
+    dx = np.diff(t)
+    if (dx == dx[0]).all() or not (dx > 0).all():  # np.gradient's uniform formula, or no grid
+        return
+    assert sim._interior_gradient(f, t).tobytes() == np.gradient(f, t)[1:-1].tobytes()
 
 
 def fail_at_step(monkeypatch, n: int, fault):
