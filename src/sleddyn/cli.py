@@ -24,21 +24,21 @@ artifacts.
 On Linux, ``fit`` and ``eval`` prepare their telemetry files (read,
 filter, resample, reconstruct the axle forces, take the digest for the
 provenance header) through ``forked.shares``, each CPU the process may
-use taking a run of consecutive files, as ``tables.write_table`` formats
-a large table; ``fit`` then fits the front and the rear runner, each
-with its diagnostics, on two CPUs at once. ``simulate`` uses two CPUs as
-well: while it integrates, a forked worker formats the rows of each
-finished block of the log (``forked.stream``) and says it is done after
-the last block: all of the block's ``truth.csv`` rows and, in the first
-``WORKER_SHARE`` of the blocks, the ``telemetry.csv`` rows that the block
-alone determines, with noise drawn before the run for a run that reaches
-``t_max``. After the run the parent computes the telemetry itself,
-formats the rows past the worker's share while the worker finishes,
-takes the worker's rows where a digest says they are its own, and
-formats the rest (``tables.row_texts``); a run that stopped early or
-had no worker writes ``telemetry.csv`` with ``write_table``. A worker
-that fails or is lost leaves its whole share to be computed again
-in-process, so outputs and errors are those of one process.
+use taking a run of consecutive files; ``fit`` then fits the front and
+the rear runner, each with its diagnostics, on two CPUs at once.
+``simulate`` uses two CPUs as well: while it integrates, a forked worker
+formats the rows of each finished block of the log (``forked.stream``):
+all of its ``truth.csv`` rows and, in the first ``WORKER_SHARE`` of the
+blocks, the ``telemetry.csv`` rows that the block alone determines, from
+noise drawn before the run for its length at ``t_max``. After the run the
+parent computes the telemetry itself and formats the rows past that
+share while the worker finishes. ``tables.row_texts`` then takes the
+worker's rows where a digest says they are the parent's own and formats
+the rest, so the parent formats them all for a run that stopped before
+``t_max``, one too long to draw its noise ahead, or one without a worker.
+A worker that fails or is lost leaves its whole share to be computed
+again in-process, so outputs and errors are those of one process. No
+other table is formatted outside the calling process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure. An error met while handling one input
@@ -56,6 +56,7 @@ import shutil
 import sys
 import tempfile
 from collections import defaultdict
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -182,7 +183,7 @@ def _prepared_runs(paths, config: Config):
     if config.options["cutoff_hz"]:
         import scipy.signal  # loaded once here rather than in every worker
 
-    return forked.shares(lambda path: _traced_run(path, config), paths, len(paths))
+    return forked.shares(lambda path: _traced_run(path, config), paths)
 
 
 def _once(seen: dict, path, digest: str) -> None:
@@ -278,7 +279,7 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
 
     # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code,
     # naming the file when every sample comes from one
-    with forked.shares(fit, tuple(datasets), 2) as fitted, naming(fit_paths[0] if len(fit_paths) == 1 else None):
+    with forked.shares(fit, tuple(datasets)) as fitted, naming(fit_paths[0] if len(fit_paths) == 1 else None):
         results = dict(zip(datasets, fitted))
 
     validation = {}
@@ -451,23 +452,15 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
         message = f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"
         columns = telemetry.export_columns(run, config.schema)
         comments = telemetry.export_comments(run, header)
-        # the worker's rows are this run's only if it reached t_max, the length its noise was drawn for;
-        # without a worker or noise drawn ahead, telemetry.csv is written as any table
-        streamed = log.stop == "t_max" and blocks.worker is not None and drawn
-        if streamed:
-            del log, run  # only the columns to write stay referenced while the rows of both files come in
-            # the rows past the worker's share are formatted here while it finishes
-            values, start = list(columns.values()), -(-shared * sim.BLOCK_ROWS // stride)
-            own = tables.rows_part([column[start:] for column in values], start)
+        # the rows past the worker's share (none if the run stopped before them) are formatted here while it finishes
+        values = list(columns.values())
+        start = min(-(-shared * sim.BLOCK_ROWS // stride), len(values[0]))
+        own = tables.rows_part([column[start:] for column in values], start)
         # both files keep one text per block: joining them would hold each file's text twice at once
         truth_rows, parts = zip(*blocks.results())
-        if streamed:
-            telemetry_csv = partial(write_text, names=list(columns), comments=comments,
-                                    texts=tables.row_texts(values, [*parts, own]))
-        else:
-            telemetry_csv = partial(telemetry.export_csv, run, schema=config.schema, header_comments=header)
     files = {
-        "telemetry.csv": telemetry_csv,
+        "telemetry.csv": partial(write_text, names=list(columns), comments=comments,
+                                 texts=tables.row_texts(values, [*parts, own])),
         "truth.csv": partial(write_text, names=TRACE_COLUMNS, texts=truth_rows, comments=header),
     }
     return files, [message]
@@ -493,6 +486,16 @@ def _pressure_grid(p_range: str) -> np.ndarray:
     return np.arange(lo, hi + step_w / 2, step_w) if hi > lo else np.array([lo])
 
 
+@contextmanager
+def _finite_curves(options: str):
+    """Context manager: a float overflow or invalid value in the curves computed inside is a ConfigError on ``options``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"the curves at {options} are not finite ({exc})") from None
+
+
 def cmd_friction_table(args) -> tuple[dict, list[str]]:
     if not (args.long_params or args.lateral_params):
         raise ConfigError("nothing to do: give --long-params and/or --lateral-params")
@@ -501,8 +504,9 @@ def cmd_friction_table(args) -> tuple[dict, list[str]]:
         grid = _pressure_grid(args.p_range)
         params = load_longitudinal_params(args.long_params)
         header = kvfile.provenance_lines([args.long_params], {"p_range": args.p_range})
-        files["mu_x_curve.csv"] = partial(write_table, columns={
-            "p_mpa": grid, "mu_x": mu_x(grid, params)}, comments=header)
+        with _finite_curves(f"--p-range {args.p_range}"):
+            curve = mu_x(grid, params)
+        files["mu_x_curve.csv"] = partial(write_table, columns={"p_mpa": grid, "mu_x": curve}, comments=header)
     if args.lateral_params:
         if not all(0 < f_z < np.inf for f_z in args.f_z):
             raise ConfigError(f"--f-z loads must be positive and finite, got {args.f_z}")
@@ -512,12 +516,13 @@ def cmd_friction_table(args) -> tuple[dict, list[str]]:
         if not 0 < args.alpha_max_deg < np.inf:
             raise ConfigError(f"--alpha-max-deg must be positive and finite, got {args.alpha_max_deg}")
         lat = fitting.load_lateral_params(args.lateral_params)
-        alpha = np.deg2rad(np.linspace(-args.alpha_max_deg, args.alpha_max_deg, 181))
         header = kvfile.provenance_lines([args.lateral_params], {"f_z": args.f_z})
-        columns = {"alpha_deg": np.degrees(alpha)}
-        for f_z, load in zip(args.f_z, loads):
-            columns[f"f_y_at_{load}N"] = lat(f_z, alpha)
-            columns[f"f_y_reference_at_{load}N"] = force_y_braghin(f_z, alpha)
+        with _finite_curves(f"--f-z {args.f_z} with --alpha-max-deg {args.alpha_max_deg}"):
+            alpha = np.deg2rad(np.linspace(-args.alpha_max_deg, args.alpha_max_deg, 181))
+            columns = {"alpha_deg": np.degrees(alpha)}
+            for f_z, load in zip(args.f_z, loads):
+                columns[f"f_y_at_{load}N"] = lat(f_z, alpha)
+                columns[f"f_y_reference_at_{load}N"] = force_y_braghin(f_z, alpha)
         files["lateral_curves.csv"] = partial(write_table, columns=columns, comments=header)
     return files, [f"wrote {', '.join(files)} in {args.out_dir}"]
 

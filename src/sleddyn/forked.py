@@ -1,19 +1,18 @@
 """Work shared out over every CPU the process may use, in forked processes.
 
 The package forks through two context managers here, and nowhere else.
-``shares(fn, items, processes)`` splits a known list: ``fit`` and
-``eval`` prepare their telemetry files through it, ``fit`` fits its
-front and rear runners through it, and ``tables.write_table`` formats
-the row chunks of a large table. Inside its ``with`` block it acts as
+``shares(fn, items)`` splits a known list: ``fit`` and ``eval`` prepare
+their telemetry files through it, and ``fit`` fits its front and rear
+runners through it. Inside its ``with`` block it acts as
 ``map(fn, items)``: a run of items that no worker delivered whole is
 computed in-process when the iterator reaches it, so an error is raised
 on the calling thread exactly as in serial code. ``stream(fn)`` is its
 counterpart for items that do not exist yet: ``simulate`` hands it each
 block of logged rows while it integrates, and one worker formats each
-block's ``truth.csv`` rows and most of its ``telemetry.csv`` rows
-meanwhile. It keeps the same contract: results in order, every block
-computed in-process if the worker did not deliver them all, nothing
-forked where ``shares`` forks nothing.
+block's ``truth.csv`` rows and, in a run that reaches ``t_max``, most
+of its ``telemetry.csv`` rows meanwhile. It keeps the same contract:
+results in order, every block computed in-process if the worker did not
+deliver them all, nothing forked where ``shares`` forks nothing.
 
 Both run one protocol. Workers are made with ``os.fork``, and each
 computes a run of consecutive items (``_work``). It writes each result
@@ -65,11 +64,11 @@ def cpus() -> int:
 
 
 @contextmanager
-def shares(fn, items, processes: int):
+def shares(fn, items):
     """Context manager: an iterator over ``fn(item)`` of ``items``, in input order, as ``map``.
 
-    ``n``, the process count, is the smallest of ``cpus()``, the item count
-    and ``processes``. ``items`` is cut into n runs of consecutive items,
+    ``n``, the process count, is the smaller of ``cpus()`` and the item
+    count. ``items`` is cut into n runs of consecutive items,
     the earlier ones one longer where n does not divide the count, and
     process k computes run k. Process 0 is the caller: the iterator
     computes its run, then gives each worker's results, and computes
@@ -80,7 +79,7 @@ def shares(fn, items, processes: int):
     a platform other than Linux. On leaving the block every worker is
     terminated if it still runs, and waited for.
     """
-    n = max(1, min(len(items), cpus(), processes))
+    n = max(1, min(len(items), cpus()))
     bounds = [-(-k * len(items) // n) for k in range(n + 1)]
     runs = [items[start:end] for start, end in zip(bounds, bounds[1:])]
     workers: dict = {}  # k -> (pid, receiving end of its pipe, its spool file)

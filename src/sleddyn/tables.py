@@ -10,15 +10,12 @@ memory as text.
 When ``loadtxt`` rejects the body, the file is scanned once more only to
 name the first bad line in the ``DataError``; that scan returns no data.
 
-Every cell is written as ``repr(float)``. The rows of a large table are
-formatted in chunks, each forked process taking a run of consecutive
-chunks (``forked.shares``), and a run a worker did not deliver whole is
-formatted again in-process; only the calling process opens and writes
-the file, so the bytes are those of one process. ``write_text`` writes rows formatted elsewhere
-(``simulate`` formats both of its tables while it integrates) with the same
-comment and header lines. ``row_texts`` takes such rows where a digest of
-their float64 bytes (``rows_digest``) says that they are the caller's own,
-and formats the others.
+Every cell is written as ``repr(float)``. ``row_texts`` is the one row
+formatter: it formats rows in the calling process, ``CHUNK_ROWS`` at a
+time as the file is written, and takes a part formatted elsewhere (as
+``simulate``'s worker does while it integrates) where a digest of its
+float64 bytes (``rows_digest``) says that its rows are the caller's own.
+``write_text`` writes such texts under the comment and header lines.
 """
 
 from __future__ import annotations
@@ -30,13 +27,10 @@ from itertools import islice
 
 import numpy as np
 
-from . import forked
 from .errors import DataError, reading
 
-# a table with at least this many cells per process is formatted on several CPUs:
-# on a 2-vCPU VM (Python 3.11) 20,000 cells take 17-20 ms to format, and a fork
-# round trip from a 50 MB process takes about 4 ms
-CELLS_PER_PROCESS = 20_000
+# most rows formatted at once where no part formatted elsewhere is taken: this bounds the text held
+CHUNK_ROWS = 1024
 # most characters handed to the text file at once: it encodes each write whole, so
 # this bounds that copy
 WRITE_CHARS = 1 << 16
@@ -115,24 +109,15 @@ def write_table(path, columns: dict, comments=()) -> None:
     Each of ``comments`` becomes a ``# {line}`` line; the header row goes
     through ``csv.writer``, so a name with a comma or a quote reads back.
     Rows end in a bare newline and every cell is ``repr(float)``, so
-    ``read_table`` returns the columns bit for bit.
-
-    The rows are formatted in chunks of at most 1024, which bounds the
-    extra memory. A table of at least ``CELLS_PER_PROCESS`` cells per
-    usable CPU has its chunks shared out by ``forked.shares``, a run of
-    consecutive chunks to each process, whose workers are forked before
-    the file is opened. Only this process opens and writes the file.
+    ``read_table`` returns the columns bit for bit. The rows are formatted
+    ``CHUNK_ROWS`` at a time while the file is written, which bounds the
+    extra memory.
     """
-    data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
-    processes = max(1, min(forked.cpus(), data.size // CELLS_PER_PROCESS, len(data)))
-    # a multiple of the process count, so that each process gets as many rows
-    chunks = np.array_split(data, processes * max(1, -(-len(data) // (1024 * processes))))
-    with forked.shares(_rows_text, chunks, processes) as texts:
-        write_text(path, columns, texts, comments)
+    write_text(path, columns, row_texts([np.asarray(col, dtype=float) for col in columns.values()], ()), comments)
 
 
 def write_text(path, names, texts, comments=()) -> None:
-    """Write the ``comments``, the header of ``names`` and the row ``texts`` (as ``_rows_text`` makes them)."""
+    """Write the ``comments``, the header of ``names`` and the row ``texts`` (as ``row_texts`` gives them)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -142,7 +127,7 @@ def write_text(path, names, texts, comments=()) -> None:
                 fh.write(text[start:start + WRITE_CHARS])
 
 
-def row_texts(columns, parts) -> list[str]:
+def row_texts(columns, parts):
     """The text of the rows of ``columns``: each part formatted elsewhere whose rows are these, the rest here.
 
     ``columns`` are equal-length 1-D float arrays, one per table column.
@@ -150,14 +135,21 @@ def row_texts(columns, parts) -> list[str]:
     ``end - 1`` (``rows_part``), in increasing order and apart, or None
     for none; a part is taken when its digest is ``rows_digest`` of those
     rows, so the text is what ``_rows_text`` makes of them either way.
+    The other rows are formatted ``CHUNK_ROWS`` at a time, as asked for.
     """
-    texts, done = [], 0
+    done = 0
     for first, end, digest, text in filter(None, parts):
         if rows_digest(_stacked(columns, first, end)) == digest:
-            texts += [_rows_text(_stacked(columns, done, first)), text]
+            yield from _chunk_texts(columns, done, first)
+            yield text
             done = end
-    texts.append(_rows_text(_stacked(columns, done)))
-    return texts
+    yield from _chunk_texts(columns, done, len(columns[0]))
+
+
+def _chunk_texts(columns, start: int, stop: int):
+    """The text of rows ``start`` to ``stop - 1`` of ``columns``, ``CHUNK_ROWS`` rows at a time."""
+    for first in range(start, stop, CHUNK_ROWS):
+        yield _rows_text(_stacked(columns, first, min(first + CHUNK_ROWS, stop)))
 
 
 def rows_part(columns, first: int) -> tuple[int, int, bytes, str]:
@@ -166,7 +158,7 @@ def rows_part(columns, first: int) -> tuple[int, int, bytes, str]:
     return first, first + len(rows), rows_digest(rows), _rows_text(rows)
 
 
-def _stacked(columns, start: int, stop: int | None = None) -> np.ndarray:
+def _stacked(columns, start: int, stop: int) -> np.ndarray:
     """Rows ``start`` to ``stop - 1`` of the equal-length 1-D ``columns`` as one 2-D array."""
     return np.column_stack([column[start:stop] for column in columns])
 

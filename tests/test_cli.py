@@ -884,6 +884,15 @@ class TestBadInputFiles:
          "--alpha-max-deg must be positive and finite, got 0.0"),
         (1, "friction-table --lateral-params lat.kv --f-z 2000 5000 2000.0", {"lat.kv": LAT},
          "--f-z loads must differ"),
+        # finite options whose curves overflow: one line each, not numpy's warnings and inf or nan cells
+        (1, "friction-table --lateral-params lat.kv --alpha-max-deg 1e308", {"lat.kv": LAT},
+         "error: the curves at --f-z [2000.0, 5000.0, 10000.0] with --alpha-max-deg 1e+308 are not finite"),
+        (1, "friction-table --lateral-params lat.kv --f-z 1e-320", {"lat.kv": LAT},
+         "error: the curves at --f-z [1e-320] with --alpha-max-deg 6.0 are not finite"),
+        (1, "friction-table --lateral-params lat.kv --f-z 1e308", {"lat.kv": LAT},
+         "error: the curves at --f-z [1e+308] with --alpha-max-deg 6.0 are not finite"),
+        (1, "friction-table --long-params long.kv --p-range 1e300:1e308:1e307", {"long.kv": LONG},
+         "error: the curves at --p-range 1e300:1e308:1e307 are not finite"),
         (2, "--config config.ini icehouse",
          {"config.ini": "[paths]\nbob_params = bob.kv\n", "bob.kv": BOB.replace("390", "-390")},
          "bob.kv: m must be positive"),
@@ -1118,7 +1127,8 @@ class TestBadInputFiles:
          {**SIMULATE, "scenario.json": scenario_text("initial", "v0", 10 ** 400)},
          "scenario.json: bad scenario value: initial.v0 is an integer too large for a float"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
-            "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "bob-out-of-range", "long-out-of-range",
+            "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "alpha-max-overflow",
+            "f-z-subnormal", "f-z-overflow", "p-range-overflow", "bob-out-of-range", "long-out-of-range",
             "lateral-out-of-range", "lateral-after-long", "schema-shared-column", "icehouse-no-inputs",
             "scenario-v0-text", "scenario-kappa-text", "scenario-noise-text", "scenario-dt-zero",
             "scenario-rate-zero", "scenario-dt-negative", "scenario-list", "scenario-v0-nan",
@@ -1204,9 +1214,10 @@ BAD = TestBadInputFiles
     ("track_end", "--config config.ini simulate scenario.json",
      {**BAD.SIMULATE, "scenario.json": scenario_text("track", "s", [0.0, 0.01])}),
     ("glide_up.csv", "icehouse glide_up.csv", {"glide_up.csv": README_GLIDE}),
+    ("--p-range 1e300", "friction-table --long-params long.kv --p-range 1e300:1e308:1e307", {"long.kv": BAD.LONG}),
 ], ids=["config-missing", "config-path-missing", "config-range", "bob-not-utf8", "run-upsampled", "run-too-slow",
         "holdout-no-track", "scenario-noise-nan", "scenario-noise-overflow", "scenario-one-sample",
-        "glide-window-too-short"])
+        "glide-window-too-short", "friction-curves-overflow"])
 def test_readme_quotes_the_message_word_for_word(tmp_path, capsys, monkeypatch, part, argv, files):
     # in README's own file names, so in a directory of its own; the label gives the exit code
     monkeypatch.chdir(tmp_path)

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from conftest import reaped
 
-from sleddyn import forked, icehouse, tables
+from sleddyn import forked, icehouse
 from sleddyn.cli import main
 
 BOB = "m = 390\nj_yy = 350\nj_zz = 850\nl_f = 1.7\nl_r = 1.3\ncx_ax = 0.2\nl_x = 0.5\nl_s_f = 1.2\nl_s_r = -1.8\n"
@@ -204,15 +204,14 @@ def test_failed_write_leaves_no_output(inputs, tmp_path, monkeypatch, forks, arg
     for name, content in inputs.items():
         (root / name).write_bytes(content)
     (root / "holdout.csv").write_bytes(inputs["telemetry.csv"].replace(b"track = SYN", b"track = HOLD"))
-    split = "simulate" in argv.split()
-    if split:
-        # one worker formats the rows of both tables while the run goes on, and a split
-        # write_table would fork a second; every output file must still be opened here
+    forking = "simulate" in argv.split()
+    if forking:
+        # one worker formats the rows of both tables while the run goes on; every output file
+        # must still be opened here
         monkeypatch.setattr(forked, "cpus", lambda: 2)
-        monkeypatch.setattr(tables, "CELLS_PER_PROCESS", 100)
     writes = FailingWrites(monkeypatch, root)
     assert run_main(root, argv) == (0, "")
-    if split:
+    if forking:
         assert len(forks) == 1
     out = root / "out"
     written = sorted(path.name for path in out.iterdir())

@@ -32,25 +32,25 @@ def pid_and_square(x: int) -> tuple:
 
 
 # expected: the process that computes each of items 0-8, 0 for the caller and k for worker k
-@pytest.mark.parametrize("cpus, processes, expected", [
+@pytest.mark.parametrize("cpus, items, expected", [
     # the caller has 0-3; worker 1 has 4-7; worker 2 has 8-11 and fails at 9, leaving 8-11 to the caller
     (3, 12, [0] * 4 + [1] * 4 + [0]),
-    # capped at two processes: the caller has 0-5; the worker has 6-11 and fails at 9
-    (3, 2, [0] * 9),
+    # two CPUs: the caller has 0-4; the worker has 5-9 and fails at 9, leaving 5-9 to the caller
+    (2, 10, [0] * 9),
     # one CPU: nothing is forked; the caller computes every item, as map() does
     (1, 12, [0] * 9),
 ])
-def test_results_in_input_order(monkeypatch, forks, cpus, processes, expected):
+def test_results_in_input_order(monkeypatch, forks, cpus, items, expected):
     # item 9 fails in its worker too; the caller computes that run and raises after items 0-8
     monkeypatch.setattr(forked, "cpus", lambda: cpus)
     results = []
     with pytest.raises(ValueError, match="^nine$"):
-        with forked.shares(pid_and_square, list(range(12)), processes) as iterator:
+        with forked.shares(pid_and_square, list(range(items))) as iterator:
             for result in iterator:
                 results.append(result)
     pids = [os.getpid(), *forks]
     assert results == [(pids[k], i * i) for i, k in enumerate(expected)]
-    assert len(forks) == min(cpus, processes) - 1
+    assert len(forks) == cpus - 1
     assert reaped(forks)
 
 
@@ -61,7 +61,7 @@ def test_a_worker_result_of_none_is_not_computed_again(monkeypatch, forks):
     def none_in_a_worker(x: int):
         return "caller" if os.getpid() == parent else None
 
-    with forked.shares(none_in_a_worker, list(range(4)), 2) as results:
+    with forked.shares(none_in_a_worker, list(range(4))) as results:
         assert list(results) == ["caller", "caller", None, None]
     assert len(forks) == 1 and reaped(forks)
 
@@ -76,7 +76,7 @@ def test_no_pipe_or_process_leaves_every_item_to_the_caller(monkeypatch, call):
 
     open_files = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, call, unavailable)
-    with forked.shares(square_unless_seven, [1, 2, 3], 2) as results:
+    with forked.shares(square_unless_seven, [1, 2, 3]) as results:
         assert len(os.listdir("/proc/self/fd")) == open_files
         assert list(results) == [1, 4, 9]
 
@@ -93,7 +93,7 @@ def test_a_failure_of_the_caller_stops_a_busy_worker(monkeypatch, forks):
 
     start = time.monotonic()
     with pytest.raises(ValueError, match="^caller$"):
-        with forked.shares(fail_here_sleep_there, [0, 1, 2, 3], 2) as results:
+        with forked.shares(fail_here_sleep_there, [0, 1, 2, 3]) as results:
             list(results)
     assert time.monotonic() - start < 30.0
     assert len(forks) == 1 and reaped(forks)
@@ -108,7 +108,7 @@ def test_a_worker_runs_through_its_share_before_the_caller_reads(tmp_path, monke
         (tmp_path / str(i)).touch()
         return str(i) * 1_000_000
 
-    with forked.shares(large, list(range(6)), 2) as results:
+    with forked.shares(large, list(range(6))) as results:
         deadline = time.monotonic() + 30.0
         while not (tmp_path / "5").exists() and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -122,7 +122,7 @@ def test_a_worker_run_of_more_places_than_a_pipe_holds(monkeypatch, forks):
     # 16 bytes a result, would take 80,000 bytes, more than a 64 KiB pipe holds
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     items = list(range(10_000))
-    with forked.shares(str, items, 2) as results:
+    with forked.shares(str, items) as results:
         assert list(results) == list(map(str, items))
     assert len(forks) == 1 and reaped(forks)
 
@@ -142,7 +142,7 @@ def test_a_worker_that_spooled_part_of_its_run_leaves_it_all_to_the_caller(monke
         return os.getpid(), x
 
     items = list(range(4))
-    with forked.shares(pid_and_item, items, 2) as results:
+    with forked.shares(pid_and_item, items) as results:
         assert list(results) == list(map(pid_and_item, items))
     assert len(forks) == 1 and reaped(forks)
 
@@ -165,7 +165,7 @@ def test_a_fork_leaves_one_blas_thread(monkeypatch, forks):
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     matrix = np.random.default_rng(0).standard_normal((8007, 3))
     scipy_linalg.svd(matrix, full_matrices=False)
-    with forked.shares(square_unless_seven, [1, 2], 2) as results:
+    with forked.shares(square_unless_seven, [1, 2]) as results:
         assert list(results) == [1, 4]
     threads = native_threads()
     for _ in range(20):
@@ -181,7 +181,7 @@ def test_a_fork_leaves_one_blas_thread(monkeypatch, forks):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", recorded_open)
-    with forked.shares(square_unless_seven, [1, 2], 2) as results:
+    with forked.shares(square_unless_seven, [1, 2]) as results:
         assert list(results) == [1, 4]
     assert len(forks) == 2 and reaped(forks)
     assert opened and not [f for f in opened if str(f).startswith("/proc")]

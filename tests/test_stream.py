@@ -55,6 +55,9 @@ CASES = {
                         initial={"v0": 5.0}), "v_stop", None),
     "track-end": (scenario(100.0, t_max=30.0, track={**BASE["track"], "s": [0, 50, 60, 70, 80]}),
                   "track_end", None),
+    # 4,641 rows of 11 telemetry.csv cells, each formatted by the parent, which forks no process for them
+    "track-end-500hz": (scenario(500.0, t_max=30.0, track={**BASE["track"], "s": [0, 100, 150, 200, 250]},
+                                 sim={"dt": 0.002, "t_max": 30.0}), "track_end", None),
 }
 
 
@@ -100,7 +103,7 @@ def test_streamed_truth_has_the_one_pass_bytes(files, monkeypatch, forks, case):
     assert ended == stop and logged == (rows or logged)
     for cpus in (2, 1):
         assert (simulate(files, path, cpus, monkeypatch) / "truth.csv").read_bytes() == expected["truth.csv"], cpus
-    # the stream worker; telemetry.csv has too few cells to be split
+    # the stream worker is the one process that simulate forks
     assert len(forks) == 1 and reaped(forks)
 
 
