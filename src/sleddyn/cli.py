@@ -179,10 +179,12 @@ def _traced_run(path, config: Config):
 
 
 def _prepared_runs(paths, config: Config):
-    """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU."""
-    if config.options["cutoff_hz"]:
-        import scipy.signal  # loaded once here rather than in every worker
+    """Context manager: an iterator over the ``_traced_run`` of each path, from every usable CPU.
 
+    Preparing a run loads no module after ``sleddyn.cli``'s own imports
+    (the low-pass filter is numpy code), so a forked worker starts with
+    all it needs.
+    """
     return forked.shares(lambda path: _traced_run(path, config), paths)
 
 

@@ -194,8 +194,9 @@ def _may_fork(n: int) -> bool:
     """
     # fork, not spawn: preparing the 8 runs of the season benchmark (seed 1)
     # on a 2-vCPU VM took 0.40 s serially and 0.30 s forked (median of 9),
-    # but 1.81 s with spawn and 1.63 s with forkserver (median of 5),
-    # because each such worker imports numpy, scipy.signal and sleddyn again
+    # but 1.81 s with spawn and 1.63 s with forkserver (median of 5, when
+    # the filter still loaded scipy.signal), because each such worker
+    # imports numpy and sleddyn again
     if n > 1 and sys.platform.startswith("linux") and threading.active_count() == 1:
         _one_blas_thread()
         return True

@@ -16,7 +16,9 @@ central differences, one-sided at the ends.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +40,11 @@ RATE_CHANNELS = ("phi_dot", "theta_dot", "psi_dot")
 
 DEFAULT_RATE_HZ = 100.0
 DEFAULT_CUTOFF_HZ = 20.0
+#: Samples of odd reflection the low-pass filter adds at each end: ``scipy.signal.filtfilt``'s
+#: default for a second-order filter.
+FILTER_PAD = 9
+#: Samples per block of the low-pass filter: one matrix product filters a block of every channel.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -217,27 +224,141 @@ def _scaled(channels, scale: float) -> dict[str, np.ndarray]:
 def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> TelemetryRun:
     """Zero-phase second-order Butterworth low-pass on every channel.
 
-    The filter runs forward and backward (no phase shift) with the
-    default odd-reflection padding at the ends. The cutoff must stay
-    below the Nyquist frequency of the run's grid, and a run no longer
-    than that padding is a DataError. The filtered speed is
-    clipped at 0: it is a magnitude, and ringing after a standstill
-    would otherwise make it negative.
+    The filter runs forward and backward (no phase shift) with
+    ``FILTER_PAD`` samples of odd reflection at each end, as
+    ``scipy.signal.filtfilt`` does by default, on all channels at once
+    (``_zero_phase``). The cutoff must stay below the Nyquist frequency of
+    the run's grid, and above the point where the rounded coefficients
+    lose their complex poles (from about 2e-9 of the rate down). A run no
+    longer than the padding is a DataError, as is a channel whose values
+    come so close to the float maximum that the filter overflows. The
+    filtered speed is clipped at 0: it is a magnitude, and ringing after
+    a standstill would otherwise make it negative.
     """
     rate = run.native_rate()
     if cutoff >= rate / 2.0:
         raise ConfigError(f"cutoff {cutoff} Hz >= Nyquist ({rate / 2.0:.6g} Hz)")
-    # imported here: scipy.signal costs about a second, and only this function needs it
-    from scipy.signal import butter, filtfilt
-
-    b, a = butter(2, cutoff, fs=rate)
-    padlen = 3 * max(len(a), len(b))  # filtfilt's default
-    if len(run) <= padlen:
+    if len(run) <= FILTER_PAD:
         raise DataError(f"{len(run)} samples are too few for the low-pass filter, which needs more "
-                        f"than {padlen} (cutoff_hz = 0 turns it off)")
-    channels = {name: filtfilt(b, a, arr) for name, arr in run.channels.items()}
+                        f"than {FILTER_PAD} (cutoff_hz = 0 turns it off)")
+    # an overflow leaves its channel non-finite (no linear step makes inf finite again), so the check
+    # below names it; numpy's flags would not, nor see an overflow inside a BLAS thread
+    with np.errstate(over="ignore", invalid="ignore"):
+        filtered = _zero_phase(list(run.channels.values()), _blocked(cutoff, rate))
+    for name, values in zip(run.channels, filtered):
+        if not np.isfinite(values).all():
+            raise DataError(f"the low-pass filter overflows on channel {name}")
+    channels = dict(zip(run.channels, filtered))
     channels["v"] = np.where(channels["v"] < 0, 0.0, channels["v"])
     return TelemetryRun(t=run.t, channels=channels, meta=run.meta)
+
+
+def butterworth(cutoff: float, rate: float) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """``(b, a)`` of the second-order Butterworth low-pass at ``cutoff`` Hz for samples at ``rate`` Hz.
+
+    The bilinear transform of the analog filter, prewarped so that the
+    gain at the cutoff stays 1/sqrt(2): ``scipy.signal.butter(2, cutoff,
+    fs=rate)`` to a few ulps.
+    """
+    k = math.tan(math.pi * cutoff / rate)
+    norm = 1.0 / (1.0 + math.sqrt(2.0) * k + k * k)
+    b0 = k * k * norm
+    return (b0, 2.0 * b0, b0), (1.0, 2.0 * (k * k - 1.0) * norm, (1.0 - math.sqrt(2.0) * k + k * k) * norm)
+
+
+@dataclass(frozen=True)
+class _BlockedFilter:
+    """A second-order filter in blocks of ``_BLOCK`` samples, in its modal form.
+
+    The filter ``(b, a)`` is ``y[k] = b0 x[k] + Re w[k]`` with the complex
+    state ``w[k + 1] = q w[k] + g x[k]``, where ``q`` is one of its two
+    conjugate poles. Multiplying by ``q`` is a rotation and a decay, so no
+    power of it grows and the state keeps its digits at a low cutoff. The
+    direct form's two states nearly cancel in the output there: at 0.5 Hz
+    of 500 Hz its blocked scan lost three more digits than this one.
+    """
+
+    matrix: np.ndarray  # (_BLOCK + 2, _BLOCK): a block's inputs, Re and Im of its start state -> its outputs
+    end: np.ndarray     # (_BLOCK, 2): a block's inputs -> Re and Im of its end state from a zero start state
+    step: complex       # q**_BLOCK: a block's start state -> the next block's start state
+    steady: complex     # the state a constant input of 1 keeps: Gustafsson's initial state, as filtfilt's
+
+
+@functools.lru_cache(maxsize=8)
+def _blocked(cutoff: float, rate: float) -> _BlockedFilter:
+    """The ``butterworth`` filter as a ``_BlockedFilter``, built in extended precision."""
+    b, a = butterworth(cutoff, rate)
+    ld = np.longdouble
+    b0, a1, a2 = ld(b[0]), ld(a[1]), ld(a[2])
+    re = -a1 / 2
+    im2 = a2 - re * re
+    if not im2 > 0:
+        raise ConfigError(f"cutoff {cutoff} Hz is too far below the {rate:.6g} Hz rate for a "
+                          "second-order filter in double precision")
+    im = np.sqrt(im2)
+    q = re - im * np.clongdouble(1j)
+    c1, c2 = ld(b[1]) - a1 * b0, ld(b[2]) - a2 * b0  # y = b0 x + (c1 z^-1 + c2 z^-2) / A(z) x
+    g = c1 + (c2 + re * c1) / im * np.clongdouble(1j)
+    powers = np.cumprod(np.concatenate(([1], np.full(_BLOCK, q))).astype(np.clongdouble))  # q**0 .. q**_BLOCK
+    impulse = np.concatenate(([b0], (g * powers[:_BLOCK - 1]).real))
+    lags = np.arange(_BLOCK)
+    zero_state = np.triu(impulse[(lags - lags[:, None]) % _BLOCK])  # input j -> output k >= j: impulse[k - j]
+    # the start state w reaches output k as Re(q**k w) = Re(q**k) Re(w) - Im(q**k) Im(w)
+    matrix = np.vstack((zero_state, powers[:_BLOCK].real, -powers[:_BLOCK].imag))
+    end = g * powers[_BLOCK - 1::-1]  # input j reaches the end state as q**(_BLOCK - 1 - j) g
+    return _BlockedFilter(matrix=matrix.astype(float), end=np.stack((end.real, end.imag), axis=1).astype(float),
+                          step=complex(powers[_BLOCK]), steady=complex(g / (1 - q)))
+
+
+def _zero_phase(channels: list[np.ndarray], filt: _BlockedFilter) -> np.ndarray:
+    """``filt`` run forward and backward over each channel, as ``scipy.signal.filtfilt`` runs it.
+
+    Each channel is extended by ``FILTER_PAD`` samples of odd reflection at
+    each end; the forward pass starts from the steady state scaled by the
+    first extended sample, the backward pass from the same state scaled by
+    the last forward output, and the extension is cut off again. Returns
+    an array of one row per channel (a view).
+    """
+    size = channels[0].size
+    span = size + 2 * FILTER_PAD
+    blocks = -(-span // _BLOCK)
+    flat = np.empty((len(channels), blocks * _BLOCK))
+    for row, values in zip(flat, channels):
+        row[FILTER_PAD:FILTER_PAD + size] = values
+    x = flat[:, FILTER_PAD:FILTER_PAD + size]
+    flat[:, :FILTER_PAD] = 2 * x[:, :1] - x[:, FILTER_PAD:0:-1]
+    flat[:, FILTER_PAD + size:span] = 2 * x[:, -1:] - x[:, -2:-FILTER_PAD - 2:-1]
+    flat[:, span:] = 0.0  # zeros after the end change no earlier output
+    # both passes reuse these: each block's inputs and start state, and the outputs
+    blocked = np.empty((len(channels), blocks, _BLOCK + 2))
+    out = np.empty((len(channels) * blocks, _BLOCK))
+    y = out.reshape(len(channels), -1)
+    _causal(flat, filt.steady * flat[:, 0], filt, blocked, out)
+    start = filt.steady * y[:, span - 1]
+    flat[:, :span] = y[:, span - 1::-1]
+    _causal(flat, start, filt, blocked, out)
+    return y[:, span - 1 - FILTER_PAD:FILTER_PAD - 1:-1]
+
+
+def _causal(flat: np.ndarray, start: np.ndarray, filt: _BlockedFilter, blocked: np.ndarray,
+            out: np.ndarray) -> None:
+    """One pass of ``filt`` over each row of ``flat`` from its complex ``start`` state, into ``out``.
+
+    Each block's inputs give its end state from a zero start (a product
+    with ``filt.end``); a sequential scan gives each block's start state
+    from the last one's; then one product with ``filt.matrix`` gives every
+    block's outputs from its inputs and its start state.
+    """
+    rows, blocks, _ = blocked.shape
+    blocked[:, :, :_BLOCK] = flat.reshape(rows, blocks, _BLOCK)
+    ends = (blocked[:, :, :_BLOCK].reshape(-1, _BLOCK) @ filt.end).view(complex).reshape(rows, blocks)
+    states = []
+    for w, row in zip(start.tolist(), ends.tolist()):
+        for end in row:
+            states.append(w)
+            w = w * filt.step + end
+    blocked[:, :, _BLOCK:] = np.array(states).view(float).reshape(rows, blocks, 2)
+    np.matmul(blocked.reshape(-1, _BLOCK + 2), filt.matrix, out=out)
 
 
 def resample(run: TelemetryRun, rate: float = DEFAULT_RATE_HZ) -> TelemetryRun:

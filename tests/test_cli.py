@@ -844,6 +844,9 @@ class TestBadInputFiles:
     # the same run ending at 1e20 s, a grid too large for numpy to count, and at 1e307 s, a grid of inf samples
     FARTHER_RUN, FARTHEST_RUN = FAR_RUN.replace("\n1e12,", "\n1e20,"), FAR_RUN.replace("\n1e12,", "\n1e307,")
     UNFILTERED = CONFIG + "[processing]\ncutoff_hz = 0\n"
+    # a_y at +-1.7e308 from the first sample on: the low-pass filter's odd reflection overflows at both ends
+    HUGE_RUN = (",".join(("t", *telemetry.CORE_CHANNELS)) + "\n"
+                + "".join(f"{0.01 * i:.2f},0,{(-1) ** i * 1.7e308!r},-9.81,0,0,0,25,0,0,0\n" for i in range(40)))
 
     @pytest.mark.parametrize("argv, name, text, where", [
         ("friction-table --long-params FILE", "long.kv", "b_x 0.088\nc_x = 2\nd_x = 14\n",
@@ -1126,6 +1129,12 @@ class TestBadInputFiles:
         (1, "--config config.ini simulate scenario.json",
          {**SIMULATE, "scenario.json": scenario_text("initial", "v0", 10 ** 400)},
          "scenario.json: bad scenario value: initial.v0 is an integer too large for a float"),
+        # finite values whose filtering overflows: one line naming the channel, not numpy's warnings and NaN output
+        (2, "--config config.ini fit telemetry.csv", {**SIMULATE, "telemetry.csv": HUGE_RUN},
+         "telemetry.csv: the low-pass filter overflows on channel a_y"),
+        (2, "--config config.ini eval telemetry.csv --front-params lat.kv --rear-params lat.kv",
+         {**SIMULATE, "telemetry.csv": HUGE_RUN, "lat.kv": LAT},
+         "telemetry.csv: the low-pass filter overflows on channel a_y"),
     ], ids=["p-range-two-fields", "p-range-zero-step", "p-range-too-many-points", "f-z-zero",
             "alpha-max-nan", "alpha-max-inf", "alpha-max-zero", "f-z-repeated", "alpha-max-overflow",
             "f-z-subnormal", "f-z-overflow", "p-range-overflow", "bob-out-of-range", "long-out-of-range",
@@ -1153,7 +1162,7 @@ class TestBadInputFiles:
             "scenario-noise-unknown-channel", "scenario-noise-overflow", "fit-grid-too-large", "eval-grid-too-large",
             "fit-grid-beyond-numpy", "eval-grid-infinite", "argv-seed-negative", "scenario-s-text",
             "scenario-n-true", "scenario-v0-number-text", "scenario-noise-number-text", "scenario-dt-true",
-            "scenario-v0-integer-overflow"])
+            "scenario-v0-integer-overflow", "fit-filter-overflow", "eval-filter-overflow"])
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, code, argv, files, where):
         for name, text in files.items():
             (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -1230,9 +1239,35 @@ def test_readme_quotes_the_message_word_for_word(tmp_path, capsys, monkeypatch, 
 
 
 def test_cli_import_loads_no_scipy():
-    # every command pays the import; scipy.signal and scipy.optimize load on first use only
+    # every command pays the import; scipy.optimize loads on first use only
     code = "import sys, sleddyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("--config filter.ini fit run0.csv run1.csv", "scipy.optimize"),
+    ("--config filter.ini eval run0.csv run1.csv --front-params lat.kv --rear-params lat.kv", None),
+    ("--config config.ini simulate scenario.json", None),
+    ("icehouse --points points.csv", None),
+    ("friction-table --long-params long.kv", None),
+], ids=["fit", "eval", "simulate", "icehouse", "friction-table"])
+def test_command_loads_no_scipy_signal(workspace, argv, loads):
+    # a fresh `python -m sleddyn.cli` with its low-pass filter on; -X importtime lists every module it and
+    # its forked workers import. Only fit loads scipy, and of it only what scipy.optimize needs
+    tmp_path, _ = workspace
+    (tmp_path / "filter.ini").write_text((tmp_path / "config.ini").read_text().replace("cutoff_hz = 0\n", ""))
+    (tmp_path / "lat.kv").write_text(TestBadInputFiles.LAT)
+    (tmp_path / "long.kv").write_text(TestBadInputFiles.LONG)
+    (tmp_path / "scenario.json").write_text(scenario_text())
+    (tmp_path / "points.csv").write_text("7.7,4.5e-3\n8.6,3.8e-3\n13.6,4.2e-3\n10.9,3.0e-3\n11.8,2.7e-3\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sleddyn.cli", "--out-dir", "out",
+                           *argv.split()], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    scipy = sorted(m for m in imported if m.split(".")[0] == "scipy")
+    assert not any(m.startswith("scipy.signal") for m in scipy)
+    assert (loads in scipy) if loads else not scipy, scipy

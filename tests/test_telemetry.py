@@ -1,21 +1,29 @@
 """Telemetry ingestion, filtering, resampling, differentiation."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sleddyn
 from sleddyn.errors import ConfigError, DataError
 from sleddyn.telemetry import (
     CORE_CHANNELS,
     CsvSchema,
     TelemetryMeta,
     TelemetryRun,
+    butterworth,
     derive_channels,
     export_csv,
     identity_schema,
     ingest_csv,
     load_schema,
+    FILTER_PAD,
     lowpass_filter,
     process,
     resample,
@@ -187,19 +195,101 @@ class TestLowpass:
 
     def test_speed_clipped_at_zero_after_standstill(self):
         # 2 s at rest, then 5 m/s^2: the filter rings below zero before the start
-        from scipy.signal import butter, filtfilt
-
         rate = 500.0
         t = np.arange(2501) / rate
         channels = {name: np.zeros(t.size) for name in CORE_CHANNELS}
-        channels["v"] = np.maximum(0.0, 5.0 * (t - 2.0))
+        channels["v"] = channels["a_x"] = np.maximum(0.0, 5.0 * (t - 2.0))
         run = TelemetryRun(t=t, channels=channels, meta=TelemetryMeta())
-        raw = filtfilt(*butter(2, 20.0, fs=run.native_rate()), channels["v"])
+        out = lowpass_filter(run, 20.0)
+        raw = out.a_x  # the same samples in a channel that is not clipped
         assert raw.min() < 0
-        v = lowpass_filter(run, 20.0).v
+        v = out.v
         assert np.array_equal(v[raw >= 0], raw[raw >= 0])
         assert np.all(v[raw < 0] == 0.0)
         assert process(run, cutoff=20.0).v.min() == 0.0
+
+
+def reference_filtfilt(x, b, a):
+    """filtfilt of each row of ``x`` by the direct-form recursion, in np.longdouble from the float coefficients."""
+    ld = np.longdouble
+    b0, b1, b2 = (ld(v) for v in b)
+    a1, a2 = ld(a[1]), ld(a[2])
+    c1, c2 = b1 - a1 * b0, b2 - a2 * b0
+    det = 1 + a1 + a2  # the state a unit step settles in: (I - A) zi = (c1, c2)
+    zi = ((c1 + c2) / det, (-a2 * c1 + (1 + a1) * c2) / det)
+    x = x.astype(ld)
+    ext = np.concatenate([2 * x[:, :1] - x[:, FILTER_PAD:0:-1], x,
+                          2 * x[:, -1:] - x[:, -2:-FILTER_PAD - 2:-1]], axis=1)
+
+    def causal(u, scale):
+        z1, z2 = zi[0] * scale, zi[1] * scale
+        y = np.empty_like(u)
+        for k in range(u.shape[1]):
+            y[:, k] = b0 * u[:, k] + z1
+            z1, z2 = b1 * u[:, k] - a1 * y[:, k] + z2, b2 * u[:, k] - a2 * y[:, k]
+        return y
+
+    y = causal(ext, ext[:, 0])
+    y = causal(y[:, ::-1], y[:, -1])[:, ::-1]
+    return y[:, FILTER_PAD:-FILTER_PAD].astype(float)
+
+
+def filter_inputs(rate=500.0, n=5001):
+    """Ten channels of offsets, noise, a slow sine and a step, the speed positive so it is not clipped."""
+    rng = np.random.default_rng(7)
+    t = np.arange(n) / rate
+    rows = [rng.normal(scale=0.5, size=n) + 3.0 * i for i in range(len(CORE_CHANNELS))]
+    rows[1] = 2.0 * np.sin(2 * np.pi * 0.7 * t) + rng.normal(scale=0.1, size=n)
+    rows[2] = np.where(t > 3.0, -9.81, 0.0) + rng.normal(scale=0.2, size=n)
+    rows[CORE_CHANNELS.index("v")] = 25.0 + rng.normal(size=n)
+    return TelemetryRun(t=t, channels=dict(zip(CORE_CHANNELS, rows)), meta=TelemetryMeta())
+
+
+class TestButterworthFilter:
+    @pytest.mark.parametrize("cutoff, rate", [(0.5, 500.0), (2.0, 500.0), (20.0, 500.0), (200.0, 500.0),
+                                              (20.0, 100.0), (5.0, 100.0)])
+    def test_coefficients_match_scipy(self, cutoff, rate):
+        from scipy.signal import butter
+
+        b, a = butterworth(cutoff, rate)
+        ref_b, ref_a = butter(2, cutoff, fs=rate)
+        for ours, ref in ((b, ref_b), (a, ref_a)):
+            assert np.all(np.abs(np.array(ours) - ref) <= 4 * np.spacing(np.abs(ref))), (ours, ref)
+
+    @pytest.mark.parametrize("cutoff, bound", [(200.0, 1e-14), (20.0, 1e-14), (2.0, 1e-13), (0.5, 1e-11)])
+    def test_matches_long_double_reference(self, cutoff, bound):
+        run = filter_inputs()
+        out = lowpass_filter(run, cutoff)
+        ref = reference_filtfilt(np.stack(list(run.channels.values())), *butterworth(cutoff, run.native_rate()))
+        for name, expected in zip(CORE_CHANNELS, ref):
+            error = np.max(np.abs(out.channels[name] - expected)) / np.max(np.abs(expected))
+            assert error <= bound, (name, error)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        code = ("import hashlib, sys; sys.path.insert(0, sys.argv[1]); import test_telemetry as tt; "
+                "out = tt.lowpass_filter(tt.filter_inputs(), 20.0); "
+                "print(hashlib.sha256(b''.join(out.channels[n].tobytes() for n in tt.CORE_CHANNELS)).hexdigest())")
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
+            proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], capture_output=True,
+                                  text=True, env=env, check=True, timeout=120)
+            digests.add(proc.stdout.strip())
+        out = lowpass_filter(filter_inputs(), 20.0)
+        digests.add(hashlib.sha256(b"".join(out.channels[n].tobytes() for n in CORE_CHANNELS)).hexdigest())
+        assert len(digests) == 1
+
+    def test_overflow_is_data_error_naming_the_channel(self):
+        run = filter_inputs(n=200)
+        channels = dict(run.channels)
+        channels["a_y"] = 1.7e308 * (-1.0) ** np.arange(len(run))
+        with pytest.raises(DataError, match="^the low-pass filter overflows on channel a_y$"):
+            lowpass_filter(TelemetryRun(t=run.t, channels=channels, meta=run.meta), 20.0)
+
+    def test_cutoff_too_low_for_double_precision_rejected(self):
+        with pytest.raises(ConfigError, match="too far below the 100 Hz rate"):
+            lowpass_filter(make_run(rate=100.0), 1e-7)
 
 
 class TestResample:
