@@ -277,8 +277,6 @@ def cmd_fit(args) -> tuple[dict, list[str]]:
         result = fitting.fit_lateral(data)
         return result, fitting.fit_report(result, data)
 
-    import scipy.optimize  # loaded once here rather than in the worker
-
     # the two runners are fitted at once on two CPUs; a failing fit raises here as in serial code,
     # naming the file when every sample comes from one
     with forked.shares(fit, tuple(datasets)) as fitted, naming(fit_paths[0] if len(fit_paths) == 1 else None):

@@ -2,9 +2,10 @@
 
 The free parameters are (mu_zeta_y, c_y, k_y); the curvature factor e_y
 stays fixed because the measured slip-angle range is too small to pin
-it down. Minimization is scipy's trust-region reflective method
-(``least_squares(method="trf")``, Branch, Coleman & Li 1999) with the
-analytic Jacobian of the sin-atan law and the parameter box as bounds.
+it down. Minimization is the trust-region reflective method (Branch,
+Coleman & Li 1999) of ``lsq``, a numpy port of scipy's
+``least_squares(method="trf")``, with the analytic Jacobian of the
+sin-atan law and the parameter box as bounds.
 
 The unknowns are the log-parameters. The data constrain the product
 mu_zeta_y * c_y (through the small-angle gain together with k_y) far
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lsq
 from .errors import DataError, NumericalError, reading
 from .friction import E_Y, LateralFrictionParams, force_y
 from .kvfile import dump_kv, load_floats
@@ -147,10 +149,6 @@ def fit_lateral(dataset: FitDataset) -> FitResult:
     (e.g. all slip angles zero). ``iterations`` counts model evaluations; running out of them
     (``MAX_EVALUATIONS``) returns the best iterate with ``converged=False``.
     """
-    # imported here so that commands that fit nothing load no scipy: only
-    # fit needs it (scipy.optimize alone adds about 43 MB to a process)
-    from scipy.optimize import least_squares
-
     if len(dataset) < 30:
         raise DataError(f"dataset of {len(dataset)} samples is too small (need >= 10x parameters)")
     for name in ("alpha", "f_z", "f_y"):
@@ -162,18 +160,13 @@ def fit_lateral(dataset: FitDataset) -> FitResult:
     lo, hi = np.log(DEFAULT_BOUNDS).T
     theta = np.clip(np.log([INITIAL_MU_ZETA_Y, INITIAL_C_Y, robust_stiffness_guess(dataset)]), lo, hi)
     alpha, f_z, f_y = dataset.alpha, dataset.f_z, dataset.f_y
-    last = [None, None]  # (x bytes, model and Jacobian): scipy asks for both at the same x
 
-    def model(x):
-        if last[0] != x.tobytes():
-            last[:] = x.tobytes(), _model_and_jacobian(x, alpha, f_z)
-        return last[1]
+    def residuals(x):
+        pred, jac = _model_and_jacobian(x, alpha, f_z)
+        return pred - f_y, jac
 
-    if not np.all(np.sum(model(theta)[1] ** 2, axis=0) > 0):
-        raise NumericalError("rank-deficient Jacobian in lateral fit")
-    sol = least_squares(lambda x: model(x)[0] - f_y, theta, jac=lambda x: model(x)[1],
-                        bounds=(lo, hi), method="trf", ftol=_FTOL,
-                        xtol=_XTOL, gtol=_GTOL, max_nfev=MAX_EVALUATIONS)
+    sol = lsq.least_squares(residuals, theta, (lo, hi), ftol=_FTOL, xtol=_XTOL, gtol=_GTOL,
+                            max_nfev=MAX_EVALUATIONS)
     residual, cost = sol.fun, float(sol.cost)
 
     mz, cy, ky = np.exp(sol.x)

@@ -45,6 +45,9 @@ DEFAULT_CUTOFF_HZ = 20.0
 FILTER_PAD = 9
 #: Samples per block of the low-pass filter: one matrix product filters a block of every channel.
 _BLOCK = 64
+#: The largest relative error of the low-pass filter's gain at DC that a cutoff may give: below
+#: about 1e-4 of the rate, the rounded coefficients of some cutoffs scale every channel by more.
+_DC_GAIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,8 +231,8 @@ def lowpass_filter(run: TelemetryRun, cutoff: float = DEFAULT_CUTOFF_HZ) -> Tele
     ``FILTER_PAD`` samples of odd reflection at each end, as
     ``scipy.signal.filtfilt`` does by default, on all channels at once
     (``_zero_phase``). The cutoff must stay below the Nyquist frequency of
-    the run's grid, and above the point where the rounded coefficients
-    lose their complex poles (from about 2e-9 of the rate down). A run no
+    the run's grid, and high enough that the rounded coefficients keep
+    the gain at DC within ``_DC_GAIN_TOLERANCE`` of 1. A run no
     longer than the padding is a DataError, as is a channel whose values
     come so close to the float maximum that the filter overflows. The
     filtered speed is clipped at 0: it is a magnitude, and ringing after
@@ -292,7 +295,8 @@ def _blocked(cutoff: float, rate: float) -> _BlockedFilter:
     b0, a1, a2 = ld(b[0]), ld(a[1]), ld(a[2])
     re = -a1 / 2
     im2 = a2 - re * re
-    if not im2 > 0:
+    dc_b, dc_a = sum(map(ld, b)), sum(map(ld, a))  # the gain at DC is dc_b / dc_a
+    if not (im2 > 0 and abs(dc_b - dc_a) <= _DC_GAIN_TOLERANCE * dc_a):
         raise ConfigError(f"cutoff {cutoff} Hz is too far below the {rate:.6g} Hz rate for a "
                           "second-order filter in double precision")
     im = np.sqrt(im2)

@@ -1239,7 +1239,7 @@ def test_readme_quotes_the_message_word_for_word(tmp_path, capsys, monkeypatch, 
 
 
 def test_cli_import_loads_no_scipy():
-    # every command pays the import; scipy.optimize loads on first use only
+    # every command pays the import, and no command loads scipy after it either
     code = "import sys, sleddyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(sleddyn.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
@@ -1247,16 +1247,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv, loads", [
-    ("--config filter.ini fit run0.csv run1.csv", "scipy.optimize"),
-    ("--config filter.ini eval run0.csv run1.csv --front-params lat.kv --rear-params lat.kv", None),
-    ("--config config.ini simulate scenario.json", None),
-    ("icehouse --points points.csv", None),
-    ("friction-table --long-params long.kv", None),
+@pytest.mark.parametrize("argv", [
+    "--config filter.ini fit run0.csv run1.csv",
+    "--config filter.ini eval run0.csv run1.csv --front-params lat.kv --rear-params lat.kv",
+    "--config config.ini simulate scenario.json",
+    "icehouse --points points.csv",
+    "friction-table --long-params long.kv",
 ], ids=["fit", "eval", "simulate", "icehouse", "friction-table"])
-def test_command_loads_no_scipy_signal(workspace, argv, loads):
+def test_command_loads_no_scipy(workspace, argv):
     # a fresh `python -m sleddyn.cli` with its low-pass filter on; -X importtime lists every module it and
-    # its forked workers import. Only fit loads scipy, and of it only what scipy.optimize needs
+    # its forked workers import, and none is scipy's
     tmp_path, _ = workspace
     (tmp_path / "filter.ini").write_text((tmp_path / "config.ini").read_text().replace("cutoff_hz = 0\n", ""))
     (tmp_path / "lat.kv").write_text(TestBadInputFiles.LAT)
@@ -1269,5 +1269,4 @@ def test_command_loads_no_scipy_signal(workspace, argv, loads):
     assert proc.returncode == 0, proc.stderr[-2000:]
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     scipy = sorted(m for m in imported if m.split(".")[0] == "scipy")
-    assert not any(m.startswith("scipy.signal") for m in scipy)
-    assert (loads in scipy) if loads else not scipy, scipy
+    assert not scipy, scipy

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sleddyn import fitting
+from sleddyn import fitting, lsq
 from sleddyn.errors import DataError, NumericalError
 from sleddyn.fitting import (
     DEFAULT_BOUNDS,
@@ -125,8 +125,8 @@ class TestFitRecovery:
             assert lo <= value <= hi
 
     def test_one_model_evaluation_per_point(self, monkeypatch):
-        # scipy's residual and Jacobian calls at one point, and the start-point
-        # rank check, share a single model evaluation
+        # the solver takes the residuals and the Jacobian from one evaluation at each
+        # point, and its start-point rank check uses the start point's
         real, calls = fitting._model_and_jacobian, []
 
         def counted(*args):
@@ -172,6 +172,58 @@ class TestFitRecovery:
         assert result.converged and mirrored_result.converged
         np.testing.assert_allclose(dataclasses.astuple(mirrored_result.params),
                                    dataclasses.astuple(result.params), rtol=1e-9)
+
+
+@pytest.mark.parametrize("params, seed, noise, cap", [
+    (FRONT, 1, 0.0, None),
+    (REAR, 2, 0.0, None),
+    (FRONT, 0, 0.05, None),  # the optimum on the mu_zeta_y bound
+    (FRONT, 6, 0.02, 3),
+    # true values outside the box: the start point is moved off the k_y bound, and steps that
+    # leave the box are cut, reflected or replaced by the gradient step
+    (dataclasses.replace(FRONT, k_y=90.0), 1, 0.02, None),
+    (LateralFrictionParams(mu_zeta_y=10.0, c_y=0.0008, k_y=10522.0), 4, 0.05, None),
+], ids=["front", "rear", "front-on-bound", "capped", "k_y-below-bound", "c_y-below-bound"])
+def test_solver_takes_scipys_path_bit_for_bit(monkeypatch, params, seed, noise, cap):
+    # given scipy's SVD, lsq repeats least_squares(method="trf") on fit_lateral's own call
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(lsq, "svd", pytest.importorskip("scipy.linalg").svd)
+    if cap:
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", cap)
+    real, calls = lsq.least_squares, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lsq, "least_squares", recorded)
+    fit_lateral(synthetic_dataset(params, seed=seed, noise=noise))
+    (fun, x0, bounds), kwargs, sol = calls[0]
+    assert kwargs["max_nfev"] == fitting.MAX_EVALUATIONS
+    ref = optimize.least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1], bounds=bounds,
+                                 method="trf", tr_solver="exact", x_scale=1.0, **kwargs)
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert sol.fun.tobytes() == ref.fun.tobytes()
+    assert (float(sol.cost), sol.nfev, sol.status) == (float(ref.cost), ref.nfev, ref.status)
+    assert (sol.status == 0) if cap else (sol.status > 0)
+
+
+@pytest.mark.parametrize("cap", [15, 200])
+def test_solver_shrinks_the_region_after_non_finite_residuals_as_scipy_does(monkeypatch, cap):
+    # residuals are infinite past x0 = 2.5, short of the unconstrained optimum at 3
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(lsq, "svd", pytest.importorskip("scipy.linalg").svd)
+
+    def fun(x):
+        f = np.array([x[0] - 3.0 if x[0] <= 2.5 else np.inf, 2 * (x[1] - x[0] ** 2), 0.1 * x[1]])
+        return f, np.array([[1.0, 0.0], [-4 * x[0], 2.0], [0.0, 0.1]])
+
+    bounds, tol = ([0.0, -1.0], [10.0, 20.0]), dict(ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=cap)
+    sol = lsq.least_squares(fun, np.array([0.5, 0.5]), bounds, **tol)
+    ref = optimize.least_squares(lambda x: fun(x)[0], [0.5, 0.5], jac=lambda x: fun(x)[1], bounds=bounds,
+                                 method="trf", tr_solver="exact", x_scale=1.0, **tol)
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert (float(sol.cost), sol.nfev, sol.status) == (float(ref.cost), ref.nfev, ref.status)
 
 
 def run_with_roll_spike(n=600, rate=100.0, spike_deg_s2=150.0):

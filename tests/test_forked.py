@@ -159,17 +159,16 @@ def openblas_mapped() -> bool:
 def test_a_fork_leaves_one_blas_thread(monkeypatch, forks):
     # OpenBLAS stops its pool at a fork and, left at its default count, starts
     # a pool thread at the next LAPACK call, which busy-waits before it sleeps
-    scipy_linalg = pytest.importorskip("scipy.linalg")
     if not (sys.platform.startswith("linux") and openblas_mapped()):
         pytest.skip("no OpenBLAS mapped into this process")
     monkeypatch.setattr(forked, "cpus", lambda: 2)
     matrix = np.random.default_rng(0).standard_normal((8007, 3))
-    scipy_linalg.svd(matrix, full_matrices=False)
+    np.linalg.svd(matrix, full_matrices=False)
     with forked.shares(square_unless_seven, [1, 2]) as results:
         assert list(results) == [1, 4]
     threads = native_threads()
     for _ in range(20):
-        scipy_linalg.svd(matrix, full_matrices=False)
+        np.linalg.svd(matrix, full_matrices=False)
     assert native_threads() <= threads
     assert len(forks) == 1 and reaped(forks)
 

@@ -291,6 +291,16 @@ class TestButterworthFilter:
         with pytest.raises(ConfigError, match="too far below the 100 Hz rate"):
             lowpass_filter(make_run(rate=100.0), 1e-7)
 
+    def test_cutoff_whose_gain_at_dc_is_not_one_rejected(self):
+        # at 1e-4 Hz of 500 Hz the rounded coefficients would scale a constant by about 1 - 2.9e-5
+        run = make_run(rate=500.0)
+        run = TelemetryRun(t=run.t, channels={name: np.full(len(run), 5.0) for name in CORE_CHANNELS},
+                           meta=run.meta)
+        with pytest.raises(ConfigError, match="too far below the 500 Hz rate"):
+            lowpass_filter(run, 1e-4)
+        for values in lowpass_filter(run, 0.5).channels.values():
+            np.testing.assert_allclose(values, 5.0, rtol=1e-10, atol=0)
+
 
 class TestResample:
     def test_500_to_100(self):
