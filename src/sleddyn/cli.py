@@ -30,15 +30,16 @@ the rear runner, each with its diagnostics, on two CPUs at once.
 formats the rows of each finished block of the log (``forked.stream``):
 all of its ``truth.csv`` rows and, in the first ``WORKER_SHARE`` of the
 blocks, the ``telemetry.csv`` rows that the block alone determines, from
-noise drawn before the run for its length at ``t_max``. After the run the
-parent computes the telemetry itself and formats the rows past that
-share while the worker finishes. ``tables.row_texts`` then takes the
-worker's rows where a digest says they are the parent's own and formats
-the rest, so the parent formats them all for a run that stopped before
-``t_max``, one too long to draw its noise ahead, or one without a worker.
-A worker that fails or is lost leaves its whole share to be computed
-again in-process, so outputs and errors are those of one process. No
-other table is formatted outside the calling process.
+noise drawn before the run for its length at ``t_max``. One function
+(``sim.window_telemetry``) computes every ``telemetry.csv`` row, so the
+parent takes the worker's rows when that noise is the run's (no noise,
+or the run exported the samples it was drawn for) and computes only
+the rows at block edges, the run's last two and those past the share,
+formatting these while the worker finishes. Otherwise it computes every
+row, with noise drawn for the samples exported. A worker that fails or
+is lost leaves its whole share to be computed again in-process, so
+outputs and errors are those of one process. No other table is
+formatted outside the calling process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (a failed
 write too), 3 numerical failure. An error met while handling one input
@@ -58,6 +59,7 @@ import tempfile
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -418,20 +420,20 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
     with naming(args.scenario):  # the scenario values the simulator or the export would reject
         sim.check_start(scenario["dt"], scenario["v0"])
         stride = sim.export_stride(scenario["rate_hz"], scenario["dt"])
-    # a run that reaches t_max takes this many steps and exports this many samples, so their noise can be
-    # drawn before it starts; a run without --seed takes its entropy once, so that both draws are the same
+    # a run that reaches t_max takes this many steps and exports this many samples, so the worker's noise
+    # can be drawn before it starts
     steps = int(round(scenario["t_max"] / scenario["dt"]))
     samples = steps // stride + 1
-    seed = np.random.SeedSequence().entropy if args.seed is None else args.seed
-    drawn = samples <= NOISE_AHEAD_ROWS and forked.cpus() > 1  # a worker may use the noise
-    ahead = [sim.noise_draws(scenario["noise"], seed, samples)] if drawn else []
+    noise = scenario["noise"]
+    ahead = sim.noise_draws(noise, args.seed, samples) \
+        if samples <= NOISE_AHEAD_ROWS and forked.cpus() > 1 else None  # None: the worker formats no telemetry
     # the worker's telemetry.csv share: the rows of the first blocks; the parent formats the others after the run
     shared = round(WORKER_SHARE * (steps // sim.BLOCK_ROWS + 1))
 
     def block_texts(k, block):
-        """Block k's truth.csv rows, and in the worker the telemetry.csv rows of its share that the block determines."""
-        part = sim.telemetry_rows(k, block, stride, config.bob, ahead[0], config.schema) \
-            if ahead and k < shared else None
+        """Block k's truth.csv rows, and in the worker's share the telemetry.csv rows that the block determines."""
+        part = sim.telemetry_part(k, block, stride, config.bob, noise, ahead, config.schema) \
+            if ahead is not None and k < shared else None
         return sim.truth_text(k, block, stride), part
 
     # each law file given: its digest as an input, its name under its option as a parameter
@@ -441,26 +443,42 @@ def cmd_simulate(args) -> tuple[dict, list[str]]:
                                       **{k: Path(v).name for k, v in laws.items()}})
     # both tables come from the logged rows: a second CPU formats them while the run goes on
     with forked.stream(block_texts) as blocks:
-        ahead.clear()  # the worker has its copy; here the telemetry is made from the whole run
         log = sim.simulate(config.bob, scenario["track"], scenario["controls"], setup, aero,
                            v0=scenario["v0"], beta0=scenario["beta0"],
                            psi_dot0=scenario["psi_dot0"], dt=scenario["dt"],
                            t_max=scenario["t_max"], on_block=blocks.send)
-        with naming(args.scenario):
-            run = sim.export_synthetic_telemetry(log, config.bob, rate=scenario["rate_hz"], noise=scenario["noise"],
-                                                 seed=seed, meta=scenario["meta"])[0]
         message = f"simulated {log.t[-1]:.2f} s / {log.s[-1]:.1f} m -> {args.out_dir}"
-        columns = telemetry.export_columns(run, config.schema)
-        comments = telemetry.export_comments(run, header)
-        # the rows past the worker's share (none if the run stopped before them) are formatted here while it finishes
-        values = list(columns.values())
-        start = min(-(-shared * sim.BLOCK_ROWS // stride), len(values[0]))
-        own = tables.rows_part([column[start:] for column in values], start)
-        # both files keep one text per block: joining them would hold each file's text twice at once
-        truth_rows, parts = zip(*blocks.results())
+        with naming(args.scenario):
+            col = sim.exported_rows(log, stride, scenario["rate_hz"])
+            rows = col["t"].size
+            # noise drawn for another sample count (an empty draw fits any): the worker's rows are not the run's,
+            # and block_texts, should it run here for a lost worker, makes no telemetry rows
+            if ahead and rows != samples:
+                ahead = None
+            draws = ahead if ahead is not None else sim.noise_draws(noise, args.seed, rows)
+
+            def columns(first, end):
+                run = sim.window_telemetry(col, 0, first, end, config.bob, noise, draws)
+                return telemetry.export_columns(run, config.schema)
+
+            # the rows past the worker's share and the run's last two are formatted here while it finishes
+            start = min(-(-shared * sim.BLOCK_ROWS // stride), rows - 2)
+            own = columns(start, rows)
+            pieces = [(start, rows, list(tables.row_texts(own.values())))]
+            # both files keep one text per block: joining them would hold each file's text twice at once
+            truth_rows, parts = zip(*blocks.results())
+            if ahead is not None:
+                pieces[:0] = filter(None, parts)
+            # the rows between the pieces (around the block edges, or all before the parent's) are computed here
+            texts, done = [], 0
+            for first, end, piece in pieces:
+                if first > done:
+                    texts.append(tables.row_texts(columns(done, first).values()))
+                texts.append(piece)
+                done = end
     files = {
-        "telemetry.csv": partial(write_text, names=list(columns), comments=comments,
-                                 texts=tables.row_texts(values, [*parts, own])),
+        "telemetry.csv": partial(write_text, names=list(own), texts=chain.from_iterable(texts),
+                                 comments=telemetry.export_comments(scenario["meta"], header)),
         "truth.csv": partial(write_text, names=TRACE_COLUMNS, texts=truth_rows, comments=header),
     }
     return files, [message]

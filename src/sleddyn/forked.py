@@ -9,10 +9,11 @@ computed in-process when the iterator reaches it, so an error is raised
 on the calling thread exactly as in serial code. ``stream(fn)`` is its
 counterpart for items that do not exist yet: ``simulate`` hands it each
 block of logged rows while it integrates, and one worker formats each
-block's ``truth.csv`` rows and, in a run that reaches ``t_max``, most
-of its ``telemetry.csv`` rows meanwhile. It keeps the same contract:
-results in order, every block computed in-process if the worker did not
-deliver them all, nothing forked where ``shares`` forks nothing.
+block's ``truth.csv`` rows and most of its ``telemetry.csv`` rows
+meanwhile, which ``simulate`` takes by a rule, checking no row. It keeps
+the same contract: results in order, every block computed in-process if
+the worker did not deliver them all, nothing forked where ``shares``
+forks nothing.
 
 Both run one protocol. Workers are made with ``os.fork``, and each
 computes a run of consecutive items (``_work``). It writes each result

@@ -38,20 +38,22 @@ def least_squares(fun, x0, bounds, ftol, xtol, gtol, max_nfev) -> Solution:
     Stops when the scaled gradient's largest entry is below ``gtol``, when
     an accepted step lowers the cost by less than ``ftol`` of it or
     is shorter than ``xtol * (xtol + norm(x))``, or after ``max_nfev``
-    evaluations. Raises NumericalError when the start point's residuals
-    are not finite or some variable changes none of them there.
+    evaluations. Raises NumericalError when the start point's residuals,
+    cost or gradient are not finite or some variable changes no residual.
     """
     lb, ub = (np.asarray(b, dtype=float) for b in bounds)
     x = _strictly_feasible(np.asarray(x0, dtype=float), lb, ub, 1e-10)
     f, J = fun(x)
     if not np.all(np.isfinite(f)):
         raise NumericalError("residuals are not finite at the start point")
-    if not np.all(np.sum(J ** 2, axis=0) > 0):
+    with np.errstate(over="ignore", invalid="ignore"):  # finite residuals may still overflow here
+        squares, cost, g = np.sum(J ** 2, axis=0), 0.5 * np.dot(f, f), J.T.dot(f)
+    if not np.all(squares > 0):
         raise NumericalError("rank-deficient Jacobian at the start point")
+    if not (np.isfinite(cost) and np.all(np.isfinite(g))):
+        raise NumericalError("the cost or its gradient is not finite at the start point")
     nfev = 1
     m, n = J.shape
-    cost = 0.5 * np.dot(f, f)
-    g = J.T.dot(f)
     v, dv = _scaling(x, g, lb, ub)
     Delta = norm(x / v**0.5)
     if Delta == 0:

@@ -41,9 +41,12 @@ ended. While it runs, ``simulate`` can hand each finished block of
 ``BLOCK_ROWS`` logged rows to a callable, which ``cli`` uses to format
 both exported tables on a second CPU during the integration: every
 ``truth.csv`` row of the block (``truth_text``), and the telemetry rows
-that the block alone determines (``telemetry_rows``), from noise drawn
-before the run (``noise_draws``). Those telemetry rows and the whole-run
-export share one channel synthesis (``_sensor_channels``, ``_noisy``).
+that the block alone determines (``telemetry_part``), from noise drawn
+before the run (``noise_draws``). Every telemetry row, there, in the rows
+``cli`` computes after the run and in ``export_synthetic_telemetry``, is
+``window_telemetry``'s of the rows around it, so ``cli`` takes the
+worker's rows whenever their noise is the run's: the scenario has none,
+or the run exported the samples it was drawn for.
 
 Per step the simulator logs state, forces, and power terms; the power
 bookkeeping closes the energy balance to integration accuracy, which
@@ -59,7 +62,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -428,25 +431,46 @@ def export_synthetic_telemetry(log: SimLog, bob: BobParameters, rate: float = 10
     roll-split trace, i.e. the gyro rides on the front section.
     ``noise`` maps a channel name to the sigma of its additive Gaussian
     noise (``noise_draws``); a sigma so large that a noisy value overflows
-    is a ConfigError.
+    is a ConfigError. The rows are ``window_telemetry``'s of the whole run.
     """
-    sl = slice(0, None, export_stride(rate, log.dt))
+    col = exported_rows(log, export_stride(rate, log.dt), rate)
+    noise, rows = noise or {}, col["t"].size
+    run = window_telemetry(col, 0, 0, rows, bob, noise, noise_draws(noise, seed, rows))
+    return replace(run, meta=meta or TelemetryMeta()), _truth(col)
 
-    t = log.t[sl]
-    if t.size < 2:  # the derivative channels need two samples
+
+def exported_rows(log: SimLog, stride: int, rate: float) -> dict[str, np.ndarray]:
+    """The log columns at the exported rows, every ``stride``-th at ``rate`` Hz; a ConfigError for fewer than two."""
+    col = {name: column[::stride] for name, column in log.data.items()}
+    if col["t"].size < 2:  # the derivative channels need two samples
         raise ConfigError(f"the run stopped by {log.stop} at t = {log.t[-1]:.6g} s, which exports "
-                          f"{t.size} sample at {rate:g} Hz; at least 2 are needed")
-    dec = {name: log.data[name][sl] for name in log.data}
-    phi_dot = np.gradient(dec["gamma"], t)
-    channels = _sensor_channels(dec, phi_dot, np.gradient(phi_dot, t), bob)
-    if noise is not None:
-        noisy = _noisy(channels, noise_draws(noise, seed, t.size))
-        for name, arr in noisy.items():
-            if (np.isfinite(channels[name]) & ~np.isfinite(arr)).any():
-                raise ConfigError(f"noise.{name} = {noise[name]:g} makes the exported {name} non-finite")
-        channels = noisy
-    run = TelemetryRun(t=t, channels=channels, meta=meta or TelemetryMeta())
-    return run, _truth(dec)
+                          f"{col['t'].size} sample at {rate:g} Hz; at least 2 are needed")
+    return col
+
+
+def window_telemetry(col, start: int, first: int, end: int, bob: BobParameters, noise: dict[str, float],
+                     draws: dict[str, np.ndarray]) -> TelemetryRun:
+    """The run's telemetry rows ``first`` to ``end - 1``, noise added, from the exported rows around them.
+
+    ``col`` maps log columns (``a_x``, ``a_y`` and ``a_z`` among them) to
+    their values at the run's exported rows ``start`` on; it holds two
+    rows on either side of the wanted ones, or up to the run's end. The
+    roll rate and acceleration are ``_gradient``'s of those rows, so a row
+    has the same bits in every window. ``draws`` is the noise of the
+    run's rows (``noise_draws``), drawn with the sigmas ``noise``; a sigma
+    that makes a noisy value overflow is a ConfigError.
+    """
+    lo = max(first - start - 2, 0)
+    t, gamma = col["t"][lo:end - start + 2], col["gamma"][lo:end - start + 2]
+    phi_dot = _gradient(gamma, t)
+    wanted = slice(first - start - lo, end - start - lo)
+    rows = {name: values[first - start:end - start] for name, values in col.items()}
+    channels = _sensor_channels(rows, phi_dot[wanted], _gradient(phi_dot, t)[wanted], bob)
+    noisy = _noisy(channels, {name: d[first:end] for name, d in draws.items()})
+    for name in draws:
+        if (np.isfinite(channels[name]) & ~np.isfinite(noisy[name])).any():
+            raise ConfigError(f"noise.{name} = {noise[name]:g} makes the exported {name} non-finite")
+    return TelemetryRun(t=rows["t"], channels=noisy)
 
 
 def _sensor_channels(col, phi_dot, phi_ddot, bob: BobParameters) -> dict[str, np.ndarray]:
@@ -509,44 +533,33 @@ def truth_text(k: int, block: np.ndarray, stride: int) -> str:
     return tables._rows_text(np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS]))
 
 
-def telemetry_rows(k: int, block: np.ndarray, stride: int, bob: BobParameters, draws: dict[str, np.ndarray],
-                   schema: CsvSchema) -> tuple[int, int, bytes, str] | None:
-    """``(first, end, digest, text)`` of the ``telemetry.csv`` rows that block ``k`` alone determines.
+def telemetry_part(k: int, block: np.ndarray, stride: int, bob: BobParameters, noise: dict[str, float],
+                   draws: dict[str, np.ndarray], schema: CsvSchema) -> tuple[int, int, list[str]] | None:
+    """``(first, end, texts)`` of the ``telemetry.csv`` rows ``first`` to ``end - 1`` that block ``k`` determines.
 
-    These are the exported rows ``first`` to ``end - 1`` of the block
-    whose roll acceleration's stencil, two rows on each side, lies in the
-    block: all but two rows at either end, and None for a block of fewer
-    than five exported rows. ``draws`` is the noise of the
-    whole export (``noise_draws``), and the columns and units are those of
-    ``schema`` (``telemetry.export_columns``). The roll rate and
-    acceleration are ``np.gradient``'s interior formula for a non-uniform
-    grid, written out: ``np.gradient`` itself takes its uniform formula
-    whenever a block's grid happens to be uniform. So the rows match the
-    whole-run export only where its formula is the same; ``digest``
-    (``tables.rows_digest``) lets the caller check each row against its own.
+    These are the block's exported rows but the last two, and but the
+    first two unless the block is the run's first (``window_telemetry``),
+    as ``tables.row_texts`` formats them in the columns and units of
+    ``schema``; None where that leaves no row.
     """
     offset = -k * BLOCK_ROWS % stride
     col = _with_accelerations(block[offset::stride], bob.m)
-    first = (k * BLOCK_ROWS + offset) // stride + 2
-    t = col["t"]
-    if t.size < 5:
+    start = (k * BLOCK_ROWS + offset) // stride
+    first, end = start + (2 if k else 0), start + col["t"].size - 2
+    if end <= first:
         return None
-    phi_dot = _interior_gradient(col["gamma"], t)
-    inner = {name: values[2:-2] for name, values in col.items()}
-    channels = _sensor_channels(inner, phi_dot[1:-1], _interior_gradient(phi_dot, t[1:-1]), bob)
-    end = first + t.size - 4
-    run = TelemetryRun(t=inner["t"], channels=_noisy(channels, {name: d[first:end] for name, d in draws.items()}))
-    return tables.rows_part(list(telemetry.export_columns(run, schema).values()), first)
+    run = window_telemetry(col, start, first, end, bob, noise, draws)
+    return first, end, list(tables.row_texts(telemetry.export_columns(run, schema).values()))
 
 
-def _interior_gradient(f: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, t)[1:-1]`` by its formula for a non-uniform grid, however ``t`` is spaced."""
+def _gradient(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, t)`` by its formula for a non-uniform grid, ends included, however ``t`` is spaced."""
     dx = np.diff(t)
     dx1, dx2 = dx[:-1], dx[1:]
     a = -dx2 / (dx1 * (dx1 + dx2))
     b = (dx2 - dx1) / (dx1 * dx2)
     c = dx1 / (dx2 * (dx1 + dx2))
-    return a * f[:-2] + b * f[1:-1] + c * f[2:]
+    return np.concatenate([[(f[1] - f[0]) / dx[0]], a * f[:-2] + b * f[1:-1] + c * f[2:], [(f[-1] - f[-2]) / dx[-1]]])
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,15 @@ When ``loadtxt`` rejects the body, the file is scanned once more only to
 name the first bad line in the ``DataError``; that scan returns no data.
 
 Every cell is written as ``repr(float)``. ``row_texts`` is the one row
-formatter: it formats rows in the calling process, ``CHUNK_ROWS`` at a
-time as the file is written, and takes a part formatted elsewhere (as
-``simulate``'s worker does while it integrates) where a digest of its
-float64 bytes (``rows_digest``) says that its rows are the caller's own.
-``write_text`` writes such texts under the comment and header lines.
+formatter: it formats rows ``CHUNK_ROWS`` at a time as the file is
+written, in the calling process or (for ``simulate``'s worker) in
+another one. ``write_text`` writes such texts, in the order given,
+under the comment and header lines.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 from dataclasses import dataclass
 from itertools import islice
 
@@ -29,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, reading
 
-# most rows formatted at once where no part formatted elsewhere is taken: this bounds the text held
+# most rows formatted at once: this bounds the text held
 CHUNK_ROWS = 1024
 # most characters handed to the text file at once: it encodes each write whole, so
 # this bounds that copy
@@ -113,7 +111,7 @@ def write_table(path, columns: dict, comments=()) -> None:
     ``CHUNK_ROWS`` at a time while the file is written, which bounds the
     extra memory.
     """
-    write_text(path, columns, row_texts([np.asarray(col, dtype=float) for col in columns.values()], ()), comments)
+    write_text(path, columns, row_texts(np.asarray(col, dtype=float) for col in columns.values()), comments)
 
 
 def write_text(path, names, texts, comments=()) -> None:
@@ -127,45 +125,11 @@ def write_text(path, names, texts, comments=()) -> None:
                 fh.write(text[start:start + WRITE_CHARS])
 
 
-def row_texts(columns, parts):
-    """The text of the rows of ``columns``: each part formatted elsewhere whose rows are these, the rest here.
-
-    ``columns`` are equal-length 1-D float arrays, one per table column.
-    ``parts`` are ``(first, end, digest, text)`` of rows ``first`` to
-    ``end - 1`` (``rows_part``), in increasing order and apart, or None
-    for none; a part is taken when its digest is ``rows_digest`` of those
-    rows, so the text is what ``_rows_text`` makes of them either way.
-    The other rows are formatted ``CHUNK_ROWS`` at a time, as asked for.
-    """
-    done = 0
-    for first, end, digest, text in filter(None, parts):
-        if rows_digest(_stacked(columns, first, end)) == digest:
-            yield from _chunk_texts(columns, done, first)
-            yield text
-            done = end
-    yield from _chunk_texts(columns, done, len(columns[0]))
-
-
-def _chunk_texts(columns, start: int, stop: int):
-    """The text of rows ``start`` to ``stop - 1`` of ``columns``, ``CHUNK_ROWS`` rows at a time."""
-    for first in range(start, stop, CHUNK_ROWS):
-        yield _rows_text(_stacked(columns, first, min(first + CHUNK_ROWS, stop)))
-
-
-def rows_part(columns, first: int) -> tuple[int, int, bytes, str]:
-    """``(first, end, digest, text)`` of the rows of ``columns`` as rows ``first`` on, as ``row_texts`` takes them."""
-    rows = np.column_stack(columns)
-    return first, first + len(rows), rows_digest(rows), _rows_text(rows)
-
-
-def _stacked(columns, start: int, stop: int) -> np.ndarray:
-    """Rows ``start`` to ``stop - 1`` of the equal-length 1-D ``columns`` as one 2-D array."""
-    return np.column_stack([column[start:stop] for column in columns])
-
-
-def rows_digest(rows: np.ndarray) -> bytes:
-    """A digest of the float64 bytes of ``rows``, which fix the text ``_rows_text`` makes of them."""
-    return hashlib.blake2b(np.ascontiguousarray(rows, dtype=float), digest_size=16).digest()
+def row_texts(columns):
+    """The text of the rows of ``columns``, equal-length 1-D float arrays, ``CHUNK_ROWS`` rows at a time."""
+    columns = list(columns)
+    for first in range(0, len(columns[0]), CHUNK_ROWS):
+        yield _rows_text(np.column_stack([column[first:first + CHUNK_ROWS] for column in columns]))
 
 
 def _rows_text(rows: np.ndarray) -> str:

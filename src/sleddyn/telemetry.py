@@ -194,7 +194,7 @@ def export_csv(run: TelemetryRun, path, schema: CsvSchema | None = None,
     Floats are written with repr so a round trip reproduces every
     channel bit-identically.
     """
-    write_table(path, export_columns(run, schema), export_comments(run, header_comments))
+    write_table(path, export_columns(run, schema), export_comments(run.meta, header_comments))
 
 
 def export_columns(run: TelemetryRun, schema: CsvSchema | None = None) -> dict[str, np.ndarray]:
@@ -204,13 +204,13 @@ def export_columns(run: TelemetryRun, schema: CsvSchema | None = None) -> dict[s
     return {schema.columns["t"]: run.t, **{schema.columns[name]: arr for name, arr in scaled.items()}}
 
 
-def export_comments(run: TelemetryRun, header_comments: list[str] | None = None) -> list[str]:
-    """The comment lines ``export_csv`` writes: ``header_comments``, then the run's metadata."""
+def export_comments(meta: TelemetryMeta, header_comments: list[str] | None = None) -> list[str]:
+    """The comment lines ``export_csv`` writes: ``header_comments``, then the run's metadata ``meta``."""
     comments = list(header_comments or [])
-    if run.meta.driver:
-        comments.append(f"meta driver = {run.meta.driver}")
-    if run.meta.track:
-        comments.append(f"meta track = {run.meta.track}")
+    if meta.driver:
+        comments.append(f"meta driver = {meta.driver}")
+    if meta.track:
+        comments.append(f"meta track = {meta.track}")
     return comments
 
 

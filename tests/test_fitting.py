@@ -95,6 +95,14 @@ class TestFitRecovery:
         with pytest.raises(DataError, match=f"non-finite {name} in the front fit dataset"):
             fit_lateral(dataclasses.replace(dataset, **{name: values}))
 
+    def test_start_point_whose_cost_overflows_is_a_numerical_error(self):
+        # residuals of about 1e200 are finite, but their squares and the gradient J.T @ f are not
+        dataset = synthetic_dataset(FRONT, n=200, seed=1)
+        huge = dataclasses.replace(dataset, f_y=dataset.f_y * 1e197)
+        assert np.all(np.isfinite(huge.f_y)) and 1e199 < np.abs(huge.f_y).max() < 1e201
+        with pytest.raises(NumericalError, match="the cost or its gradient is not finite at the start point"):
+            fit_lateral(huge)
+
     def test_cost_nonincreasing(self):
         # the trust-region solver only ever accepts steps that lower the
         # cost, so the final cost is bounded by the initial-guess cost

@@ -6,10 +6,13 @@ rows and, in its share of the blocks, the telemetry.csv rows that the
 block alone determines. Each file must equal what ``export_trace_csv``
 and ``telemetry.export_csv`` write from the whole log, forked or on one
 CPU, for every export stride, however the rows fall into blocks and
-however the run ends; the parent formats no more telemetry rows than
-those around the block edges and those past the worker's share, unless
-the worker's rows are not its own. Whatever way a run fails, the worker
-is gone afterwards.
+however the run ends. The parent takes the worker's rows whenever their
+noise is the run's (a run without noise, or one that exports the
+samples the noise was drawn for) and then formats no more telemetry rows
+than those around the block edges, those past the worker's share and
+the run's last two. Every row takes the written-out non-uniform formula
+of ``np.gradient``, a uniform grid's included. Whatever way a run fails,
+the worker is gone afterwards.
 """
 
 import json
@@ -110,7 +113,7 @@ def test_streamed_truth_has_the_one_pass_bytes(files, monkeypatch, forks, case):
 UNIFORM = {"t": [0, 1, 2, 3, 4], "delta": [0, 0.02, -0.02, 0.02, 0], "gamma": [0, 0.01, -0.01, 0.02, 0]}
 # telemetry.csv: every CASES row, a schema in degrees, and a run on a uniform time grid, where np.gradient
 # takes its uniform formula: with a spacing of 2^-8 s the written-out non-uniform formula gives the same bits,
-# with 3 * 2^-10 s it does not, so the parent rejects every block
+# with 3 * 2^-10 s it does not, and every row takes the written-out one
 TELEMETRY_CASES = {
     **{name: (raw, "rad") for name, (raw, _, _) in CASES.items()},
     "deg-schema": (scenario(400.0 / 3.0, controls=UNIFORM), "deg"),
@@ -153,25 +156,43 @@ def parent_rows(root: Path, path: Path, monkeypatch, seed: tuple[str, ...] = ("-
     return sum(formatted), len(telemetry.ingest_csv(out / "telemetry.csv", telemetry.identity_schema()))
 
 
+def most_parent_rows(raw: dict, rows: int) -> int:
+    """The most telemetry.csv rows the parent formats for ``rows`` exported by a run of scenario ``raw``.
+
+    Four around each edge between the worker's blocks, two before its share ends and the rows past it,
+    or the run's last two if the run ends inside the share.
+    """
+    steps = round(raw["sim"]["t_max"] / raw["sim"]["dt"])
+    shared = round(cli.WORKER_SHARE * (steps // sim.BLOCK_ROWS + 1))
+    stride = sim.export_stride(raw["meta"]["rate_hz"], raw["sim"]["dt"])
+    blocks = -(-rows * stride // sim.BLOCK_ROWS)  # at least the run's
+    return 4 * min(shared, blocks) + max(rows + (-shared * sim.BLOCK_ROWS // stride), 2)
+
+
+# the runs that reach t_max, and one without noise that stops long before it
+SHARE_CASES = {**{name: raw for name, (raw, stop, _) in CASES.items() if stop == "t_max"},
+               "v-stop-noise-free": {**CASES["v-stop"][0], "noise": {}}}
+
+
 @pytest.mark.parametrize("seed", [("--seed", "3"), ()], ids=["seeded", "unseeded"])
-@pytest.mark.parametrize("case", [name for name, (_, stop, _) in CASES.items() if stop == "t_max"])
+@pytest.mark.parametrize("case", SHARE_CASES)
 def test_the_worker_formats_its_share_but_the_edge_rows(files, monkeypatch, case, seed):
     # a fallback that formats every row here would keep the bytes and lose the second CPU
     path = files / "scenario.json"
-    raw, _, logged = CASES[case]
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(SHARE_CASES[case]))
     formatted, rows = parent_rows(files, path, monkeypatch, seed)
-    shared = round(cli.WORKER_SHARE * -(-logged // sim.BLOCK_ROWS))
-    stride = sim.export_stride(raw["meta"]["rate_hz"], raw["sim"]["dt"])
-    # the first two, two each side of an edge between the worker's blocks, two before its share ends, the rest
-    assert 0 < formatted <= 4 * shared + rows + (-shared * sim.BLOCK_ROWS // stride) < rows
+    assert 0 < formatted <= most_parent_rows(SHARE_CASES[case], rows) < rows
 
 
-def test_rows_the_worker_computed_otherwise_are_formatted_here(files, monkeypatch):
+def test_the_worker_rows_on_a_uniform_grid_are_taken(files, monkeypatch):
+    # np.gradient takes its uniform formula on this grid, and no telemetry.csv row does
+    raw = TELEMETRY_CASES["uniform-3*2^-10"][0]
     path = files / "scenario.json"
-    path.write_text(json.dumps(TELEMETRY_CASES["uniform-3*2^-10"][0]))
+    path.write_text(json.dumps(raw))
+    expected = one_pass(files, path, 3)[0]["telemetry.csv"]
     formatted, rows = parent_rows(files, path, monkeypatch)
-    assert formatted == rows
+    assert 0 < formatted <= most_parent_rows(raw, rows) < rows
+    assert (files / "out2" / "telemetry.csv").read_bytes() == expected
 
 
 def test_a_run_too_long_to_draw_ahead_is_formatted_here(files, monkeypatch):
@@ -193,7 +214,7 @@ def test_written_out_gradient_is_np_gradient_on_a_non_uniform_grid(samples):
     dx = np.diff(t)
     if (dx == dx[0]).all() or not (dx > 0).all():  # np.gradient's uniform formula, or no grid
         return
-    assert sim._interior_gradient(f, t).tobytes() == np.gradient(f, t)[1:-1].tobytes()
+    assert sim._gradient(f, t).tobytes() == np.gradient(f, t).tobytes()
 
 
 def fail_at_step(monkeypatch, n: int, fault):
